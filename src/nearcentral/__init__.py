@@ -38,6 +38,7 @@ from .tableaux import (
     shape_contents,
 )
 from .characters import character_table, chi, chi_near_hook
+from .permutations import Permutation
 from .genchar import (
     Asf,
     Const,
@@ -65,7 +66,6 @@ from .genchar import (
 )
 from .oracle import (
     GroupAlgebraElement,
-    Permutation,
     VerificationError,
     central_idempotent,
     class_sum,
@@ -84,8 +84,6 @@ from .starcount import (
     TruncatedSeries,
     series_cosh,
     series_exp,
-    series_mul,
-    series_pow,
     series_sinh,
     star_count,
     star_count_by_cycle_count,

@@ -17,11 +17,10 @@ from fractions import Fraction
 from typing import Any
 
 from .characters import character_table
-from .errors import DomainError, GuardExceeded, UnsupportedPattern
+from .errors import DomainError, GuardExceeded
 from .genchar import (
     connection_coefficient,
     genchar,
-    genchar_hook_row,
     genchar_strahov,
     genchar_table2,
 )
@@ -125,13 +124,7 @@ def _cmd_genchar(args: argparse.Namespace) -> dict[str, Any]:
     mu = _shape_arg(args.mu, args.n, "mu")
     lam = _shape_arg(args.lam, args.n, "lambda")
     if args.method == "table":
-        try:
-            value = genchar_table2(mu, args.j, lam, args.i)
-        except UnsupportedPattern:
-            if lam.parts == (args.n - 1, 1) and args.i == args.n - 1:
-                value = genchar_hook_row(mu, args.j)
-            else:
-                raise
+        value = genchar_table2(mu, args.j, lam, args.i)
     elif args.method == "strahov":
         value = genchar_strahov(mu, args.j, lam, args.i)
     elif args.method == "oracle":

@@ -4,9 +4,9 @@ The algebra spanned by the marked class sums K_{lam,i} is commutative, and its
 primitive idempotents Gamma^{mu,j} are indexed by the same marked partitions.
 The coefficient of Gamma^{mu,j} in K_{lam,i}, normalized by n!/d_mu, is the
 generalized character gamma^{mu,j}_{lam,i}.  This module computes those
-numbers three independent ways (closed-form table rows, a character sum over
-S_{n-1}, and evaluation templates in Jucys-Murphy elements), plus the
-structure constants and orthogonality sums built from them.
+numbers two independent ways (closed forms, chiefly the Jucys-Murphy
+polynomials of Table 1 evaluated at contents, and a character sum over
+S_{n-1}), plus the structure constants and orthogonality sums built from them.
 
 Everything is exact: values are `fractions.Fraction`, never floats.
 """
@@ -32,7 +32,8 @@ from .partitions import (
     class_size,
     marked_class_size,
 )
-from .tableaux import content_sums, dimension, marked_content, shape_contents
+from .permutations import Permutation, cycle_type
+from .tableaux import dimension, marked_content, shape_contents
 
 __all__ = [
     "VarRange",
@@ -241,10 +242,6 @@ def evaluate_asf(f: Asf, mu: Partition, j: int) -> Fraction:
     return ev(f)
 
 
-def _hook_shape(n: int, k: int) -> tuple[int, ...]:
-    return (n - k,) + (1,) * k
-
-
 def table1_rows(n: int) -> list[tuple[MarkedPartition, Asf]]:
     """All marked classes of S_n with a known polynomial in Jucys-Murphy
     elements, paired with that polynomial.
@@ -293,49 +290,6 @@ def table1_poly(lam: Partition, i: int) -> Asf:
     raise UnsupportedPattern(f"no polynomial template for K_{target}")
 
 
-# ---------------------------------------------------------------------------
-# permutation plumbing for the character-sum formula (tuples of images,
-# 1-indexed, composition right to left)
-
-
-def _tuple_cycle_type(images: Sequence[int]) -> Partition:
-    n = len(images)
-    seen = [False] * (n + 1)
-    lengths = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = images[x - 1]
-            length += 1
-        lengths.append(length)
-    return Partition(lengths)
-
-
-def _marked_representative(lam: Partition, i: int) -> tuple[int, ...]:
-    # n sits on the designated i-cycle together with the i-1 smallest symbols;
-    # remaining parts, in decreasing order, take consecutive blocks of symbols
-    n = lam.n
-    images = list(range(1, n + 1))
-
-    def install(cycle: Sequence[int]) -> None:
-        for a, b in zip(cycle, cycle[1:]):
-            images[a - 1] = b
-        images[cycle[-1] - 1] = cycle[0]
-
-    install(list(range(1, i)) + [n])
-    rest = list(lam.parts)
-    rest.remove(i)
-    next_symbol = i
-    for length in rest:
-        install(list(range(next_symbol, next_symbol + length)))
-        next_symbol += length
-    return tuple(images)
-
-
 def genchar_strahov(
     mu: Partition, j: int, lam: Partition, i: int, max_n: int | None = None
 ) -> Fraction:
@@ -348,16 +302,23 @@ def genchar_strahov(
     n = _common_order(mu, j, lam, i)
     check_guard(n, max_n, "character sum over S_{n-1}")
     reduced = decrement_part(mu, j)
-    pi = _marked_representative(lam, i)
+    # n sits on the marked i-cycle with 1..i-1; the other parts take
+    # consecutive blocks of the remaining symbols
+    rest = list(lam.parts)
+    rest.remove(i)
+    starts = itertools.accumulate(rest, initial=i)
+    cycles = [(*range(1, i), n)] + [
+        tuple(range(s, s + length)) for s, length in zip(starts, rest)
+    ]
+    pi = Permutation.from_cycles(n, cycles).images
     pi_last = pi[n - 1]
     total = 0
     # summing chi^mu(pi sigma^{-1}) chi^{reduced}(sigma) over sigma equals
-    # summing chi^mu(pi tau) chi^{reduced}(tau): substitute tau = sigma^{-1}
+    # summing chi^mu(pi tau) chi^{reduced}(tau): substitute tau = sigma^{-1};
+    # tau stays a raw tuple because this loop is the whole cost of the route
     for tau in itertools.permutations(range(1, n)):
         composite = tuple(pi[t - 1] for t in tau) + (pi_last,)
-        total += chi(mu, _tuple_cycle_type(composite)) * chi(
-            reduced, _tuple_cycle_type(tau)
-        )
+        total += chi(mu, cycle_type(composite)) * chi(reduced, cycle_type(tau))
     return Fraction(dimension(reduced) * total, math.factorial(n - 1))
 
 
@@ -378,7 +339,7 @@ def _common_order(mu: Partition, j: int, lam: Partition, i: int) -> int:
 def _parse_hook(parts: tuple[int, ...]) -> int | None:
     # returns k for parts == (n-k, 1^k), else None
     k = len(parts) - 1
-    if parts == _hook_shape(sum(parts), k):
+    if parts == (sum(parts) - k,) + (1,) * k:
         return k
     return None
 
@@ -391,120 +352,25 @@ def _parse_near_hook(parts: tuple[int, ...]) -> int | None:
     return None
 
 
-def _gamma_top_cycle(mu: Partition, j: int, n: int) -> Fraction:
-    # subscript ((n), n): nonzero only on hooks
-    parts = mu.parts
-    k = _parse_hook(parts)
-    if k is not None:
-        if j == 1 and k >= 1:
-            return Fraction((-1) ** k * k, n - 1)
-        if j == parts[0] and parts[0] >= 2:
-            return Fraction((-1) ** k * (n - k - 1), n - 1)
-    return Fraction(0)
-
-
-def _gamma_fixed_mark(mu: Partition, j: int, n: int) -> Fraction:
-    # subscript ((n-1,1), 1): sign when the reduced shape is a hook, else 0
-    parts = mu.parts
-    k = _parse_hook(parts)
-    if k is not None:
-        if j == 1 and k >= 1:
-            return Fraction((-1) ** (k - 1))
-        if j == parts[0] and parts[0] >= 2:
-            return Fraction((-1) ** k)
-    k = _parse_near_hook(parts)
-    if k is not None and j == 2:
-        return Fraction((-1) ** k)
-    return Fraction(0)
-
-
-def _table2_entries(n: int):
-    # entries are (marked class, bracket function, scaled) where scaled means
-    # the bracket still needs the d_{j_-(mu)} / |C_{lam,i}| prefactor
-    if n < 2:
-        raise DomainError("closed-form rows need n >= 2")
-    entries: list[tuple[MarkedPartition, object, bool]] = []
-
-    def sigma(mu: Partition, j: int) -> int:
-        return content_sums(decrement_part(mu, j))[0]
-
-    def sigma2(mu: Partition, j: int) -> int:
-        return content_sums(decrement_part(mu, j))[1]
-
-    def c(mu: Partition, j: int) -> int:
-        return marked_content(mu, j)
-
-    swap_tail = Partition((2,) + (1,) * (n - 2))
-    entries.append((MarkedPartition(swap_tail, 2), lambda mu, j: Fraction(c(mu, j)), True))
-    if n >= 3:
-        entries.append(
-            (MarkedPartition(swap_tail, 1), lambda mu, j: Fraction(sigma(mu, j)), True)
-        )
-        three_tail = Partition((3,) + (1,) * (n - 3))
-        entries.append(
-            (
-                MarkedPartition(three_tail, 3),
-                lambda mu, j: Fraction(c(mu, j) ** 2 - (n - 1)),
-                True,
-            )
-        )
-    if n >= 4:
-        double_tail = Partition((2, 2) + (1,) * (n - 4))
-        entries.append(
-            (
-                MarkedPartition(double_tail, 2),
-                lambda mu, j: Fraction(sigma(mu, j) * c(mu, j) - c(mu, j) ** 2 + (n - 1)),
-                True,
-            )
-        )
-        entries.append(
-            (
-                MarkedPartition(three_tail, 1),
-                lambda mu, j: Fraction(sigma2(mu, j) - math.comb(n - 1, 2)),
-                True,
-            )
-        )
-    if n >= 5:
-        entries.append(
-            (
-                MarkedPartition(double_tail, 1),
-                lambda mu, j: Fraction(
-                    sigma(mu, j) ** 2 - 3 * sigma2(mu, j) + (n - 1) * (n - 2), 2
-                ),
-                True,
-            )
-        )
-    entries.append(
-        (
-            MarkedPartition(Partition((n,)), n),
-            lambda mu, j: _gamma_top_cycle(mu, j, n),
-            False,
-        )
-    )
-    entries.append(
-        (
-            MarkedPartition(Partition((n - 1, 1)), 1),
-            lambda mu, j: _gamma_fixed_mark(mu, j, n),
-            False,
-        )
-    )
-    return entries
-
-
 def genchar_table2(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
-    """gamma^{mu,j}_{lam,i} from the closed-form row for (lam, i), if any."""
+    """gamma^{mu,j}_{lam,i} in closed form, when (lam, i) has one.
+
+    The identity class gives d_{j_-(mu)}; the class (n-1, 1) marked on the
+    long cycle gives the hook row; any class with a Table 1 polynomial f
+    gives f(contents of (mu, j)) d_{j_-(mu)} / |C_{lam,i}|, because K_{lam,i}
+    acts on Gamma^{mu,j} by that scalar.  Other classes raise
+    `UnsupportedPattern`.
+    """
     n = _common_order(mu, j, lam, i)
-    target = MarkedPartition(lam, i)
-    for marked, bracket, scaled in _table2_entries(n):
-        if marked != target:
-            continue
-        value = bracket(mu, j)
-        if scaled:
-            value *= Fraction(
-                dimension(decrement_part(mu, j)), marked_class_size(lam, i)
-            )
-        return value
-    raise UnsupportedPattern(f"no closed-form row for K_{target}")
+    if lam.parts == (1,) * n:
+        return Fraction(dimension(decrement_part(mu, j)))
+    # below n = 5 Table 1 already holds this class
+    if n >= 5 and lam.parts == (n - 1, 1) and i == n - 1:
+        return genchar_hook_row(mu, j)
+    poly = table1_poly(lam, i)
+    return evaluate_asf(poly, mu, j) * Fraction(
+        dimension(decrement_part(mu, j)), marked_class_size(lam, i)
+    )
 
 
 def genchar_hook_row(mu: Partition, j: int) -> Fraction:
@@ -540,21 +406,12 @@ def genchar_hook_row(mu: Partition, j: int) -> Fraction:
 
 @cache
 def genchar(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
-    """gamma^{mu,j}_{lam,i}, by the cheapest applicable method.
-
-    Tries the identity-class shortcut, then closed-form rows, then falls back
-    to the guarded character sum.
-    """
-    n = _common_order(mu, j, lam, i)
-    if lam.parts == (1,) * n and i == 1:
-        return Fraction(dimension(decrement_part(mu, j)))
+    """gamma^{mu,j}_{lam,i}: the closed form of `genchar_table2` when the
+    class has one, else the guarded character sum."""
     try:
         return genchar_table2(mu, j, lam, i)
     except UnsupportedPattern:
-        pass
-    if n >= 3 and lam.parts == (n - 1, 1) and i == n - 1:
-        return genchar_hook_row(mu, j)
-    return genchar_strahov(mu, j, lam, i)
+        return genchar_strahov(mu, j, lam, i)
 
 
 def superscript_sum(mu: Partition, lam: Partition, i: int) -> int:
@@ -615,30 +472,10 @@ def connection_coefficient(
 ) -> int:
     """Structure constant [K_{nu,k}] K_{lam,i} K_{mu,j}.
 
-    Computed by a character-style inversion over all marked shapes; always a
-    nonnegative integer (it counts factorizations), which is asserted.
+    Always a nonnegative integer (it counts factorizations), which is
+    asserted.
     """
-    n = _common_order(lam, i, mu, j)
-    if nu.n != n:
-        raise DomainError(f"{nu} is not a partition of {n}")
-    if k not in nu:
-        raise DomainError(f"mark {k} is not a part of {nu}")
-    total = Fraction(0)
-    for rho, ell in _marked_iter(n):
-        dd = dimension(decrement_part(rho, ell))
-        total += (
-            genchar(rho, ell, lam, i)
-            * genchar(rho, ell, mu, j)
-            * genchar(rho, ell, nu, k)
-            * Fraction(dimension(rho), dd * dd)
-        )
-    value = (
-        Fraction(marked_class_size(lam, i) * marked_class_size(mu, j), math.factorial(n))
-        * total
-    )
-    if value.denominator != 1 or value < 0:
-        raise DomainError(f"structure constant came out as {value}")
-    return int(value)
+    return multi_product_coefficient([(lam, i), (mu, j)], nu, k)
 
 
 def multi_product_coefficient(
@@ -661,11 +498,12 @@ def multi_product_coefficient(
         dd = dimension(decrement_part(rho, ell))
         term = genchar(rho, ell, mu, j) * Fraction(dimension(rho), dd**r)
         for lam, i in factors:
-            term *= marked_class_size(lam, i) * genchar(rho, ell, lam, i)
+            term *= genchar(rho, ell, lam, i)
         total += term
-    value = total / math.factorial(n)
-    if value.denominator != 1:
-        raise DomainError(f"product coefficient came out non-integral: {value}")
+    sizes = math.prod(marked_class_size(lam, i) for lam, i in factors)
+    value = Fraction(sizes, math.factorial(n)) * total
+    if value.denominator != 1 or value < 0:
+        raise DomainError(f"product coefficient came out as {value}")
     return int(value)
 
 

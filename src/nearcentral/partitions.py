@@ -48,7 +48,8 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         ordered = tuple(sorted(parts, reverse=True))
         for p in ordered:
-            if not isinstance(p, int) or p < 1:
+            # bool is an int subclass, and True would pass as the part 1
+            if type(p) is not int or p < 1:
                 raise DomainError(f"partition parts must be positive integers, got {p!r}")
         object.__setattr__(self, "_parts", ordered)
 
@@ -103,6 +104,8 @@ class MarkedPartition:
     mark: int
 
     def __post_init__(self) -> None:
+        if type(self.mark) is not int:
+            raise DomainError(f"mark must be an integer, got {self.mark!r}")
         if self.mark not in self.shape:
             raise DomainError(f"mark {self.mark} is not a part of {self.shape}")
 

@@ -26,8 +26,6 @@ __all__ = [
     "series_exp",
     "series_sinh",
     "series_cosh",
-    "series_mul",
-    "series_pow",
     "StarClosedCase",
     "star_count",
     "star_count_closed",
@@ -154,14 +152,6 @@ def series_cosh(a: Fraction | int, order: int) -> TruncatedSeries:
     )
 
 
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def series_pow(a: TruncatedSeries, k: int) -> TruncatedSeries:
-    return a**k
-
-
 def _as_count(value: Fraction, what: str) -> int:
     if value.denominator != 1 or value < 0:
         raise DomainError(f"{what} came out as {value}, not a count")
@@ -207,9 +197,8 @@ def star_count_closed(case: StarClosedCase, n: int, r: int) -> int:
     if r < 1:
         raise DomainError("length must be positive")
     order = r + 1
-    s = series_sinh(Fraction(n - 1, 2), order) * series_pow(
-        series_sinh(Fraction(1, 2), order), n - 1
-    )
+    half = series_sinh(Fraction(1, 2), order)
+    s = series_sinh(Fraction(n - 1, 2), order) * half ** (n - 1)
     nf = math.factorial(n)
     if case is StarClosedCase.FULL_CYCLE:
         value = Fraction(2**n, nf * (n - 1)) * s.extract(r + 1)

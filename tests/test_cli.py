@@ -24,12 +24,13 @@ def test_genchar_default_method(capsys) -> None:
 
 
 def test_genchar_all_methods_agree(capsys) -> None:
-    base = ["genchar", "--n", "3", "--mu", "2,1", "--j", "2", "--lambda", "2,1", "--i", "2"]
-    for method in ("auto", "table", "strahov", "oracle"):
-        code, doc, _ = _invoke(capsys, base + ["--method", method])
-        assert code == 0
-        assert doc["value"] == "1/2"
-        assert doc["method"] == method
+    for lam, i, expected in (("2,1", "2", "1/2"), ("1,1,1", "1", "1")):
+        base = ["genchar", "--n", "3", "--mu", "2,1", "--j", "2", "--lambda", lam]
+        for method in ("auto", "table", "strahov", "oracle"):
+            code, doc, _ = _invoke(capsys, base + ["--i", i, "--method", method])
+            assert code == 0
+            assert doc["value"] == expected
+            assert doc["method"] == method
 
 
 def test_starfact_count(capsys) -> None:

@@ -139,6 +139,39 @@ def test_table2_agrees_with_strahov_on_every_applicable_row() -> None:
                 assert got == genchar_strahov(mu, j, lam, i), (mu.parts, j, lam.parts, i)
 
 
+def _paper_top_cycle(mu: Partition, j: int) -> Fraction:
+    # gamma^{mu,j}_{(n),n}: nonzero only on hooks (n-k, 1^k)
+    n, k = mu.n, len(mu) - 1
+    if mu.parts != (n - k,) + (1,) * k:
+        return Fraction(0)
+    if j == 1 and k >= 1:
+        return Fraction((-1) ** k * k, n - 1)
+    if j == mu[0] and mu[0] >= 2:
+        return Fraction((-1) ** k * (n - k - 1), n - 1)
+    return Fraction(0)
+
+
+def _paper_fixed_mark(mu: Partition, j: int) -> Fraction:
+    # gamma^{mu,j}_{(n-1,1),1}: a sign when j_-(mu) is a hook, else 0
+    n, k = mu.n, len(mu) - 1
+    if mu.parts == (n - k,) + (1,) * k:
+        if j == 1 and k >= 1:
+            return Fraction((-1) ** (k - 1))
+        if j == mu[0] and mu[0] >= 2:
+            return Fraction((-1) ** k)
+    if k >= 1 and mu.parts == (n - k - 1, 2) + (1,) * (k - 1) and j == 2:
+        return Fraction((-1) ** k)
+    return Fraction(0)
+
+
+def test_table2_hook_shape_rows_match_paper_formulas() -> None:
+    for n in range(3, 12):
+        top, fixed = Partition((n,)), Partition((n - 1, 1))
+        for mu, j in _marked(n):
+            assert genchar_table2(mu, j, top, n) == _paper_top_cycle(mu, j), (mu, j)
+            assert genchar_table2(mu, j, fixed, 1) == _paper_fixed_mark(mu, j), (mu, j)
+
+
 def test_hook_row_named_cases() -> None:
     for n in range(3, 7):
         assert genchar_hook_row(Partition((n,)), n) == 1

@@ -45,6 +45,8 @@ def test_partition_rejects_nonpositive_parts() -> None:
         Partition((2, 0))
     with pytest.raises(DomainError):
         Partition((-1,))
+    with pytest.raises(DomainError):
+        Partition((True, 2))
 
 
 def test_marked_partition_requires_mark_to_be_a_part() -> None:
@@ -52,6 +54,8 @@ def test_marked_partition_requires_mark_to_be_a_part() -> None:
     assert marked.shape.parts == (2, 1) and marked.mark == 2
     with pytest.raises(DomainError):
         MarkedPartition(Partition((2, 1)), 3)
+    with pytest.raises(DomainError):
+        MarkedPartition(Partition((2, 1)), True)
 
 
 def test_marked_partition_equality_is_by_part_value() -> None:
