@@ -81,10 +81,6 @@ from .oracle import (
 )
 from .starcount import (
     StarClosedCase,
-    TruncatedSeries,
-    series_cosh,
-    series_exp,
-    series_sinh,
     star_count,
     star_count_by_cycle_count,
     star_count_class,

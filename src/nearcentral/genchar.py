@@ -284,10 +284,19 @@ def table1_poly(lam: Partition, i: int) -> Asf:
     if i not in lam:
         raise DomainError(f"mark {i} is not a part of {lam}")
     target = MarkedPartition(lam, i)
-    for marked, poly in table1_rows(lam.n):
-        if marked == target:
-            return poly
-    raise UnsupportedPattern(f"no polynomial template for K_{target}")
+    try:
+        return _table1_index(lam.n)[target]
+    except KeyError:
+        raise UnsupportedPattern(f"no polynomial template for K_{target}") from None
+
+
+@cache
+def _table1_index(n: int) -> dict[MarkedPartition, Asf]:
+    # at small n `table1_rows` lists some classes twice; the first row wins
+    index: dict[MarkedPartition, Asf] = {}
+    for marked, poly in table1_rows(n):
+        index.setdefault(marked, poly)
+    return index
 
 
 def genchar_strahov(

@@ -4,8 +4,7 @@ A star transposition moves the last symbol: (a n) for a < n.  The number of
 length-r sequences of stars multiplying to a fixed permutation depends only
 on its marked cycle type, and is a spectral sum over marked shapes weighted
 by powers of marked contents.  Three special shapes also admit closed forms
-as coefficients of hyperbolic generating functions; those are evaluated here
-with exact truncated Taylor series, never floats.
+as coefficients of hyperbolic generating functions.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
 
 from .characters import chi
 from .errors import DomainError
@@ -22,134 +20,12 @@ from .partitions import Partition, class_size, decrement_part, enumerate_partiti
 from .tableaux import content_polynomial, dimension, marked_content
 
 __all__ = [
-    "TruncatedSeries",
-    "series_exp",
-    "series_sinh",
-    "series_cosh",
     "StarClosedCase",
     "star_count",
     "star_count_closed",
     "star_count_class",
     "star_count_by_cycle_count",
 ]
-
-
-class TruncatedSeries:
-    """A Taylor polynomial with exact rational coefficients.
-
-    The order is part of the value: arithmetic requires matching orders and
-    truncates products back to it.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[Fraction | int]):
-        cs = tuple(Fraction(c) for c in coeffs)
-        if not cs:
-            raise DomainError("a series needs at least its constant term")
-        self._coeffs = cs
-
-    @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
-            raise DomainError(f"index {k} is outside order {self.order}")
-        return self._coeffs[k]
-
-    def extract(self, r: int) -> Fraction:
-        """r! times the coefficient of x^r."""
-        if r < 0 or r > self.order:
-            raise DomainError(f"cannot extract degree {r} at order {self.order}")
-        return math.factorial(r) * self._coeffs[r]
-
-    def _match(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise DomainError(
-                f"series orders differ: {self.order} vs {other.order}"
-            )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._match(other)
-        return TruncatedSeries(
-            a + b for a, b in zip(self._coeffs, other._coeffs)
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._match(other)
-        return TruncatedSeries(
-            a - b for a, b in zip(self._coeffs, other._coeffs)
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._match(other)
-            order = self.order
-            out = [Fraction(0)] * (order + 1)
-            for i, a in enumerate(self._coeffs):
-                if not a:
-                    continue
-                for k in range(order - i + 1):
-                    out[i + k] += a * other._coeffs[k]
-            return TruncatedSeries(out)
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(other * c for c in self._coeffs)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(other * c for c in self._coeffs)
-        return NotImplemented
-
-    def __pow__(self, k: int) -> "TruncatedSeries":
-        if not isinstance(k, int) or k < 0:
-            raise DomainError("series exponent must be a nonnegative integer")
-        out = TruncatedSeries([1] + [0] * self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TruncatedSeries) and self._coeffs == other._coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self._coeffs)!r})"
-
-
-def series_exp(a: Fraction | int, order: int) -> TruncatedSeries:
-    """exp(a x) through x^order."""
-    a = Fraction(a)
-    return TruncatedSeries(a**k / math.factorial(k) for k in range(order + 1))
-
-
-def series_sinh(a: Fraction | int, order: int) -> TruncatedSeries:
-    """sinh(a x) through x^order."""
-    a = Fraction(a)
-    return TruncatedSeries(
-        a**k / math.factorial(k) if k % 2 else Fraction(0)
-        for k in range(order + 1)
-    )
-
-
-def series_cosh(a: Fraction | int, order: int) -> TruncatedSeries:
-    """cosh(a x) through x^order."""
-    a = Fraction(a)
-    return TruncatedSeries(
-        a**k / math.factorial(k) if k % 2 == 0 else Fraction(0)
-        for k in range(order + 1)
-    )
 
 
 def _as_count(value: Fraction, what: str) -> int:
@@ -186,41 +62,57 @@ class StarClosedCase(Enum):
     TRANSPOSED_MARK = "transposed-mark"
 
 
+def _closed_spectrum(case: StarClosedCase, n: int) -> list[tuple[int, int]]:
+    # (weight, eigenvalue) pairs over the common denominator n!(n-1)
+    hooks = [
+        (sign * (-1) ** k * math.comb(n - 1, k), c)
+        for k in range(n)
+        for sign, c in ((1, n - 1 - k), (-1, -k))
+    ]
+    if case is StarClosedCase.FULL_CYCLE:
+        return [(w * c, c) for w, c in hooks]
+    if case is StarClosedCase.FIX_POINT_MARK1:
+        return [(w * (n - 1), c) for w, c in hooks]
+    if case is StarClosedCase.TRANSPOSED_MARK:
+        spectrum = [(n, n - 1), ((-1) ** n * n, 1 - n)] + [(-w, c) for w, c in hooks]
+        for k in range(1, n - 3):
+            d = dimension(Partition((n - k - 2, 2) + (1,) * (k - 1)))
+            spectrum.append(((-1) ** k * n * d, n - k - 2))
+        for k in range(2, n - 2):
+            d = dimension(Partition((n - k - 1, 2) + (1,) * (k - 2)))
+            spectrum.append(((-1) ** k * n * d, -k))
+        return spectrum
+    raise DomainError(f"unknown closed-form case {case!r}")
+
+
 def star_count_closed(case: StarClosedCase, n: int, r: int) -> int:
     """Closed-form star count for one of the three special marked shapes.
 
     FULL_CYCLE is the n-cycle; the other two are the shape (n-1, 1) with the
-    mark on the fixed point or on the long cycle respectively.
+    mark on the fixed point or on the long cycle respectively.  With
+    S(x) = 2^n sinh((n-1)x/2) sinh(x/2)^(n-1) and W(x) = cosh((n-1)x) for
+    even n, sinh((n-1)x) for odd n, the counts have exponential generating
+    functions S'(x)/(n!(n-1)), S(x)/n! and, up to near-hook terms,
+    (2n W(x) - S(x))/(n!(n-1)).  These are finite sums of e^{cx}, since
+    2 sinh(y) = e^y - e^{-y} gives
+    S(x) = sum_{k<n} (-1)^k C(n-1, k) (e^{(n-1-k)x} - e^{-kx}),
+    and r! [x^r] e^{cx} = c^r: each count is sum w c^r over integer
+    (weight w, eigenvalue c) pairs, divided by n!(n-1).
+
+    TRANSPOSED_MARK is the spectral sum of `star_count` over the support of
+    `genchar_hook_row`.  The shapes (n), (1^n) and the hooks (n-k, 1^k) give
+    2n W(x) - S(x).  The near hooks mu = (n-k-1, 2, 1^{k-1}) have
+    gamma = (-1)^k n d_{j_-(mu)} / ((n-1) d_mu) when marked on the first row
+    (eigenvalue n-k-2, 1 <= k <= n-4) or on the last row (eigenvalue -k,
+    2 <= k <= n-3), so each adds the pair ((-1)^k n d_{j_-(mu)}, c); marked
+    on the row of length 2 their eigenvalue is 0.  They count from n = 5 on.
     """
     if n < 3:
         raise DomainError("closed forms need n >= 3")
     if r < 1:
         raise DomainError("length must be positive")
-    order = r + 1
-    half = series_sinh(Fraction(1, 2), order)
-    s = series_sinh(Fraction(n - 1, 2), order) * half ** (n - 1)
-    nf = math.factorial(n)
-    if case is StarClosedCase.FULL_CYCLE:
-        value = Fraction(2**n, nf * (n - 1)) * s.extract(r + 1)
-    elif case is StarClosedCase.FIX_POINT_MARK1:
-        value = Fraction(2**n, nf) * s.extract(r)
-    elif case is StarClosedCase.TRANSPOSED_MARK:
-        wave = series_cosh(n - 1, order) if n % 2 == 0 else series_sinh(n - 1, order)
-        value = ((2 * n) * wave - (2**n) * s).extract(r) / Fraction(nf * (n - 1))
-        # The hyperbolic expression only accounts for hook eigenvalues plus the
-        # near-hook mark-2 ones (all zero).  For n >= 5 the shape (n-1,1) also
-        # picks up near-hook eigenvalues with the mark at either end of the
-        # diagram; restore those spectral terms directly.
-        extra = Fraction(0)
-        for k in range(1, n - 3):
-            shape = Partition((n - k - 2, 2) + (1,) * (k - 1))
-            extra += (-1) ** k * dimension(shape) * Fraction(n - k - 2) ** r
-        for k in range(2, n - 2):
-            shape = Partition((n - k - 1, 2) + (1,) * (k - 2))
-            extra += (-1) ** k * dimension(shape) * Fraction(-k) ** r
-        value += extra / Fraction((n - 1) * math.factorial(n - 1))
-    else:
-        raise DomainError(f"unknown closed-form case {case!r}")
+    total = sum(w * c**r for w, c in _closed_spectrum(case, n))
+    value = Fraction(total, math.factorial(n) * (n - 1))
     return _as_count(value, "closed-form star count")
 
 

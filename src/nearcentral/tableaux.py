@@ -13,7 +13,7 @@ import math
 from functools import cache
 
 from .errors import DomainError
-from .partitions import Partition, decrement_part
+from .partitions import Partition
 
 __all__ = [
     "StandardTableau",

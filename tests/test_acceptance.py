@@ -69,7 +69,7 @@ def test_criterion_02_closed_forms() -> None:
     assert star_count_closed(StarClosedCase.FULL_CYCLE, 3, 2) == 1
     assert star_count_closed(StarClosedCase.FIX_POINT_MARK1, 3, 3) == 2
     assert star_count_closed(StarClosedCase.TRANSPOSED_MARK, 3, 3) == 3
-    for n in range(3, 9):
+    for n in range(3, 13):
         split = Partition((n - 1, 1))
         targets = (
             (StarClosedCase.FULL_CYCLE, Partition((n,)), n),

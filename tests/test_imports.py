@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -59,3 +60,48 @@ def test_permutations_sit_below_genchar_and_oracle() -> None:
     assert "nearcentral.permutations" in loaded
     assert "nearcentral.genchar" not in loaded
     assert "nearcentral.oracle" not in loaded
+
+
+def _unused_imports(source: str) -> list[str]:
+    # names bound by import statements that nothing in the module reads;
+    # a name listed in __all__ is a re-export and counts as read
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    # quoted annotations such as "Asf | int"
+    for note in filter(None, annotations):
+        for node in ast.walk(note):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                read.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def test_modules_use_every_name_they_import() -> None:
+    # __init__ only re-exports, so it is left out
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "__init__.py"
+        and (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert not unused

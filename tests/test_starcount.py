@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 
 from nearcentral import (
@@ -9,41 +7,16 @@ from nearcentral import (
     MarkedPartition,
     Partition,
     StarClosedCase,
-    TruncatedSeries,
     enumerate_marked_partitions,
     enumerate_partitions,
     jm_power_coefficients,
     marked_class_size,
     num_parts,
-    series_cosh,
-    series_exp,
-    series_sinh,
     star_count,
     star_count_by_cycle_count,
     star_count_class,
     star_count_closed,
 )
-
-
-def test_series_arithmetic() -> None:
-    assert series_sinh(2, 6) + series_cosh(2, 6) == series_exp(2, 6)
-    one = TruncatedSeries([1] + [0] * 6)
-    assert series_exp(1, 6) * series_exp(-1, 6) == one
-    assert series_exp(1, 5) ** 3 == series_exp(3, 5)
-    assert series_exp(Fraction(1, 2), 5) ** 4 == series_exp(2, 5)
-    s = series_exp(2, 5)
-    assert s.coefficient(3) == Fraction(4, 3)
-    assert s.extract(3) == 8
-    with pytest.raises(DomainError):
-        s.extract(6)
-
-
-def test_series_order_padding_is_irrelevant() -> None:
-    # the order chosen for the ambient truncation must not change low coefficients
-    for r in (1, 3, 5):
-        tight = series_sinh(2, r + 2) * series_sinh(Fraction(1, 2), r + 2) ** 4
-        wide = series_sinh(2, r + 5) * series_sinh(Fraction(1, 2), r + 5) ** 4
-        assert tight.coefficient(r) == wide.coefficient(r)
 
 
 def test_star_count_small_examples() -> None:
@@ -78,6 +51,18 @@ def test_closed_forms_pinned_values() -> None:
         star_count_closed(StarClosedCase.FULL_CYCLE, 2, 2)
     with pytest.raises(DomainError):
         star_count_closed(StarClosedCase.FULL_CYCLE, 3, 0)
+    for n in range(3, 41):
+        # an n-cycle has exactly one minimal star factorization
+        assert star_count_closed(StarClosedCase.FULL_CYCLE, n, n - 1) == 1
+        for r in range(1, n - 1):
+            assert star_count_closed(StarClosedCase.FULL_CYCLE, n, r) == 0
+        # a product of r stars has the parity of r, so the wrong parity gives 0
+        for r in range(1, 60):
+            if (r - (n - 1)) % 2:
+                assert star_count_closed(StarClosedCase.FULL_CYCLE, n, r) == 0
+            if (r - (n - 2)) % 2:
+                assert star_count_closed(StarClosedCase.FIX_POINT_MARK1, n, r) == 0
+                assert star_count_closed(StarClosedCase.TRANSPOSED_MARK, n, r) == 0
 
 
 # frozen from literal J_n^r expansions in the group algebra
