@@ -40,16 +40,7 @@ from .tableaux import (
 from .characters import character_table, chi, chi_near_hook
 from .permutations import Permutation
 from .genchar import (
-    Asf,
-    Const,
-    Elementary,
-    Power,
-    PowerSum,
-    Product,
-    Sum,
-    VarRange,
-    XN,
-    Xn,
+    JMVariables,
     connection_coefficient,
     evaluate_asf,
     genchar,

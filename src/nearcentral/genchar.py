@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .characters import chi
 from .errors import DomainError, UnsupportedPattern, check_guard
@@ -36,16 +34,7 @@ from .permutations import Permutation, cycle_type
 from .tableaux import dimension, marked_content, shape_contents
 
 __all__ = [
-    "VarRange",
-    "Asf",
-    "Const",
-    "Xn",
-    "PowerSum",
-    "Elementary",
-    "Sum",
-    "Product",
-    "Power",
-    "XN",
+    "JMVariables",
     "table1_rows",
     "table1_poly",
     "evaluate_asf",
@@ -62,138 +51,47 @@ __all__ = [
 ]
 
 
-class VarRange(Enum):
-    """Variable ranges for symmetric-function nodes.
+class JMVariables(NamedTuple):
+    """The values a Table 1 row is evaluated at.
 
-    INNER ranges over the Jucys-Murphy elements J_2 .. J_{n-1}; FULL adjoins
-    J_n.  Under the content substitution for a marked shape (mu, j), INNER
-    becomes the multiset of contents of the reduced shape minus one zero, and
-    FULL additionally contains the marked content c_{mu,j}.
+    A row of `table1_rows` is a plain function of one `JMVariables` built
+    from `+`, `-`, `*` and int or Fraction scaling, so the same function
+    serves two kinds of value.  In the group algebra (`evaluate_asf_at_jm`)
+    `inner` is J_2 .. J_{n-1}, `xn` is J_n and `one` is the identity.  Under
+    the content substitution for a marked shape (mu, j) (`evaluate_asf`),
+    `inner` is the multiset of contents of the reduced shape j_-(mu) minus
+    one zero, `xn` is the marked content c_{mu,j} and `one` is 1; a
+    polynomial in Jucys-Murphy elements acts on Gamma^{mu,j} by that value.
+    Constants enter through `one`, and sums start at `0 * one`.
     """
 
-    INNER = "inner"
-    FULL = "full"
+    inner: tuple[Any, ...]
+    xn: Any
+    one: Any
 
 
-class Asf:
-    """Abstract syntax for almost-symmetric polynomials.
-
-    Expressions are symmetric in the INNER variables with the last variable
-    (represented by `Xn`) allowed to appear freely.  Nodes are immutable and
-    compose with ordinary arithmetic operators; ints and Fractions coerce to
-    `Const`.
-    """
-
-    __slots__ = ()
-
-    def __add__(self, other: "Asf | int | Fraction") -> "Asf":
-        return Sum((self, _coerce(other)))
-
-    def __radd__(self, other: "Asf | int | Fraction") -> "Asf":
-        return Sum((_coerce(other), self))
-
-    def __sub__(self, other: "Asf | int | Fraction") -> "Asf":
-        return Sum((self, -_coerce(other)))
-
-    def __rsub__(self, other: "Asf | int | Fraction") -> "Asf":
-        return Sum((_coerce(other), -self))
-
-    def __mul__(self, other: "Asf | int | Fraction") -> "Asf":
-        return Product((self, _coerce(other)))
-
-    def __rmul__(self, other: "Asf | int | Fraction") -> "Asf":
-        return Product((_coerce(other), self))
-
-    def __neg__(self) -> "Asf":
-        return Product((Const(Fraction(-1)), self))
-
-    def __pow__(self, exponent: int) -> "Asf":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise DomainError("exponent must be a nonnegative integer")
-        return Power(self, exponent)
+# a Table 1 row: a polynomial in the Jucys-Murphy elements
+Row = Callable[[JMVariables], Any]
 
 
-@dataclass(frozen=True, slots=True)
-class Const(Asf):
-    value: Fraction
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-@dataclass(frozen=True, slots=True)
-class Xn(Asf):
-    """The distinguished last variable (the top Jucys-Murphy element)."""
-
-    def __str__(self) -> str:
-        return "x_n"
-
-
-@dataclass(frozen=True, slots=True)
-class PowerSum(Asf):
-    degree: int
-    variables: VarRange
-
-    def __str__(self) -> str:
-        return f"p_{self.degree}[{self.variables.value}]"
-
-
-@dataclass(frozen=True, slots=True)
-class Elementary(Asf):
-    degree: int
-    variables: VarRange
-
-    def __str__(self) -> str:
-        return f"e_{self.degree}[{self.variables.value}]"
-
-
-@dataclass(frozen=True, slots=True)
-class Sum(Asf):
-    terms: tuple[Asf, ...]
-
-    def __str__(self) -> str:
-        return "(" + " + ".join(str(t) for t in self.terms) + ")"
-
-
-@dataclass(frozen=True, slots=True)
-class Product(Asf):
-    factors: tuple[Asf, ...]
-
-    def __str__(self) -> str:
-        return "(" + " * ".join(str(f) for f in self.factors) + ")"
-
-
-@dataclass(frozen=True, slots=True)
-class Power(Asf):
-    base: Asf
-    exponent: int
-
-    def __str__(self) -> str:
-        return f"{self.base}^{self.exponent}"
-
-
-XN = Xn()
-
-
-def _coerce(value: "Asf | int | Fraction") -> Asf:
-    if isinstance(value, Asf):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Const(Fraction(value))
-    raise DomainError(f"cannot use {value!r} in a polynomial expression")
-
-
-def _elementary(values: Sequence[int], degree: int) -> int:
-    # coefficient of t^degree in prod (1 + v t), by one-row convolution
-    if degree < 0:
-        raise DomainError("elementary degree must be nonnegative")
+def _elementary(values: Sequence[Any], degree: int, one: Any) -> Any:
+    # coefficient of t^degree in prod (1 + v t), by one-row convolution;
+    # the values commute, so this holds for Jucys-Murphy elements as well
     if degree > len(values):
-        return 0
-    row = [1] + [0] * degree
+        return 0 * one
+    row = [one] + [0 * one] * degree
     for v in values:
-        for d in range(min(degree, len(row) - 1), 0, -1):
-            row[d] += row[d - 1] * v
+        for d in range(degree, 0, -1):
+            row[d] = row[d] + row[d - 1] * v
     return row[degree]
+
+
+def _p1(v: JMVariables) -> Any:
+    return sum(v.inner, 0 * v.one)
+
+
+def _p2(v: JMVariables) -> Any:
+    return sum((x * x for x in v.inner), 0 * v.one)
 
 
 def _inner_contents(mu: Partition, j: int) -> list[int]:
@@ -204,82 +102,68 @@ def _inner_contents(mu: Partition, j: int) -> list[int]:
     return contents
 
 
-def evaluate_asf(f: Asf, mu: Partition, j: int) -> Fraction:
-    """Evaluate `f` under the content substitution attached to (mu, j).
-
-    INNER variables take the contents of the reduced shape j_-(mu) with one
-    zero removed; `Xn` takes the marked content c_{mu,j}; FULL is the union.
-    """
+def evaluate_asf(f: Row, mu: Partition, j: int) -> Fraction:
+    """Evaluate the row `f` under the content substitution attached to
+    (mu, j); see `JMVariables`."""
     if j not in mu:
         raise DomainError(f"mark {j} is not a part of {mu}")
-    inner = _inner_contents(mu, j)
-    xn = marked_content(mu, j)
-    full = inner + [xn]
-
-    def ev(node: Asf) -> Fraction:
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Xn):
-            return Fraction(xn)
-        if isinstance(node, (PowerSum, Elementary)):
-            vals = inner if node.variables is VarRange.INNER else full
-            if isinstance(node, PowerSum):
-                if node.degree < 1:
-                    raise DomainError("power sum degree must be positive")
-                return Fraction(sum(v**node.degree for v in vals))
-            return Fraction(_elementary(vals, node.degree))
-        if isinstance(node, Sum):
-            return sum((ev(t) for t in node.terms), Fraction(0))
-        if isinstance(node, Product):
-            out = Fraction(1)
-            for g in node.factors:
-                out *= ev(g)
-            return out
-        if isinstance(node, Power):
-            return ev(node.base) ** node.exponent
-        raise DomainError(f"unknown expression node {node!r}")
-
-    return ev(f)
+    values = JMVariables(tuple(_inner_contents(mu, j)), marked_content(mu, j), 1)
+    return Fraction(f(values))
 
 
-def table1_rows(n: int) -> list[tuple[MarkedPartition, Asf]]:
+def table1_rows(n: int) -> list[tuple[MarkedPartition, Row]]:
     """All marked classes of S_n with a known polynomial in Jucys-Murphy
-    elements, paired with that polynomial.
+    elements, paired with that polynomial as a function of `JMVariables`.
 
-    Substituting J_2 .. J_{n-1} for INNER and J_n for `Xn` in the returned
-    expression reproduces the marked class sum exactly.
+    Called on J_2 .. J_{n-1}, J_n and the identity, a row returns the marked
+    class sum exactly; called on contents it returns the scalar by which the
+    class sum acts on the matching idempotent.
     """
     if n < 1:
         raise DomainError("n must be positive")
-    p1 = PowerSum(1, VarRange.INNER)
-    p2 = PowerSum(2, VarRange.INNER)
-    rows: list[tuple[MarkedPartition, Asf]] = []
+    half = Fraction(1, 2)
+    pairs = math.comb(n - 1, 2)
+    rows: list[tuple[MarkedPartition, Row]] = []
     if n >= 2:
         swap_tail = Partition((2,) + (1,) * (n - 2))
-        rows.append((MarkedPartition(swap_tail, 2), XN))
+        rows.append((MarkedPartition(swap_tail, 2), lambda v: v.xn))
     if n >= 3:
-        rows.append((MarkedPartition(swap_tail, 1), p1))
+        rows.append((MarkedPartition(swap_tail, 1), _p1))
         three_tail = Partition((3,) + (1,) * (n - 3))
-        rows.append((MarkedPartition(three_tail, 3), XN**2 - (n - 1)))
+        rows.append(
+            (MarkedPartition(three_tail, 3), lambda v: v.xn * v.xn - (n - 1) * v.one)
+        )
     if n >= 4:
         double_tail = Partition((2, 2) + (1,) * (n - 4))
-        rows.append((MarkedPartition(double_tail, 2), p1 * XN - XN**2 + (n - 1)))
-        rows.append((MarkedPartition(three_tail, 1), p2 - math.comb(n - 1, 2)))
+        rows.append(
+            (
+                MarkedPartition(double_tail, 2),
+                lambda v: _p1(v) * v.xn - v.xn * v.xn + (n - 1) * v.one,
+            )
+        )
+        rows.append((MarkedPartition(three_tail, 1), lambda v: _p2(v) - pairs * v.one))
     if n >= 5:
         rows.append(
             (
                 MarkedPartition(double_tail, 1),
-                Fraction(1, 2) * (p1**2 - 3 * p2) + math.comb(n - 1, 2),
+                lambda v: half * (_p1(v) * _p1(v) - 3 * _p2(v)) + pairs * v.one,
             )
         )
-    rows.append((MarkedPartition(Partition((n,)), n), Elementary(n - 1, VarRange.FULL)))
+    rows.append(
+        (
+            MarkedPartition(Partition((n,)), n),
+            lambda v: _elementary((*v.inner, v.xn), n - 1, v.one),
+        )
+    )
     if n >= 2:
         near_fix = Partition((n - 1, 1))
-        rows.append((MarkedPartition(near_fix, 1), Elementary(n - 2, VarRange.INNER)))
+        rows.append(
+            (MarkedPartition(near_fix, 1), lambda v: _elementary(v.inner, n - 2, v.one))
+        )
     return rows
 
 
-def table1_poly(lam: Partition, i: int) -> Asf:
+def table1_poly(lam: Partition, i: int) -> Row:
     """Polynomial in Jucys-Murphy elements equal to K_{lam,i}, when known."""
     if i not in lam:
         raise DomainError(f"mark {i} is not a part of {lam}")
@@ -291,9 +175,9 @@ def table1_poly(lam: Partition, i: int) -> Asf:
 
 
 @cache
-def _table1_index(n: int) -> dict[MarkedPartition, Asf]:
+def _table1_index(n: int) -> dict[MarkedPartition, Row]:
     # at small n `table1_rows` lists some classes twice; the first row wins
-    index: dict[MarkedPartition, Asf] = {}
+    index: dict[MarkedPartition, Row] = {}
     for marked, poly in table1_rows(n):
         index.setdefault(marked, poly)
     return index

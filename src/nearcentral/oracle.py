@@ -13,25 +13,12 @@ import itertools
 import math
 from array import array
 from fractions import Fraction
-from functools import cache, reduce
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cache
+from typing import Iterable, Iterator, Mapping
 
 from .characters import chi
 from .errors import DomainError, GuardExceeded, check_guard
-from .genchar import (
-    Asf,
-    Const,
-    Elementary,
-    Power,
-    PowerSum,
-    Product,
-    Sum,
-    VarRange,
-    Xn,
-    genchar,
-    genchar_strahov,
-    table1_rows,
-)
+from .genchar import JMVariables, Row, genchar, genchar_strahov, table1_rows
 from .partitions import (
     MarkedPartition,
     Partition,
@@ -185,20 +172,19 @@ _POOL_MAX_N = 7
 @cache
 def _perm_pool(n: int) -> tuple[Permutation, ...]:
     return tuple(
-        Permutation._make(t) for t in itertools.permutations(range(1, n + 1))
+        Permutation.unchecked(t) for t in itertools.permutations(range(1, n + 1))
     )
 
 
 @cache
 def _compose_table(n: int):
     pool = _perm_pool(n)
-    index = {p._images: k for k, p in enumerate(pool)}
-    rows = []
-    for p in pool:
-        mine = p._images
-        rows.append(
-            array("H", (index[tuple(mine[x - 1] for x in q._images)] for q in pool))
-        )
+    images = [p.images for p in pool]
+    index = {t: k for k, t in enumerate(images)}
+    rows = [
+        array("H", (index[tuple(mine[x - 1] for x in theirs)] for theirs in images))
+        for mine in images
+    ]
     return pool, index, rows
 
 
@@ -221,35 +207,24 @@ def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraE
     if n <= _TABLE_MAX_N and len(ta) * len(tb) > _DIRECT_LIMIT:
         pool, index, rows = _compose_table(n)
         acc = [0] * len(pool)
-        cols = [(index[q._images], cb) for q, cb in tb.items()]
+        cols = [(index[q.images], cb) for q, cb in tb.items()]
         for p, ca in ta.items():
-            row = rows[index[p._images]]
+            row = rows[index[p.images]]
             for col, cb in cols:
                 acc[row[col]] += ca * cb
         terms = {pool[k]: Fraction(v, den) for k, v in enumerate(acc) if v}
     else:
         raw: dict[tuple[int, ...], int] = {}
+        right = [(q.images, cb) for q, cb in tb.items()]
         for p, ca in ta.items():
-            mine = p._images
-            for q, cb in tb.items():
-                key = tuple(mine[x - 1] for x in q._images)
+            mine = p.images
+            for theirs, cb in right:
+                key = tuple(mine[x - 1] for x in theirs)
                 raw[key] = raw.get(key, 0) + ca * cb
         terms = {
-            Permutation._make(k): Fraction(v, den) for k, v in raw.items() if v
+            Permutation.unchecked(k): Fraction(v, den) for k, v in raw.items() if v
         }
     return GroupAlgebraElement._make(n, terms)
-
-
-def _ga_power(g: GroupAlgebraElement, k: int) -> GroupAlgebraElement:
-    out = GroupAlgebraElement.one(g.n)
-    base = g
-    while k:
-        if k & 1:
-            out = ga_multiply(out, base)
-        k >>= 1
-        if k:
-            base = ga_multiply(base, base)
-    return out
 
 
 def _classified_perms(n: int) -> Iterable[tuple[Permutation, Partition, int]]:
@@ -257,14 +232,14 @@ def _classified_perms(n: int) -> Iterable[tuple[Permutation, Partition, int]]:
         return _classified_pool(n)
     return (
         (p, p.cycle_type(), p.cycle_length_through(n))
-        for p in map(Permutation._make, itertools.permutations(range(1, n + 1)))
+        for p in map(Permutation.unchecked, itertools.permutations(range(1, n + 1)))
     )
 
 
 @cache
 def _classified_pool(n: int) -> tuple[tuple[Permutation, Partition, int], ...]:
     if n == 0:
-        return ((Permutation._make(()), Partition(()), 0),)
+        return ((Permutation.unchecked(()), Partition(()), 0),)
     return tuple(
         (p, p.cycle_type(), p.cycle_length_through(n)) for p in _perm_pool(n)
     )
@@ -321,7 +296,7 @@ def _embed(g: GroupAlgebraElement, n: int) -> GroupAlgebraElement:
         raise DomainError("cannot embed into a smaller group")
     tail = tuple(range(g.n + 1, n + 1))
     return GroupAlgebraElement._make(
-        n, {Permutation._make(p._images + tail): c for p, c in g._terms.items()}
+        n, {Permutation.unchecked(p.images + tail): c for p, c in g._terms.items()}
     )
 
 
@@ -455,58 +430,15 @@ def enumerate_star_factorizations(
     return walk(Permutation.identity(n), 0)
 
 
-def evaluate_asf_at_jm(f: Asf, n: int, *, max_n: int | None = None) -> GroupAlgebraElement:
-    """Substitute Jucys-Murphy elements into an almost-symmetric expression.
-
-    INNER ranges over J_2 .. J_{n-1}, the distinguished variable is J_n, and
-    FULL is both together.
-    """
+def evaluate_asf_at_jm(f: Row, n: int, *, max_n: int | None = None) -> GroupAlgebraElement:
+    """Call the Table 1 row `f` on the Jucys-Murphy elements of S_n: J_2 ..
+    J_{n-1}, J_n and the identity; see `JMVariables`."""
     if n < 1:
         raise DomainError("n must be positive")
     check_guard(n, max_n, "Jucys-Murphy substitution")
-    inner = [jm_element(k, n) for k in range(2, n)]
+    inner = tuple(jm_element(k, n) for k in range(2, n))
     top = jm_element(n, n) if n >= 2 else GroupAlgebraElement.zero(1)
-    full = inner + [top] if n >= 2 else []
-
-    def ev(node: Asf) -> GroupAlgebraElement:
-        if isinstance(node, Const):
-            return GroupAlgebraElement.one(n).scale(node.value)
-        if isinstance(node, Xn):
-            return top
-        if isinstance(node, PowerSum):
-            vals = inner if node.variables is VarRange.INNER else full
-            total = GroupAlgebraElement.zero(n)
-            for jm in vals:
-                total = total + _ga_power(jm, node.degree)
-            return total
-        if isinstance(node, Elementary):
-            vals = inner if node.variables is VarRange.INNER else full
-            return _elementary_in_jm(vals, node.degree, n)
-        if isinstance(node, Sum):
-            return reduce(lambda x, y: x + y, map(ev, node.terms))
-        if isinstance(node, Product):
-            return reduce(ga_multiply, map(ev, node.factors))
-        if isinstance(node, Power):
-            return _ga_power(ev(node.base), node.exponent)
-        raise DomainError(f"unknown expression node {node!r}")
-
-    return ev(f)
-
-
-def _elementary_in_jm(
-    elements: Sequence[GroupAlgebraElement], k: int, n: int
-) -> GroupAlgebraElement:
-    if k < 0:
-        raise DomainError("elementary degree must be nonnegative")
-    if k > len(elements):
-        return GroupAlgebraElement.zero(n)
-    # coefficient rows of prod (1 + t J): Jucys-Murphy elements commute, so
-    # the usual one-row recurrence applies verbatim
-    row = [GroupAlgebraElement.one(n)] + [GroupAlgebraElement.zero(n)] * k
-    for jm in elements:
-        for d in range(min(k, len(row) - 1), 0, -1):
-            row[d] = row[d] + ga_multiply(row[d - 1], jm)
-    return row[k]
+    return f(JMVariables(inner, top, GroupAlgebraElement.one(n)))
 
 
 class VerificationError(RuntimeError):

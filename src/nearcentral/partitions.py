@@ -211,7 +211,8 @@ def marked_class_size(lam: Partition, i: int) -> int:
     num = math.factorial(lam.n - 1) * i * m_i
     den = _cycle_type_symmetry(lam)
     size, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"marked class size of ({lam}, {i}) is not an integer")
     return size
 
 

@@ -47,15 +47,20 @@ class Permutation:
         self._images = images
 
     @classmethod
-    def _make(cls, images: tuple[int, ...]) -> "Permutation":
-        # internal fast path: caller guarantees images is a valid one-line tuple
+    def unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap `images` without validating it.
+
+        The caller guarantees that `images` is a tuple holding each of
+        1 .. len(images) exactly once; the constructor's check is skipped for
+        speed in loops that build permutations from known-good tuples.
+        """
         self = object.__new__(cls)
         self._images = images
         return self
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls._make(tuple(range(1, n + 1)))
+        return cls.unchecked(tuple(range(1, n + 1)))
 
     @classmethod
     def transposition(cls, a: int, b: int, n: int) -> "Permutation":
@@ -63,7 +68,7 @@ class Permutation:
             raise DomainError(f"({a} {b}) is not a transposition inside S_{n}")
         images = list(range(1, n + 1))
         images[a - 1], images[b - 1] = b, a
-        return cls._make(tuple(images))
+        return cls.unchecked(tuple(images))
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
@@ -78,7 +83,7 @@ class Permutation:
                 images[a - 1] = b
             if cycle:
                 images[cycle[-1] - 1] = cycle[0]
-        return cls._make(tuple(images))
+        return cls.unchecked(tuple(images))
 
     @property
     def images(self) -> tuple[int, ...]:
@@ -99,13 +104,13 @@ class Permutation:
         if len(self._images) != len(other._images):
             raise DomainError("cannot compose permutations of different degrees")
         mine = self._images
-        return Permutation._make(tuple(mine[x - 1] for x in other._images))
+        return Permutation.unchecked(tuple(mine[x - 1] for x in other._images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self._images)
         for spot, image in enumerate(self._images, 1):
             inv[image - 1] = spot
-        return Permutation._make(tuple(inv))
+        return Permutation.unchecked(tuple(inv))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each led by its smallest symbol, sorted."""

@@ -152,7 +152,8 @@ def dimension(lam: Partition) -> int:
         for c in range(1, part + 1):
             hooks *= part - c + cols[c - 1] - r + 1
     d, rem = divmod(math.factorial(lam.n), hooks)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"hook length product of {lam} does not divide n!")
     return d
 
 

@@ -8,13 +8,9 @@ import pytest
 
 from nearcentral import (
     DomainError,
-    Elementary,
     Partition,
     Permutation,
-    PowerSum,
     UnsupportedPattern,
-    VarRange,
-    XN,
     chi,
     class_sum,
     connection_coefficient,
@@ -64,22 +60,32 @@ S3_GAMMA = {
 
 
 def test_evaluate_asf_examples() -> None:
+    def xn(v):
+        return v.xn
+
+    def p1(v):
+        return sum(v.inner, 0 * v.one)
+
+    def e2_full(v):
+        pairs = itertools.combinations((*v.inner, v.xn), 2)
+        return sum((a * b for a, b in pairs), 0 * v.one)
+
+    def mixed(v):
+        return (v.xn + 2 * v.one) * p1(v) - v.xn * v.xn + 5 * v.one
+
     mu = Partition((2, 1))
-    assert evaluate_asf(XN, mu, 2) == 1
-    assert evaluate_asf(PowerSum(1, VarRange.INNER), mu, 2) == -1
-    assert evaluate_asf(PowerSum(1, VarRange.INNER), mu, 1) == 1
-    assert evaluate_asf(Elementary(2, VarRange.FULL), mu, 2) == -1
+    assert evaluate_asf(xn, mu, 2) == 1
+    assert evaluate_asf(p1, mu, 2) == -1
+    assert evaluate_asf(p1, mu, 1) == 1
+    assert evaluate_asf(e2_full, mu, 2) == -1
     with pytest.raises(DomainError):
-        evaluate_asf(XN, mu, 3)
-
-
-def test_asf_arithmetic_evaluates_like_plain_polynomials() -> None:
+        evaluate_asf(xn, mu, 3)
+    # (3,2) marked on the 2: inner contents {-1, 1, 2}, marked content 0
     mu = Partition((3, 2))
-    j = 2
-    x = evaluate_asf(XN, mu, j)
-    p1 = evaluate_asf(PowerSum(1, VarRange.INNER), mu, j)
-    f = (XN + 2) * PowerSum(1, VarRange.INNER) - XN**2 + 5
-    assert evaluate_asf(f, mu, j) == (x + 2) * p1 - x * x + 5
+    x = evaluate_asf(xn, mu, 2)
+    s = evaluate_asf(p1, mu, 2)
+    assert (x, s) == (0, 2)
+    assert evaluate_asf(mixed, mu, 2) == (x + 2) * s - x * x + 5 == 9
 
 
 def test_strahov_formula_frozen_s3_values() -> None:

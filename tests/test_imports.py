@@ -87,7 +87,7 @@ def _unused_imports(source: str) -> list[str]:
             annotations.append(node.returns)
         elif isinstance(node, ast.AnnAssign):
             annotations.append(node.annotation)
-    # quoted annotations such as "Asf | int"
+    # quoted annotations such as "GroupAlgebraElement"
     for note in filter(None, annotations):
         for node in ast.walk(note):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -105,3 +105,14 @@ def test_modules_use_every_name_they_import() -> None:
         and (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert not unused
+
+
+def test_modules_have_no_assert_statements() -> None:
+    # `python -O` strips assert statements, so a check written as one vanishes
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found
