@@ -70,9 +70,6 @@ def test_evaluate_asf_examples() -> None:
         pairs = itertools.combinations((*v.inner, v.xn), 2)
         return sum((a * b for a, b in pairs), 0 * v.one)
 
-    def mixed(v):
-        return (v.xn + 2 * v.one) * p1(v) - v.xn * v.xn + 5 * v.one
-
     mu = Partition((2, 1))
     assert evaluate_asf(xn, mu, 2) == 1
     assert evaluate_asf(p1, mu, 2) == -1
@@ -80,6 +77,18 @@ def test_evaluate_asf_examples() -> None:
     assert evaluate_asf(e2_full, mu, 2) == -1
     with pytest.raises(DomainError):
         evaluate_asf(xn, mu, 3)
+
+
+def test_asf_arithmetic_evaluates_like_plain_polynomials() -> None:
+    def xn(v):
+        return v.xn
+
+    def p1(v):
+        return sum(v.inner, 0 * v.one)
+
+    def mixed(v):
+        return (v.xn + 2 * v.one) * p1(v) - v.xn * v.xn + 5 * v.one
+
     # (3,2) marked on the 2: inner contents {-1, 1, 2}, marked content 0
     mu = Partition((3, 2))
     x = evaluate_asf(xn, mu, 2)
