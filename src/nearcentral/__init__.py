@@ -8,7 +8,13 @@ rational arithmetic, alongside a brute-force oracle that recomputes the same
 quantities directly in the group algebra.
 """
 
-from .errors import DomainError, GuardExceeded, UnsupportedPattern, default_guard
+from .errors import (
+    DomainError,
+    GuardExceeded,
+    InconsistencyError,
+    UnsupportedPattern,
+    default_guard,
+)
 from .partitions import (
     MarkedPartition,
     Partition,
@@ -41,10 +47,13 @@ from .characters import character_table, chi, chi_near_hook
 from .permutations import Permutation
 from .genchar import (
     JMVariables,
+    SEMINORMAL_MAX_N,
     connection_coefficient,
     evaluate_asf,
     genchar,
+    genchar_column,
     genchar_hook_row,
+    genchar_seminormal,
     genchar_strahov,
     genchar_table2,
     multi_product_coefficient,

@@ -3,7 +3,8 @@
 Every invocation writes exactly one JSON document to standard output (the
 character table can be requested as CSV instead); diagnostics go to standard
 error.  Exit status: 0 success, 1 domain error or verification mismatch,
-2 guard exceeded, 64 usage error.
+2 guard exceeded, 64 usage error, 70 internal inconsistency (a library
+defect, EX_SOFTWARE).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Any
 
 from .characters import character_table
-from .errors import DomainError, GuardExceeded
+from .errors import DomainError, GuardExceeded, InconsistencyError
 from .genchar import (
     connection_coefficient,
     genchar,
@@ -47,6 +48,7 @@ from .starcount import (
 from .tableaux import dimension, enumerate_syt, enumerate_syt_marked
 
 USAGE_EXIT = 64
+INCONSISTENCY_EXIT = 70
 
 
 class _UsageError(Exception):
@@ -278,6 +280,10 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         _emit({"status": "error", "error": str(exc)})
         return 1
+    except InconsistencyError as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        _emit({"status": "error", "error": str(exc)})
+        return INCONSISTENCY_EXIT
     if doc is not None:
         _emit(doc)
     return 0

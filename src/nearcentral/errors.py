@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
-Two failure families matter to callers: bad mathematical input (an invalid
-partition, a mark that is not a part, mismatched sizes) and computations
-that were refused because they would enumerate too much. The command line
-maps them to distinct exit codes, so they must stay distinguishable.
+Three failure families matter to callers: bad mathematical input (an invalid
+partition, a mark that is not a part, mismatched sizes), computations that
+were refused because they would enumerate too much, and internal
+inconsistencies (an identity the library relies on came out false, which is
+a bug, not bad input). The command line maps them to distinct exit codes, so
+they must stay distinguishable.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import os
 __all__ = [
     "DomainError",
     "GuardExceeded",
+    "InconsistencyError",
     "UnsupportedPattern",
     "default_guard",
 ]
@@ -33,6 +36,11 @@ class UnsupportedPattern(DomainError):
 
 class GuardExceeded(RuntimeError):
     """The computation would exceed the configured enumeration guard."""
+
+
+class InconsistencyError(ArithmeticError):
+    """A result broke an identity that holds for every valid input, such as
+    a count that came out fractional: a defect in the library."""
 
 
 def default_guard() -> int:

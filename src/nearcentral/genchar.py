@@ -4,9 +4,19 @@ The algebra spanned by the marked class sums K_{lam,i} is commutative, and its
 primitive idempotents Gamma^{mu,j} are indexed by the same marked partitions.
 The coefficient of Gamma^{mu,j} in K_{lam,i}, normalized by n!/d_mu, is the
 generalized character gamma^{mu,j}_{lam,i}.  This module computes those
-numbers two independent ways (closed forms, chiefly the Jucys-Murphy
-polynomials of Table 1 evaluated at contents, and a character sum over
-S_{n-1}), plus the structure constants and orthogonality sums built from them.
+numbers three independent ways, plus the structure constants and
+orthogonality sums built from them:
+
+- closed forms (`genchar_table2`), chiefly the Jucys-Murphy polynomials of
+  Table 1 evaluated at contents;
+- a trace in Young's seminormal form (`genchar_seminormal`,
+  `genchar_column`), a sum over the standard tableaux of mu, for every
+  class, at n <= SEMINORMAL_MAX_N;
+- a character sum over S_{n-1} (`genchar_strahov`), factorial in n and
+  kept as a verifier.
+
+The dispatcher `genchar` takes the closed form when there is one, else the
+seminormal trace.
 
 Everything is exact: values are `fractions.Fraction`, never floats.
 """
@@ -20,7 +30,13 @@ from functools import cache
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .characters import chi
-from .errors import DomainError, UnsupportedPattern, check_guard
+from .errors import (
+    DomainError,
+    GuardExceeded,
+    InconsistencyError,
+    UnsupportedPattern,
+    check_guard,
+)
 from .partitions import (
     MarkedPartition,
     Partition,
@@ -38,7 +54,10 @@ __all__ = [
     "table1_rows",
     "table1_poly",
     "evaluate_asf",
+    "SEMINORMAL_MAX_N",
     "genchar_strahov",
+    "genchar_seminormal",
+    "genchar_column",
     "genchar_table2",
     "genchar_hook_row",
     "genchar",
@@ -216,6 +235,97 @@ def genchar_strahov(
 
 
 # ---------------------------------------------------------------------------
+# the seminormal trace
+
+# largest n the seminormal trace runs at, so that every spectral sum built on
+# `genchar` stays bounded; a column at n = 12 sums over 140152 tableaux
+SEMINORMAL_MAX_N = 12
+
+
+def _check_seminormal(n: int, tableaux: int) -> None:
+    if n > SEMINORMAL_MAX_N:
+        raise GuardExceeded(
+            f"seminormal trace over {tableaux} tableaux at n={n} exceeds "
+            f"the limit n <= {SEMINORMAL_MAX_N}"
+        )
+
+
+def genchar_seminormal(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
+    """gamma^{mu,j}_{lam,i} as a trace in Young's seminormal form.
+
+    K_{lam,i} commutes with S_{n-1}, so it acts by a scalar on the block of
+    V^mu that restricts to j_-(mu), and gamma^{mu,j}_{lam,i} is the trace of
+    rho^mu(pi) on that block for any pi in (lam, i).  A Young basis is
+    adapted to the restriction, so the trace is the sum of the diagonal
+    entries rho^mu(pi)_{T,T} over the standard tableaux T of mu whose n
+    ends a row of length j.
+
+    Take pi as cycles on consecutive blocks of symbols, the marked cycle on
+    the top block n-i+1 .. n: pi is then a product of the n - len(lam)
+    adjacent transpositions s_k with k and k+1 in one block, each once.  In
+    the seminormal form s_k v_T = v_T / r + a v_{s_k T}, where
+    r = c_T(k+1) - c_T(k) is the difference of contents; a = 0 when k and
+    k+1 share a row (r = 1) or a column (r = -1), else a = 1 for r > 0 and
+    a = 1 - 1/r^2 for r < 0 (Murphy, J. Algebra 1981; Okounkov-Vershik,
+    Selecta Math. 1996).  Expanding the product, a path that leaves T
+    through the transpositions of a nonempty subword ends at sigma T, with
+    sigma that subword's product, which is not the identity because its
+    letters are distinct.  So only the path that stays on T returns to it,
+    and rho^mu(pi)_{T,T} = prod_k 1 / r_k(T).
+    """
+    _common_order(mu, j, lam, i)
+    return _seminormal_trace(mu, lam, i)[j]
+
+
+def genchar_column(lam: Partition, i: int) -> dict[MarkedPartition, Fraction]:
+    """gamma^{mu,j}_{lam,i} for every marked shape (mu, j) of n, by the
+    seminormal trace: one pass over the tableaux of each mu."""
+    if i not in lam:
+        raise DomainError(f"mark {i} is not a part of {lam}")
+    n = lam.n
+    _check_seminormal(n, sum(dimension(mu) for mu in enumerate_partitions(n)))
+    return {
+        m: _seminormal_trace(m.shape, lam, i)[m.mark]
+        for m in enumerate_marked_partitions(n)
+    }
+
+
+@cache
+def _seminormal_trace(mu: Partition, lam: Partition, i: int) -> dict[int, Fraction]:
+    # {j: gamma^{mu,j}_{lam,i}} for every mark j of mu, in one pass.  The sum
+    # over tableaux of prod 1/r_k runs as paths in Young's lattice: place
+    # 1, 2, .., n one cell at a time and keep, per (shape so far, row of the
+    # last cell), the summed weight of the tableaux that reach it.  The row
+    # of n's cell is the row whose length is the mark.
+    n = mu.n
+    _check_seminormal(n, dimension(mu))
+    rest = list(lam.parts)
+    rest.remove(i)
+    # s_k is in the word unless k ends a block
+    block_ends = set(itertools.accumulate(rest + [i]))
+    parts = mu.parts
+    rows = range(len(parts))
+    # symbol 1 sits in the corner cell
+    states: dict[tuple[tuple[int, ...], int], Fraction] = {
+        ((1,) + (0,) * (len(parts) - 1), 0): Fraction(1)
+    }
+    for k in range(1, n):
+        # placing symbol k + 1: s_k contributes 1/r
+        linked = k not in block_ends
+        grown: dict[tuple[tuple[int, ...], int], Fraction] = {}
+        for (shape, last), weight in states.items():
+            last_content = shape[last] - 1 - last
+            for r in rows:
+                length = shape[r]
+                if length < parts[r] and (r == 0 or shape[r - 1] > length):
+                    key = (shape[:r] + (length + 1,) + shape[r + 1 :], r)
+                    step = weight / (length - r - last_content) if linked else weight
+                    grown[key] = grown.get(key, 0) + step
+        states = grown
+    return {parts[r]: weight for (_, r), weight in states.items()}
+
+
+# ---------------------------------------------------------------------------
 # closed-form rows
 
 
@@ -300,11 +410,11 @@ def genchar_hook_row(mu: Partition, j: int) -> Fraction:
 @cache
 def genchar(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
     """gamma^{mu,j}_{lam,i}: the closed form of `genchar_table2` when the
-    class has one, else the guarded character sum."""
+    class has one, else the seminormal trace (n <= SEMINORMAL_MAX_N)."""
     try:
         return genchar_table2(mu, j, lam, i)
     except UnsupportedPattern:
-        return genchar_strahov(mu, j, lam, i)
+        return genchar_seminormal(mu, j, lam, i)
 
 
 def superscript_sum(mu: Partition, lam: Partition, i: int) -> int:
@@ -316,7 +426,7 @@ def superscript_sum(mu: Partition, lam: Partition, i: int) -> int:
         (genchar(mu, j, lam, i) for j in sorted(set(mu.parts))), Fraction(0)
     )
     if total.denominator != 1:
-        raise DomainError(f"superscript sum came out non-integral: {total}")
+        raise InconsistencyError(f"superscript sum came out non-integral: {total}")
     return int(total)
 
 
@@ -365,8 +475,8 @@ def connection_coefficient(
 ) -> int:
     """Structure constant [K_{nu,k}] K_{lam,i} K_{mu,j}.
 
-    Always a nonnegative integer (it counts factorizations), which is
-    asserted.
+    Always a nonnegative integer (it counts factorizations); any other
+    value raises `InconsistencyError`.
     """
     return multi_product_coefficient([(lam, i), (mu, j)], nu, k)
 
@@ -396,7 +506,7 @@ def multi_product_coefficient(
     sizes = math.prod(marked_class_size(lam, i) for lam, i in factors)
     value = Fraction(sizes, math.factorial(n)) * total
     if value.denominator != 1 or value < 0:
-        raise DomainError(f"product coefficient came out as {value}")
+        raise InconsistencyError(f"product coefficient came out as {value}")
     return int(value)
 
 

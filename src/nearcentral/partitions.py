@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DomainError
+from .errors import DomainError, InconsistencyError
 
 __all__ = [
     "Partition",
@@ -212,7 +212,7 @@ def marked_class_size(lam: Partition, i: int) -> int:
     den = _cycle_type_symmetry(lam)
     size, rem = divmod(num, den)
     if rem:
-        raise ArithmeticError(f"marked class size of ({lam}, {i}) is not an integer")
+        raise InconsistencyError(f"marked class size of ({lam}, {i}) is not an integer")
     return size
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .characters import chi
-from .errors import DomainError
+from .errors import DomainError, InconsistencyError
 from .genchar import genchar
 from .partitions import Partition, class_size, decrement_part, enumerate_partitions
 from .tableaux import content_polynomial, dimension, marked_content
@@ -30,7 +30,7 @@ __all__ = [
 
 def _as_count(value: Fraction, what: str) -> int:
     if value.denominator != 1 or value < 0:
-        raise DomainError(f"{what} came out as {value}, not a count")
+        raise InconsistencyError(f"{what} came out as {value}, not a count")
     return int(value)
 
 

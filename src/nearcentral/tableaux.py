@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import cache
 
-from .errors import DomainError
+from .errors import DomainError, InconsistencyError
 from .partitions import Partition
 
 __all__ = [
@@ -153,7 +153,7 @@ def dimension(lam: Partition) -> int:
             hooks *= part - c + cols[c - 1] - r + 1
     d, rem = divmod(math.factorial(lam.n), hooks)
     if rem:
-        raise ArithmeticError(f"hook length product of {lam} does not divide n!")
+        raise InconsistencyError(f"hook length product of {lam} does not divide n!")
     return d
 
 

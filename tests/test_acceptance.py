@@ -32,6 +32,7 @@ from nearcentral import (
     ga_multiply,
     genchar,
     genchar_hook_row,
+    genchar_seminormal,
     genchar_strahov,
     genchar_table2,
     is_near_central,
@@ -86,6 +87,8 @@ def test_criterion_02_closed_forms() -> None:
 
 
 def test_criterion_03_generalized_character_triple_agreement() -> None:
+    # every marked pair: seminormal trace == character sum == oracle
+    # extraction; the closed forms too wherever they exist
     for n in range(3, 7):
         marked = _marked(n)
         hook_target = (Partition((n - 1, 1)), n - 1)
@@ -93,20 +96,20 @@ def test_criterion_03_generalized_character_triple_agreement() -> None:
             gamma = z1_idempotent(mu, j)
             scale = Fraction(math.factorial(n), dimension(mu))
             for lam, i in marked:
-                closed_values = []
+                strahov = genchar_strahov(mu, j, lam, i)
+                extracted = scale * extract_marked_coefficient(gamma, lam, i)
+                assert genchar_seminormal(mu, j, lam, i) == strahov, (
+                    mu.parts, j, lam.parts, i
+                )
+                assert strahov == extracted, (mu.parts, j, lam.parts, i)
                 try:
-                    closed_values.append(genchar_table2(mu, j, lam, i))
+                    assert genchar_table2(mu, j, lam, i) == strahov, (
+                        mu.parts, j, lam.parts, i
+                    )
                 except UnsupportedPattern:
                     pass
                 if (lam, i) == hook_target:
-                    closed_values.append(genchar_hook_row(mu, j))
-                if not closed_values:
-                    continue
-                strahov = genchar_strahov(mu, j, lam, i)
-                extracted = scale * extract_marked_coefficient(gamma, lam, i)
-                for value in closed_values:
-                    assert value == strahov, (mu.parts, j, lam.parts, i)
-                assert strahov == extracted, (mu.parts, j, lam.parts, i)
+                    assert genchar_hook_row(mu, j) == strahov, (mu.parts, j)
 
 
 def test_criterion_04_orthogonality() -> None:

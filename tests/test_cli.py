@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -154,6 +156,49 @@ def test_guard_exceeded_exits_2(capsys) -> None:
     )
     assert code == 2
     assert doc["status"] == "error"
+
+
+def test_seminormal_guard_exceeded_exits_2(capsys) -> None:
+    code, doc, _ = _invoke(
+        capsys,
+        [
+            "genchar", "--n", "13",
+            "--mu", "6,4,3", "--j", "4",
+            "--lambda", "6,4,3", "--i", "4",
+        ],
+    )
+    assert code == 2
+    assert doc["status"] == "error"
+    assert "tableaux at n=13" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "module, argv",
+    [
+        (
+            "nearcentral.starcount",
+            ["starfact", "count", "--lambda", "2,1", "--i", "2", "--r", "2"],
+        ),
+        (
+            "nearcentral.genchar",
+            [
+                "connection", "--n", "3",
+                "--lambda", "2,1", "--i", "2",
+                "--mu", "2,1", "--j", "2",
+                "--nu", "1,1,1", "--k", "1",
+            ],
+        ),
+    ],
+)
+def test_internal_inconsistency_exits_70(capsys, monkeypatch, module, argv) -> None:
+    # a wrong gamma makes a count fractional: a library defect, not bad input
+    monkeypatch.setattr(
+        importlib.import_module(module), "genchar", lambda *args: Fraction(1, 3)
+    )
+    code, doc, err = _invoke(capsys, argv)
+    assert code == 70
+    assert doc["status"] == "error"
+    assert "internal inconsistency" in err
 
 
 def test_output_is_deterministic(capsys) -> None:

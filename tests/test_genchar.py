@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
 from nearcentral import (
     DomainError,
+    GuardExceeded,
+    InconsistencyError,
     Partition,
     Permutation,
     UnsupportedPattern,
@@ -19,18 +23,24 @@ from nearcentral import (
     dimension,
     enumerate_marked_partitions,
     enumerate_partitions,
+    enumerate_star_factorizations,
     evaluate_asf,
     genchar,
+    genchar_column,
     genchar_hook_row,
     genchar_strahov,
     genchar_table2,
     marked_class_size,
     multi_product_coefficient,
     orthogonality_check,
+    star_count,
     subscript_sum_chi,
     superscript_sum,
     weighted_sum,
 )
+
+# the module itself: the package attribute `genchar` is the dispatcher
+genchar_module = importlib.import_module("nearcentral.genchar")
 
 
 def _marked(n: int) -> list[tuple[Partition, int]]:
@@ -235,6 +245,42 @@ def test_dispatcher_matches_strahov_everywhere() -> None:
         for lam, i in _marked(n):
             for mu, j in _marked(n):
                 assert genchar(mu, j, lam, i) == genchar_strahov(mu, j, lam, i)
+
+
+def test_seminormal_route_runs_past_the_character_sum_frontier(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        pytest.fail("the dispatcher called the character sum")
+
+    monkeypatch.setattr(genchar_module, "genchar_strahov", refuse)
+    genchar.cache_clear()
+    n = 10
+    swap3 = Partition((3, 2) + (1,) * (n - 5))
+    for lam, i in ((swap3, 2), (Partition((5, 3, 2)), 3)):
+        column = genchar_column(lam, i)
+        assert list(column) == list(enumerate_marked_partitions(n))
+        sums: dict[Partition, Fraction] = defaultdict(Fraction)
+        for marked, value in column.items():
+            sums[marked.shape] += value
+        assert sums == {mu: chi(mu, lam) for mu in enumerate_partitions(n)}, lam
+    # five stars is the least length for this class: four for the 3-cycle
+    # off n, one for the 2-cycle through n
+    pi = Permutation.from_cycles(n, [(1, 2, 3), (4, n)])
+    assert star_count(swap3, 2, 5) == enumerate_star_factorizations(pi, 5) == 6
+
+
+def test_seminormal_route_is_refused_past_its_limit() -> None:
+    lam = Partition((3, 2) + (1,) * 8)
+    with pytest.raises(GuardExceeded, match="568504 tableaux at n=13"):
+        genchar_column(lam, 2)
+    with pytest.raises(GuardExceeded, match="tableaux at n=13"):
+        genchar(lam, 2, lam, 2)
+
+
+def test_non_integral_superscript_sum_is_an_inconsistency(monkeypatch) -> None:
+    monkeypatch.setattr(genchar_module, "genchar", lambda *args: Fraction(1, 3))
+    lam = Partition((2, 1))
+    with pytest.raises(InconsistencyError, match="non-integral"):
+        superscript_sum(lam, lam, 2)
 
 
 def test_superscript_sum_examples() -> None:
