@@ -18,7 +18,6 @@ from .errors import (
 from .partitions import (
     MarkedPartition,
     Partition,
-    add_part,
     class_size,
     decrement_part,
     enumerate_marked_partitions,
@@ -26,24 +25,19 @@ from .partitions import (
     format_marked_partition,
     format_partition,
     marked_class_size,
-    multiplicity,
-    num_parts,
     parse_marked_partition,
     parse_partition,
-    remove_part,
 )
 from .tableaux import (
     StandardTableau,
     content_polynomial,
-    content_sums,
-    content_vector,
     dimension,
     enumerate_syt,
     enumerate_syt_marked,
     marked_content,
     shape_contents,
 )
-from .characters import character_table, chi, chi_near_hook
+from .characters import CHARACTER_TABLE_MAX_N, character_table, chi
 from .permutations import Permutation
 from .genchar import (
     JMVariables,

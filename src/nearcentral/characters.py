@@ -1,45 +1,59 @@
 """Irreducible characters of the symmetric group.
 
 chi(lam, mu) is computed by the Murnaghan-Nakayama rule in its beta-number
-form: removing a border strip of size t from lam corresponds to lowering
-one first-column hook length by t, and the sign is read off the number of
-hook lengths jumped over. Values are exact integers and the recursion is
-memoized on the pair of partitions.
+form. A shape is the strictly decreasing tuple of its first-column hook
+lengths (beta numbers); removing a border strip of size t lowers one beta
+number by t onto a value not already taken, and the strip's sign is the
+parity of the beta numbers jumped over. Trailing zero rows are dropped, so
+equal shapes have equal tuples. The recursion runs on plain tuples and is
+memoized on (beta numbers, cycle lengths still to remove); values are exact
+integers.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .errors import DomainError
+from .errors import DomainError, GuardExceeded
 from .partitions import Partition, enumerate_partitions
 
-__all__ = ["chi", "chi_near_hook", "character_table"]
+__all__ = ["CHARACTER_TABLE_MAX_N", "chi", "character_table"]
+
+# largest n `character_table` builds; a cold table at n = 18 (385^2 entries)
+# takes about 2 s, and the cost grows about 3x per two steps of n
+CHARACTER_TABLE_MAX_N = 18
 
 
-def _beta_numbers(lam: Partition) -> list[int]:
-    # First-column hook lengths: lam_k + (rows below row k), strictly decreasing.
-    rows = len(lam)
-    return [lam[k] + (rows - 1 - k) for k in range(rows)]
+def _beta_numbers(parts: tuple[int, ...]) -> tuple[int, ...]:
+    # first-column hook lengths: lam_k + (rows below row k), strictly decreasing
+    rows = len(parts)
+    return tuple([part + rows - 1 - k for k, part in enumerate(parts)])
 
 
-def _partition_from_beta(beta: list[int]) -> Partition:
+@cache
+def _mn(beta: tuple[int, ...], classes: tuple[int, ...]) -> int:
+    """chi of the shape with beta numbers `beta` on the cycle lengths `classes`."""
+    if not classes:
+        return 1
+    size, rest = classes[0], classes[1:]
     rows = len(beta)
-    parts = [beta[k] - (rows - 1 - k) for k in range(rows)]
-    return Partition(p for p in parts if p > 0)
-
-
-def _strip_removals(lam: Partition, size: int):
-    """Yield (sign, reduced shape) for each border strip of the given size."""
-    beta = _beta_numbers(lam)
-    present = set(beta)
-    for b in beta:
+    total = 0
+    for k, b in enumerate(beta):
         target = b - size
-        if target < 0 or target in present:
+        if target < 0:
+            break  # beta is decreasing, so every later target is negative too
+        spot = k + 1
+        while spot < rows and beta[spot] > target:
+            spot += 1
+        if spot < rows and beta[spot] == target:
             continue
-        jumped = sum(1 for other in beta if target < other < b)
-        reduced = sorted((present - {b}) | {target}, reverse=True)
-        yield (-1) ** jumped, _partition_from_beta(reduced)
+        reduced = beta[:k] + beta[k + 1:spot] + (target,) + beta[spot:]
+        while reduced and reduced[-1] == 0:
+            reduced = tuple([x - 1 for x in reduced[:-1]])
+        value = _mn(reduced, rest)
+        # the strip's height is the number of beta numbers jumped over
+        total += -value if (spot - k - 1) & 1 else value
+    return total
 
 
 @cache
@@ -47,37 +61,41 @@ def chi(lam: Partition, mu: Partition) -> int:
     """Character value of the irreducible indexed by lam on the class mu."""
     if lam.n != mu.n:
         raise DomainError(f"sizes differ: |{lam}| = {lam.n}, |{mu}| = {mu.n}")
-    if len(mu) == 0:
-        return 1
-    head, rest = mu[0], Partition(mu.parts[1:])
-    return sum(sign * chi(reduced, rest) for sign, reduced in _strip_removals(lam, head))
+    return _mn(_beta_numbers(lam.parts), mu.parts)
 
 
-def chi_near_hook(mu: Partition) -> int:
-    """chi of the irreducible mu on the class (n-1, 1), without recursion.
-
-    Nonzero only for the row (n), the column (1^n), and the near hooks
-    (n-k-1, 2, 1^(k-1)).
-    """
-    n = mu.n
-    if n < 2:
-        raise DomainError(f"class (n-1,1) needs n >= 2, got n = {n}")
-    parts = mu.parts
-    if parts == (n,):
-        return 1
-    if parts == (1,) * n:
-        return (-1) ** n
-    k = len(parts) - 1
-    if parts == (n - k - 1, 2) + (1,) * (k - 1):
-        return (-1) ** k
-    return 0
+def _partition_count(n: int) -> int:
+    # p(n) by Euler's pentagonal number recurrence
+    counts = [1] + [0] * n
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while True:
+            low = k * (3 * k - 1) // 2
+            if low > m:
+                break
+            term = counts[m - low]
+            high = low + k
+            if high <= m:
+                term += counts[m - high]
+            total += term if k & 1 else -term
+            k += 1
+        counts[m] = total
+    return counts[n]
 
 
 def character_table(n: int) -> list[list[int]]:
-    """Full character table of S_n.
+    """Full character table of S_n, for n <= CHARACTER_TABLE_MAX_N.
 
     Rows are indexed by the irreducible lam and columns by the class mu,
-    both in the order produced by enumerate_partitions(n).
+    both in the order produced by enumerate_partitions(n). A larger n raises
+    GuardExceeded naming the p(n)^2 entries it would compute.
     """
+    if n > CHARACTER_TABLE_MAX_N:
+        # p(n) itself takes O(n^1.5) big-integer steps; past n = 1000 name a bound
+        entries = f"= {_partition_count(n) ** 2}" if n <= 1000 else "> 10^62"
+        raise GuardExceeded(
+            f"character table of S_{n} has p({n})^2 {entries} entries; "
+            f"the limit is n <= {CHARACTER_TABLE_MAX_N}"
+        )
     parts = enumerate_partitions(n)
     return [[chi(lam, mu) for mu in parts] for lam in parts]

@@ -107,8 +107,8 @@ def _cmd_tableaux(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_chartable(args: argparse.Namespace) -> dict[str, Any] | None:
     if args.n < 1:
         raise DomainError("n must be positive")
-    labels = [format_partition(p) for p in enumerate_partitions(args.n)]
     table = character_table(args.n)
+    labels = [format_partition(p) for p in enumerate_partitions(args.n)]
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow([""] + labels)

@@ -21,10 +21,6 @@ __all__ = [
     "MarkedPartition",
     "enumerate_partitions",
     "enumerate_marked_partitions",
-    "multiplicity",
-    "num_parts",
-    "remove_part",
-    "add_part",
     "decrement_part",
     "class_size",
     "marked_class_size",
@@ -38,12 +34,12 @@ __all__ = [
 class Partition:
     """An integer partition stored as a weakly decreasing tuple.
 
-    Parts may be given in any order; the constructor sorts them. Partitions
-    are immutable, hashable, and compare equal exactly when their part
-    tuples agree.
+    Parts may be given in any order; the constructor sorts them and checks
+    each one. Partitions are immutable, hashable, and compare equal exactly
+    when their part tuples agree. The size n is stored once.
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ("_parts", "_n")
 
     def __init__(self, parts: Iterable[int] = ()):
         ordered = tuple(sorted(parts, reverse=True))
@@ -52,6 +48,21 @@ class Partition:
             if type(p) is not int or p < 1:
                 raise DomainError(f"partition parts must be positive integers, got {p!r}")
         object.__setattr__(self, "_parts", ordered)
+        object.__setattr__(self, "_n", sum(ordered))
+
+    @classmethod
+    def unchecked(cls, parts: tuple[int, ...]) -> "Partition":
+        """Wrap `parts` without sorting or validating it.
+
+        The caller guarantees that `parts` is a weakly decreasing tuple of
+        positive ints; the constructor's sort and check are skipped for speed
+        where that holds by construction (enumeration, `decrement_part`,
+        `cycle_type`). Input from outside goes through `Partition(...)`.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_n", sum(parts))
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Partition is immutable")
@@ -63,7 +74,7 @@ class Partition:
     @property
     def n(self) -> int:
         """Sum of the parts."""
-        return sum(self._parts)
+        return self._n
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._parts)
@@ -121,16 +132,27 @@ def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in reverse lexicographic order, (n) first."""
     if n < 0:
         raise DomainError(f"cannot partition {n}")
-    return [Partition(parts) for parts in _descending_parts(n, n)]
+    return [Partition.unchecked(parts) for parts in _descending_parts(n)]
 
 
-def _descending_parts(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _descending_parts(n - first, first):
-            yield (first,) + rest
+def _descending_parts(n: int) -> Iterator[tuple[int, ...]]:
+    # Each step lowers the last part above 1 by one and refills the parts
+    # after it (the 1s and the unit taken off) as greedily as the lowered
+    # part allows, which is the next partition in reverse-lex order.
+    parts = [n] if n else []
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        top = parts.pop() - 1
+        count, rest = divmod(ones + 1, top)
+        parts.extend([top] * (count + 1))
+        if rest:
+            parts.append(rest)
 
 
 def enumerate_marked_partitions(n: int) -> list[MarkedPartition]:
@@ -142,32 +164,6 @@ def enumerate_marked_partitions(n: int) -> list[MarkedPartition]:
     return out
 
 
-def multiplicity(lam: Partition, i: int) -> int:
-    """Number of parts of lam equal to i."""
-    return lam.parts.count(i)
-
-
-def num_parts(lam: Partition) -> int:
-    """Number of parts, i.e. the number of cycles of a permutation of type lam."""
-    return len(lam)
-
-
-def remove_part(lam: Partition, i: int) -> Partition:
-    """lam with one part equal to i deleted."""
-    if i not in lam:
-        raise DomainError(f"{lam} has no part {i}")
-    parts = list(lam.parts)
-    parts.remove(i)
-    return Partition(parts)
-
-
-def add_part(lam: Partition, i: int) -> Partition:
-    """lam with an extra part i inserted."""
-    if i < 1:
-        raise DomainError(f"cannot add part {i}")
-    return Partition(lam.parts + (i,))
-
-
 def decrement_part(lam: Partition, i: int) -> Partition:
     """Replace one part i of lam by i - 1, deleting it when i = 1.
 
@@ -175,13 +171,14 @@ def decrement_part(lam: Partition, i: int) -> Partition:
     symbol from a tableau whose last symbol sits on a row of length i.
     The result is a partition of n - 1.
     """
-    if i not in lam:
+    parts = lam.parts
+    if i not in parts:
         raise DomainError(f"{lam} has no part {i}")
-    parts = list(lam.parts)
-    parts.remove(i)
-    if i > 1:
-        parts.append(i - 1)
-    return Partition(parts)
+    if i == 1:
+        return Partition.unchecked(parts[:-1])
+    # lowering the last copy of i keeps the tuple weakly decreasing
+    last = len(parts) - 1 - parts[::-1].index(i)
+    return Partition.unchecked(parts[:last] + (parts[last] - 1,) + parts[last + 1:])
 
 
 def _cycle_type_symmetry(lam: Partition) -> int:

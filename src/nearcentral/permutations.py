@@ -29,7 +29,8 @@ def cycle_type(images: Sequence[int]) -> Partition:
             x = images[x - 1]
             length += 1
         lengths.append(length)
-    return Partition(lengths)
+    lengths.sort(reverse=True)
+    return Partition.unchecked(tuple(lengths))
 
 
 class Permutation:

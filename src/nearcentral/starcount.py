@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 
 from .characters import chi
 from .errors import DomainError, InconsistencyError
@@ -28,10 +29,21 @@ __all__ = [
 ]
 
 
-def _as_count(value: Fraction, what: str) -> int:
+def _as_count(total: int | Fraction, denominator: int, what: str) -> int:
+    """total / denominator, which must be a nonnegative integer."""
+    value = Fraction(total, denominator)
     if value.denominator != 1 or value < 0:
         raise InconsistencyError(f"{what} came out as {value}, not a count")
-    return int(value)
+    return value.numerator
+
+
+@cache
+def _marked_spectrum(mu: Partition) -> tuple[tuple[int, int], ...]:
+    # (d_{j_-(mu)}, c_{mu,j}) for each distinct part j of mu, increasing j
+    return tuple(
+        (dimension(decrement_part(mu, j)), marked_content(mu, j))
+        for j in sorted(set(mu.parts))
+    )
 
 
 def star_count(lam: Partition, i: int, r: int) -> int:
@@ -51,7 +63,7 @@ def star_count(lam: Partition, i: int, r: int) -> int:
                 * genchar(mu, j, lam, i)
                 * Fraction(marked_content(mu, j)) ** r
             )
-    return _as_count(total / math.factorial(n), "star count")
+    return _as_count(total, math.factorial(n), "star count")
 
 
 class StarClosedCase(Enum):
@@ -112,8 +124,7 @@ def star_count_closed(case: StarClosedCase, n: int, r: int) -> int:
     if r < 1:
         raise DomainError("length must be positive")
     total = sum(w * c**r for w, c in _closed_spectrum(case, n))
-    value = Fraction(total, math.factorial(n) * (n - 1))
-    return _as_count(value, "closed-form star count")
+    return _as_count(total, math.factorial(n) * (n - 1), "closed-form star count")
 
 
 def star_count_class(lam: Partition, r: int) -> int:
@@ -122,17 +133,11 @@ def star_count_class(lam: Partition, r: int) -> int:
     if r < 1:
         raise DomainError("length must be positive")
     n = lam.n
-    total = Fraction(0)
+    total = 0
     for mu in enumerate_partitions(n):
-        spectral = Fraction(0)
-        for j in sorted(set(mu.parts)):
-            spectral += (
-                dimension(decrement_part(mu, j))
-                * Fraction(marked_content(mu, j)) ** r
-            )
+        spectral = sum(d * c**r for d, c in _marked_spectrum(mu))
         total += spectral * chi(mu, lam)
-    value = Fraction(class_size(lam)) * total / math.factorial(n)
-    return _as_count(value, "class star count")
+    return _as_count(class_size(lam) * total, math.factorial(n), "class star count")
 
 
 def star_count_by_cycle_count(n: int, k: int, r: int) -> int:
@@ -141,15 +146,8 @@ def star_count_by_cycle_count(n: int, k: int, r: int) -> int:
         raise DomainError(f"cycle count {k} is outside 1..{n}")
     if r < 0:
         raise DomainError("length must be nonnegative")
-    total = Fraction(0)
+    total = 0
     for mu in enumerate_partitions(n):
-        d = dimension(mu)
-        weights = content_polynomial(mu)
-        for j in sorted(set(mu.parts)):
-            total += (
-                d
-                * dimension(decrement_part(mu, j))
-                * Fraction(marked_content(mu, j)) ** r
-                * weights[k]
-            )
-    return _as_count(total / math.factorial(n), "cycle-count star total")
+        spectral = sum(d * c**r for d, c in _marked_spectrum(mu))
+        total += dimension(mu) * content_polynomial(mu)[k] * spectral
+    return _as_count(total, math.factorial(n), "cycle-count star total")

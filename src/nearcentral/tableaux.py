@@ -5,6 +5,11 @@ cells, and the cell in row j and column k (both 1-indexed) has content
 k - j. A marked tableau is a standard tableau whose largest symbol n ends
 a row of length i; removing that cell gives a tableau of the decremented
 shape, which is why marked enumeration refines the usual branching rule.
+
+A tableau stores only its rows. The symbol-to-cell lookup behind
+`position` and `content` is built on the first call and kept. Tableaux from
+`enumerate_syt` are standard by construction and skip the constructor's
+checks; `StandardTableau(...)` checks every filling given to it.
 """
 
 from __future__ import annotations
@@ -20,9 +25,7 @@ __all__ = [
     "enumerate_syt",
     "enumerate_syt_marked",
     "dimension",
-    "content_vector",
     "marked_content",
-    "content_sums",
     "content_polynomial",
     "shape_contents",
 ]
@@ -47,12 +50,17 @@ class StandardTableau:
         for r in range(1, len(rows)):
             if any(rows[r - 1][c] >= rows[r][c] for c in range(len(rows[r]))):
                 raise DomainError("columns must increase top to bottom")
-        where = {}
-        for r, row in enumerate(rows, start=1):
-            for c, s in enumerate(row, start=1):
-                where[s] = (r, c)
         object.__setattr__(self, "_rows", tuple(tuple(row) for row in rows))
-        object.__setattr__(self, "_where", where)
+        object.__setattr__(self, "_where", None)
+
+    @classmethod
+    def _unchecked(cls, rows: tuple[tuple[int, ...], ...]) -> "StandardTableau":
+        # The caller guarantees `rows` is a tuple of tuples forming a standard
+        # filling of a partition shape.
+        self = object.__new__(cls)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_where", None)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("StandardTableau is immutable")
@@ -67,12 +75,20 @@ class StandardTableau:
 
     @property
     def n(self) -> int:
-        return len(self._where)
+        return sum(map(len, self._rows))
 
     def position(self, symbol: int) -> tuple[int, int]:
         """(row, column) of a symbol, 1-indexed."""
+        where = self._where
+        if where is None:
+            where = {
+                s: (r, c)
+                for r, row in enumerate(self._rows, start=1)
+                for c, s in enumerate(row, start=1)
+            }
+            object.__setattr__(self, "_where", where)
         try:
-            return self._where[symbol]
+            return where[symbol]
         except KeyError:
             raise DomainError(f"symbol {symbol} not in tableau") from None
 
@@ -98,28 +114,25 @@ def enumerate_syt(lam: Partition) -> list[StandardTableau]:
     Symbols are placed from n downward at removable corners, trying the
     topmost corner first, so the output order is deterministic.
     """
-    filling: dict[tuple[int, int], int] = {}
+    filling = [[0] * part for part in lam.parts]
     results: list[StandardTableau] = []
     lengths = list(lam.parts)
+    height = len(lengths)
 
     def place(symbol: int) -> None:
         if symbol == 0:
-            rows = []
-            for r, length in enumerate(lam.parts, start=1):
-                rows.append(tuple(filling[(r, c)] for c in range(1, length + 1)))
-            results.append(StandardTableau(tuple(rows)))
+            results.append(StandardTableau._unchecked(tuple(map(tuple, filling))))
             return
-        for r in range(len(lengths)):
+        for r in range(height):
             length = lengths[r]
             if length == 0:
                 break
-            if r + 1 < len(lengths) and lengths[r + 1] == length:
+            if r + 1 < height and lengths[r + 1] == length:
                 continue  # not a removable corner
-            filling[(r + 1, length)] = symbol
+            filling[r][length - 1] = symbol
             lengths[r] = length - 1
             place(symbol - 1)
             lengths[r] = length
-            del filling[(r + 1, length)]
 
     place(lam.n)
     return results
@@ -130,7 +143,11 @@ def enumerate_syt_marked(lam: Partition, i: int) -> list[StandardTableau]:
     if i not in lam:
         raise DomainError(f"{lam} has no part {i}")
     n = lam.n
-    return [tab for tab in enumerate_syt(lam) if tab.position(n)[1] == i]
+    # n ends its row, so the tableau is marked at i when a row of length i ends in n
+    return [
+        tab for tab in enumerate_syt(lam)
+        if any(row[-1] == n and len(row) == i for row in tab.rows)
+    ]
 
 
 def _conjugate_lengths(lam: Partition) -> list[int]:
@@ -157,11 +174,6 @@ def dimension(lam: Partition) -> int:
     return d
 
 
-def content_vector(tab: StandardTableau) -> tuple[int, ...]:
-    """Contents of the cells holding 1, 2, ..., n, in symbol order."""
-    return tuple(tab.content(s) for s in range(1, tab.n + 1))
-
-
 def marked_content(lam: Partition, i: int) -> int:
     """Content of the cell where n sits in any tableau marked at part i.
 
@@ -178,18 +190,17 @@ def shape_contents(lam: Partition) -> list[int]:
     return [c - r for r, part in enumerate(lam, start=1) for c in range(1, part + 1)]
 
 
-def content_sums(lam: Partition) -> tuple[int, int]:
-    """Sum of contents and sum of squared contents of the shape."""
-    cs = shape_contents(lam)
-    return sum(cs), sum(c * c for c in cs)
-
-
 def content_polynomial(lam: Partition) -> list[int]:
     """Coefficients of prod over cells of (t + content), low degree first.
 
     Entry k is the coefficient of t^k, which equals the elementary
     symmetric polynomial of degree n - k in the contents of lam.
     """
+    return list(_content_coefficients(lam))
+
+
+@cache
+def _content_coefficients(lam: Partition) -> tuple[int, ...]:
     coeffs = [1]
     for c in shape_contents(lam):
         nxt = [0] * (len(coeffs) + 1)
@@ -197,4 +208,4 @@ def content_polynomial(lam: Partition) -> list[int]:
             nxt[k + 1] += a
             nxt[k] += c * a
         coeffs = nxt
-    return coeffs
+    return tuple(coeffs)

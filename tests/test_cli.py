@@ -172,6 +172,19 @@ def test_seminormal_guard_exceeded_exits_2(capsys) -> None:
     assert "tableaux at n=13" in doc["error"]
 
 
+def test_chartable_guard_exceeded_exits_2(capsys, monkeypatch) -> None:
+    def refuse(n: int) -> None:
+        raise AssertionError(f"enumerated the partitions of {n}")
+
+    # refused before any partition of 40 is listed
+    monkeypatch.setattr("nearcentral.cli.enumerate_partitions", refuse)
+    monkeypatch.setattr("nearcentral.characters.enumerate_partitions", refuse)
+    code, doc, _ = _invoke(capsys, ["chartable", "--n", "40"])
+    assert code == 2
+    assert doc["status"] == "error"
+    assert "p(40)^2 = 1394126244 entries" in doc["error"]
+
+
 @pytest.mark.parametrize(
     "module, argv",
     [

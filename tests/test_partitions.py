@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -10,7 +11,6 @@ from nearcentral import (
     DomainError,
     MarkedPartition,
     Partition,
-    add_part,
     class_size,
     decrement_part,
     enumerate_marked_partitions,
@@ -18,12 +18,10 @@ from nearcentral import (
     format_marked_partition,
     format_partition,
     marked_class_size,
-    multiplicity,
-    num_parts,
     parse_marked_partition,
     parse_partition,
-    remove_part,
 )
+from nearcentral.permutations import Permutation, cycle_type
 
 part_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=8)
 
@@ -80,6 +78,51 @@ def test_enumerate_partitions_reverse_lex_and_counts() -> None:
         assert all(a.parts > b.parts for a, b in zip(shapes, shapes[1:]))
 
 
+def _recursive_descending_parts(n: int, max_part: int):
+    # the recursive reverse-lex generator, kept as the reference order
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in _recursive_descending_parts(n - first, first):
+            yield (first,) + rest
+
+
+def test_enumerate_partitions_match_validated_construction() -> None:
+    assert [p.parts for p in enumerate_partitions(6)] == [
+        (6,), (5, 1), (4, 2), (4, 1, 1), (3, 3), (3, 2, 1), (3, 1, 1, 1),
+        (2, 2, 2), (2, 2, 1, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1),
+    ]
+    for n in range(26):
+        shapes = enumerate_partitions(n)
+        assert [p.parts for p in shapes] == list(_recursive_descending_parts(n, n))
+        for p in shapes:
+            checked = Partition(p.parts)
+            assert p == checked and hash(p) == hash(checked)
+            assert p.parts == checked.parts
+            assert p.n == checked.n == n
+
+
+def test_trusted_shapes_match_validated_construction() -> None:
+    for n in range(1, 11):
+        for lam in enumerate_partitions(n):
+            for i in set(lam.parts):
+                parts = list(lam.parts)
+                parts.remove(i)
+                if i > 1:
+                    parts.append(i - 1)
+                expected = Partition(parts)
+                got = decrement_part(lam, i)
+                assert got == expected and got.parts == expected.parts
+                assert got.n == expected.n == n - 1
+    for images in itertools.permutations(range(1, 7)):
+        lengths = [len(c) for c in Permutation(images).cycles()]
+        expected = Partition(lengths + [1] * (6 - sum(lengths)))
+        got = cycle_type(images)
+        assert got == expected and got.parts == expected.parts
+        assert got.n == expected.n == 6
+
+
 def test_enumerate_marked_partitions_small() -> None:
     got = [(m.shape.parts, m.mark) for m in enumerate_marked_partitions(3)]
     assert got == [((3,), 3), ((2, 1), 2), ((2, 1), 1), ((1, 1, 1), 1)]
@@ -101,19 +144,6 @@ def test_enumerate_marked_partitions_order_and_coverage() -> None:
             assert by_shape[lam.parts] == sorted(set(lam.parts), reverse=True)
 
 
-def test_remove_part() -> None:
-    assert remove_part(Partition((2, 1)), 1).parts == (2,)
-    assert remove_part(Partition((2, 2, 1)), 2).parts == (2, 1)
-    with pytest.raises(DomainError):
-        remove_part(Partition((3,)), 2)
-
-
-def test_add_part() -> None:
-    assert add_part(Partition((2, 1)), 3).parts == (3, 2, 1)
-    assert add_part(Partition(()), 1).parts == (1,)
-    assert add_part(Partition((2, 1)), 1).parts == (2, 1, 1)
-
-
 def test_decrement_part() -> None:
     assert decrement_part(Partition((2, 1)), 2).parts == (1, 1)
     assert decrement_part(Partition((2, 1)), 1).parts == (2,)
@@ -127,14 +157,6 @@ def test_decrement_part_always_drops_total_by_one() -> None:
         for lam in _shapes(n):
             for i in sorted(set(lam.parts)):
                 assert decrement_part(lam, i).n == n - 1
-
-
-def test_multiplicity_and_num_parts() -> None:
-    lam = Partition((3, 2, 2, 1))
-    assert multiplicity(lam, 2) == 2
-    assert multiplicity(lam, 4) == 0
-    assert num_parts(lam) == 4
-    assert num_parts(Partition(())) == 0
 
 
 def test_class_size_small() -> None:
@@ -184,12 +206,6 @@ def test_partition_accepts_any_part_order(parts: list[int]) -> None:
     lam = Partition(parts)
     assert lam.parts == tuple(sorted(parts, reverse=True))
     assert lam.n == sum(parts)
-
-
-@given(part_lists, st.integers(min_value=1, max_value=12))
-def test_add_then_remove_is_identity(parts: list[int], i: int) -> None:
-    lam = Partition(parts)
-    assert remove_part(add_part(lam, i), i) == lam
 
 
 @given(part_lists.filter(bool))

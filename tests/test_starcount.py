@@ -11,7 +11,6 @@ from nearcentral import (
     enumerate_partitions,
     jm_power_coefficients,
     marked_class_size,
-    num_parts,
     star_count,
     star_count_by_cycle_count,
     star_count_class,
@@ -39,7 +38,7 @@ def test_star_count_parity_vanishing() -> None:
     for n in (3, 4, 5):
         for r in range(7):
             for m in enumerate_marked_partitions(n):
-                if (r - (n - num_parts(m.shape))) % 2 == 1:
+                if (r - (n - len(m.shape))) % 2 == 1:
                     assert star_count(m.shape, m.mark, r) == 0
 
 
@@ -150,7 +149,7 @@ def test_star_count_by_cycle_count_aggregates_marked_counts() -> None:
                     marked_class_size(m.shape, m.mark)
                     * star_count(m.shape, m.mark, r)
                     for m in enumerate_marked_partitions(n)
-                    if num_parts(m.shape) == k
+                    if len(m.shape) == k
                 )
                 assert star_count_by_cycle_count(n, k, r) == total
 
@@ -162,3 +161,13 @@ def test_cycle_count_mass_conservation() -> None:
                 star_count_by_cycle_count(n, k, r) for k in range(1, n + 1)
             )
             assert total == (n - 1) ** r
+
+
+def test_mass_conservation_at_bench_sizes() -> None:
+    # every sequence of r stars in S_n has some product, so the counts over
+    # all cycle types, or over all cycle counts, add up to (n-1)^r
+    shapes = enumerate_partitions(13)
+    for r in (10, 11):
+        assert sum(star_count_class(lam, r) for lam in shapes) == 12**r
+    for r in (19, 24):
+        assert sum(star_count_by_cycle_count(18, k, r) for k in range(1, 19)) == 17**r

@@ -7,9 +7,8 @@ import pytest
 from nearcentral import (
     DomainError,
     Partition,
+    StandardTableau,
     content_polynomial,
-    content_sums,
-    content_vector,
     decrement_part,
     dimension,
     enumerate_partitions,
@@ -51,6 +50,35 @@ def test_enumerate_syt_produces_valid_tableaux_deterministically() -> None:
                 assert _is_standard(t.rows, n)
 
 
+def test_enumerated_tableaux_match_validated_construction() -> None:
+    for n in range(9):
+        for lam in enumerate_partitions(n):
+            for t in enumerate_syt(lam):
+                checked = StandardTableau(t.rows)
+                assert t == checked and hash(t) == hash(checked)
+                assert t.n == checked.n == n
+                for s in range(1, n + 1):
+                    r, c = t.position(s)
+                    assert t.rows[r - 1][c - 1] == s
+                    assert checked.position(s) == (r, c)
+                    assert t.content(s) == checked.content(s) == c - r
+                with pytest.raises(DomainError):
+                    t.position(n + 1)
+
+
+def test_standard_tableau_rejects_bad_fillings() -> None:
+    assert StandardTableau(((1, 3), (2, 4), (5,))).n == 5
+    for rows in (
+        ((1,), (2, 3)),  # row lengths increase
+        ((1, 2), (4,)),  # a symbol is missing
+        ((1, 2), (3, 2)),  # a symbol is repeated
+        ((2, 1), (3,)),  # a row decreases
+        ((2, 3), (1, 4)),  # a column decreases
+    ):
+        with pytest.raises(DomainError):
+            StandardTableau(rows)
+
+
 def test_enumerate_syt_marked_small() -> None:
     assert len(enumerate_syt_marked(Partition((2, 1)), 2)) == 1
     assert len(enumerate_syt_marked(Partition((2, 1)), 1)) == 1
@@ -90,14 +118,19 @@ def test_dimension_matches_tableau_count() -> None:
             assert dimension(lam) == len(enumerate_syt(lam))
 
 
+def _content_vector(tab: StandardTableau) -> tuple[int, ...]:
+    # contents of the cells holding 1, 2, ..., n, in symbol order
+    return tuple(tab.content(s) for s in range(1, tab.n + 1))
+
+
 def test_content_vector_examples() -> None:
     row = enumerate_syt(Partition((3,)))[0]
-    assert content_vector(row) == (0, 1, 2)
+    assert _content_vector(row) == (0, 1, 2)
     column = enumerate_syt(Partition((1, 1, 1)))[0]
-    assert content_vector(column) == (0, -1, -2)
+    assert _content_vector(column) == (0, -1, -2)
     beside = [t for t in enumerate_syt(Partition((2, 1))) if t.position(2) == (1, 2)]
     assert len(beside) == 1
-    assert content_vector(beside[0]) == (0, 1, -1)
+    assert _content_vector(beside[0]) == (0, 1, -1)
 
 
 def test_marked_content_examples() -> None:
@@ -139,14 +172,19 @@ def test_content_polynomial_matches_elementary_symmetric() -> None:
                 assert coeffs[m] == elem[n - m]
 
 
+def _content_sums(lam: Partition) -> tuple[int, int]:
+    contents = shape_contents(lam)
+    return sum(contents), sum(c * c for c in contents)
+
+
 def test_content_sums_examples() -> None:
-    assert content_sums(Partition((2, 1))) == (0, 2)
-    assert content_sums(Partition((1, 1))) == (-1, 1)
-    assert content_sums(Partition((3, 2))) == (2, 6)
+    assert _content_sums(Partition((2, 1))) == (0, 2)
+    assert _content_sums(Partition((1, 1))) == (-1, 1)
+    assert _content_sums(Partition((3, 2))) == (2, 6)
     for n in range(1, 8):
         for lam in enumerate_partitions(n):
-            contents = shape_contents(lam)
-            assert content_sums(lam) == (
-                sum(contents),
-                sum(c * c for c in contents),
-            )
+            # the content sum is sum_rows C(lam_i, 2) - sum_columns C(lam'_j, 2)
+            cols = [sum(1 for part in lam if part > c) for c in range(lam[0])]
+            assert _content_sums(lam)[0] == sum(
+                math.comb(part, 2) for part in lam
+            ) - sum(math.comb(col, 2) for col in cols)
