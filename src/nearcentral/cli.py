@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Any
 
-from .characters import character_table
+from .characters import _partition_count, character_table
 from .errors import DomainError, GuardExceeded, InconsistencyError
 from .genchar import (
     connection_coefficient,
@@ -32,6 +32,7 @@ from .oracle import (
     z1_idempotent,
 )
 from .partitions import (
+    decrement_part,
     enumerate_marked_partitions,
     enumerate_partitions,
     format_marked_partition,
@@ -49,6 +50,10 @@ from .tableaux import dimension, enumerate_syt, enumerate_syt_marked
 
 USAGE_EXIT = 64
 INCONSISTENCY_EXIT = 70
+
+# most items `partitions` (counted as p(n)) and `tableaux` list; inputs at
+# n <= 6 count at most 16, and 10^4 tableaux take about a second
+LIST_MAX = 10_000
 
 
 class _UsageError(Exception):
@@ -76,6 +81,13 @@ def _shape_arg(text: str, n: int | None, name: str):
 def _cmd_partitions(args: argparse.Namespace) -> dict[str, Any]:
     if args.n < 0:
         raise DomainError("n must be nonnegative")
+    # p(n) itself takes O(n^1.5) big-integer steps; past n = 1000 name a bound
+    count = _partition_count(args.n) if args.n <= 1000 else None
+    if count is None or count > LIST_MAX:
+        shown = "> 10^31" if count is None else f"= {count}"
+        raise GuardExceeded(
+            f"p({args.n}) {shown} partitions exceed the listing limit {LIST_MAX}"
+        )
     if args.marked:
         return {
             "n": args.n,
@@ -92,6 +104,22 @@ def _cmd_partitions(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_tableaux(args: argparse.Namespace) -> dict[str, Any]:
     shape = _shape_arg(args.shape, None, "shape")
+    label = f"shape {format_partition(shape)}"
+    # the hook-length product needs n!, so a huge shape is refused on its size
+    if shape.n > LIST_MAX:
+        raise GuardExceeded(
+            f"{label} has {shape.n} cells, past the listing limit {LIST_MAX}"
+        )
+    if args.mark is None:
+        count = dimension(shape)
+    else:
+        # n ends a row of length i: the rest is a tableau of i_-(shape)
+        count = dimension(decrement_part(shape, args.mark))
+        label += f" marked at {args.mark}"
+    if count > LIST_MAX:
+        raise GuardExceeded(
+            f"{label} has {count} standard tableaux, past the listing limit {LIST_MAX}"
+        )
     if args.mark is None:
         tabs = enumerate_syt(shape)
     else:

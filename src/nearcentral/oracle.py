@@ -4,7 +4,12 @@ Everything here is computed from first principles: permutations as tuples of
 images, algebra elements as literal dictionaries of rational coefficients,
 idempotents as explicit character sums over the whole group.  Factorial cost
 throughout, so the main entry points are guarded; the point is to be an
-independent ground truth for the closed-form code, not to be fast.
+independent ground truth for the closed-form code.
+
+Products come in two speed tiers with the same values.  Dense products at
+n <= 6 look every p * q up in a composition table of S_n, built once per
+process with one C-level gather per row.  Every other product composes image
+tuples directly, with one `operator.itemgetter` per right-hand permutation.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import math
 from array import array
 from fractions import Fraction
 from functools import cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .characters import chi
@@ -162,8 +168,12 @@ class GroupAlgebraElement:
         return f"<group algebra element over S_{self._n}, {len(self._terms)} terms>"
 
 
-# composition tables pay off once products touch most of the group; 'H' is
-# enough because the table is only ever built for n! <= 720
+# a product takes the table tier when n <= _TABLE_MAX_N and it has more than
+# _DIRECT_LIMIT term pairs: rows[p][q] is the pool index of p * q, a lookup
+# per pair into an accumulator over the whole group.  The direct tier builds
+# each image tuple of p * q with an itemgetter and sums in a dict, which wins
+# for sparse products.  'H' is enough because the table is only ever built
+# for n! <= 720
 _TABLE_MAX_N = 6
 _DIRECT_LIMIT = 20000
 _POOL_MAX_N = 7
@@ -181,10 +191,29 @@ def _compose_table(n: int):
     pool = _perm_pool(n)
     images = [p.images for p in pool]
     index = {t: k for k, t in enumerate(images)}
-    rows = [
-        array("H", (index[tuple(mine[x - 1] for x in theirs)] for theirs in images))
-        for mine in images
-    ]
+    # one list per adjacent transposition s = (k k+1): left[j] is the pool
+    # index of s * pool[j], whose images are those of pool[j] with the values
+    # k and k+1 swapped
+    lefts = []
+    for k in range(1, n):
+        swap = list(range(n + 1))
+        swap[k], swap[k + 1] = k + 1, k
+        lefts.append([index[tuple([swap[x] for x in t])] for t in images])
+    # pool[0] is the identity; row(s * p) is row(p) pushed through left_s,
+    # one gather per row, filled breadth-first over the generators
+    rows: list = [None] * len(pool)
+    rows[0] = array("H", range(len(pool)))
+    frontier = [0]
+    while frontier:
+        reached = []
+        for p in frontier:
+            gather = itemgetter(*rows[p])
+            for left in lefts:
+                target = left[p]
+                if rows[target] is None:
+                    rows[target] = array("H", gather(left))
+                    reached.append(target)
+        frontier = reached
     return pool, index, rows
 
 
@@ -213,13 +242,19 @@ def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraE
             for col, cb in cols:
                 acc[row[col]] += ca * cb
         terms = {pool[k]: Fraction(v, den) for k, v in enumerate(acc) if v}
+    elif n <= 1:
+        # S_0 and S_1 hold only the identity, where itemgetter cannot compose:
+        # it raises for no index and returns a bare int for one
+        v = sum(ta.values()) * sum(tb.values())
+        terms = {Permutation.identity(n): Fraction(v, den)} if v else {}
     else:
         raw: dict[tuple[int, ...], int] = {}
-        right = [(q.images, cb) for q, cb in tb.items()]
+        # itemgetter(q(1)-1, .., q(n)-1) maps the images of p to those of p * q
+        right = [(itemgetter(*[x - 1 for x in q.images]), cb) for q, cb in tb.items()]
         for p, ca in ta.items():
             mine = p.images
-            for theirs, cb in right:
-                key = tuple(mine[x - 1] for x in theirs)
+            for compose, cb in right:
+                key = compose(mine)
                 raw[key] = raw.get(key, 0) + ca * cb
         terms = {
             Permutation.unchecked(k): Fraction(v, den) for k, v in raw.items() if v
@@ -360,10 +395,19 @@ def is_near_central(g: GroupAlgebraElement) -> bool:
     generate that subgroup.
     """
     n = g.n
+    # integer coefficients compare in C, where Fractions would not
+    coeffs = {p.images: c for p, c in _integerized(g)[0].items()}
     for k in range(1, n - 1):
-        s = Permutation.transposition(k, k + 1, n)
-        for perm, c in g._terms.items():
-            if g.coefficient(s * perm * s) != c:
+        # s p s for s = (k k+1): swap the positions k, k+1 of p's images, then
+        # the values k, k+1
+        positions = list(range(n))
+        positions[k - 1], positions[k] = k, k - 1
+        swap_positions = itemgetter(*positions)
+        relabel = list(range(n + 1))
+        relabel[k], relabel[k + 1] = k + 1, k
+        swap_value = relabel.__getitem__
+        for images, c in coeffs.items():
+            if coeffs.get(tuple(map(swap_value, swap_positions(images)))) != c:
                 return False
     return True
 

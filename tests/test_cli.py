@@ -185,6 +185,61 @@ def test_chartable_guard_exceeded_exits_2(capsys, monkeypatch) -> None:
     assert "p(40)^2 = 1394126244 entries" in doc["error"]
 
 
+def _refuse(*args) -> None:
+    raise AssertionError(f"enumerated {args}")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["partitions", "--n", "55"], "p(55) = 451276 partitions"),
+        (["partitions", "--n", "55", "--marked"], "p(55) = 451276 partitions"),
+        (["partitions", "--n", "1000001"], "p(1000001) > 10^31 partitions"),
+        (
+            ["tableaux", "--shape", "5,4,3,2"],
+            "shape 5,4,3,2 has 48048 standard tableaux",
+        ),
+        (
+            ["tableaux", "--shape", "5,4,3,2", "--mark", "3"],
+            "shape 5,4,3,2 marked at 3 has 12870 standard tableaux",
+        ),
+    ],
+)
+def test_listing_guard_exceeded_exits_2(capsys, monkeypatch, argv, message) -> None:
+    # refused before anything is enumerated
+    for name in (
+        "enumerate_partitions",
+        "enumerate_marked_partitions",
+        "enumerate_syt",
+        "enumerate_syt_marked",
+    ):
+        monkeypatch.setattr(f"nearcentral.cli.{name}", _refuse)
+    code, doc, _ = _invoke(capsys, argv)
+    assert code == 2
+    assert doc["status"] == "error"
+    assert message in doc["error"]
+    assert "the listing limit 10000" in doc["error"]
+
+
+def test_huge_shape_is_refused_before_its_hook_lengths(capsys, monkeypatch) -> None:
+    # the hook-length count of a million cells would need 1000000!
+    monkeypatch.setattr("nearcentral.cli.dimension", _refuse)
+    code, doc, _ = _invoke(capsys, ["tableaux", "--shape", "1000000"])
+    assert code == 2
+    assert "shape 1000000 has 1000000 cells, past the listing limit" in doc["error"]
+
+
+def test_listing_guard_boundary(capsys, monkeypatch) -> None:
+    monkeypatch.setattr("nearcentral.cli.LIST_MAX", 5)
+    assert run(["partitions", "--n", "4"]) == 0  # p(4) = 5
+    assert run(["partitions", "--n", "5"]) == 2  # p(5) = 7
+    assert run(["tableaux", "--shape", "3,2"]) == 0  # 5 tableaux
+    assert run(["tableaux", "--shape", "3,1,1"]) == 2  # 6 tableaux
+    assert run(["tableaux", "--shape", "3,1,1", "--mark", "1"]) == 0  # 3 of them
+    assert run(["tableaux", "--shape", "6"]) == 2  # 1 tableau, but 6 cells
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "module, argv",
     [

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,7 @@ from nearcentral import (
     table1_poly,
     z1_idempotent,
 )
+from nearcentral import oracle
 
 
 def _perm(*images: int) -> Permutation:
@@ -77,6 +80,62 @@ def test_ga_multiply_single_terms() -> None:
     assert prod2 == GroupAlgebraElement.from_permutation(_perm(2, 3, 1))
     with pytest.raises(DomainError):
         ga_multiply(d13, GroupAlgebraElement.one(4))
+
+
+def test_products_in_the_trivial_groups() -> None:
+    # S_0 and S_1 have only the identity, where itemgetter cannot compose
+    for n in (0, 1, 2):
+        one = GroupAlgebraElement.one(n)
+        assert ga_multiply(one, one) == one
+        zero = GroupAlgebraElement.zero(n)
+        assert ga_multiply(one, zero) == zero
+    half = GroupAlgebraElement(1, {Permutation.identity(1): Fraction(1, 2)})
+    assert ga_multiply(half, half.scale(-4)) == GroupAlgebraElement.one(1).scale(-1)
+    # (2 id - 3/2 s)(-1/3 id + s) = -2/3 id + 2 s + 1/2 s - 3/2 id in S_2
+    s = Permutation.transposition(1, 2, 2)
+    a = GroupAlgebraElement(2, {Permutation.identity(2): 2, s: Fraction(-3, 2)})
+    b = GroupAlgebraElement(2, {Permutation.identity(2): Fraction(-1, 3), s: 1})
+    assert ga_multiply(a, b) == GroupAlgebraElement(
+        2, {Permutation.identity(2): Fraction(-13, 6), s: Fraction(5, 2)}
+    )
+
+
+def _random_element(rng: random.Random, n: int, size: int) -> GroupAlgebraElement:
+    support = rng.sample(list(itertools.permutations(range(1, n + 1))), size)
+    terms = {}
+    for images in support:
+        numerator = rng.choice((-1, 1)) * rng.randint(1, 9)
+        terms[Permutation(images)] = Fraction(numerator, rng.randint(1, 6))
+    return GroupAlgebraElement(n, terms)
+
+
+def test_product_tiers_agree(monkeypatch) -> None:
+    rng = random.Random(20111)
+    for n, sizes in ((5, (120, 100)), (6, (200, 150))):
+        a = _random_element(rng, n, sizes[0])
+        b = _random_element(rng, n, sizes[1])
+        monkeypatch.setattr(oracle, "_DIRECT_LIMIT", 0)
+        table = ga_multiply(a, b)
+        monkeypatch.setattr(oracle, "_DIRECT_LIMIT", math.factorial(n) ** 2)
+        direct = ga_multiply(a, b)
+        assert table == direct and len(table) > 0
+
+
+def test_composition_table_cells() -> None:
+    def literal(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(p[x - 1] for x in q)
+
+    for n in range(6):
+        pool, _, rows = oracle._compose_table(n)
+        assert len(rows) == len(pool) == math.factorial(n)
+        for p, row in zip(pool, rows):
+            assert [pool[k].images for k in row] == [
+                literal(p.images, q.images) for q in pool
+            ]
+    pool, _, rows = oracle._compose_table(6)
+    for k in random.Random(6).sample(range(720), 24):
+        p = pool[k].images
+        assert [pool[c].images for c in rows[k]] == [literal(p, q.images) for q in pool]
 
 
 def test_class_sum_small() -> None:
@@ -218,6 +277,13 @@ def test_is_near_central() -> None:
     a = class_sum(Partition((2, 1, 1)), 2, 4)
     b = class_sum(Partition((3, 1)), 3, 4)
     assert is_near_central(ga_multiply(a, b))
+    # equal coefficients on (1 3) and its conjugate (2 3) by (1 2), unequal ones
+    t13 = Permutation.transposition(1, 3, 3)
+    t23 = Permutation.transposition(2, 3, 3)
+    assert is_near_central(
+        GroupAlgebraElement(3, {t13: Fraction(-1, 2), t23: Fraction(-1, 2)})
+    )
+    assert not is_near_central(GroupAlgebraElement(3, {t13: 1, t23: Fraction(1, 2)}))
 
 
 def test_jm_power_tables() -> None:
