@@ -12,8 +12,9 @@ orthogonality sums built from them:
 - a trace in Young's seminormal form (`genchar_seminormal`,
   `genchar_column`), a sum over the standard tableaux of mu, for every
   class, at n <= SEMINORMAL_MAX_N;
-- a character sum over S_{n-1} (`genchar_strahov`), factorial in n and
-  kept as a verifier.
+- a character sum over S_{n-1} (`genchar_strahov`), kept as a verifier:
+  one walk over the (n-1)! permutations per subscript class (lam, i),
+  then at most p(n) p(n-1) terms per value.
 
 The dispatcher `genchar` takes the closed form when there is one, else the
 seminormal trace.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
@@ -46,7 +48,7 @@ from .partitions import (
     class_size,
     marked_class_size,
 )
-from .permutations import Permutation, cycle_type
+from .permutations import Permutation, cycle_lengths
 from .tableaux import dimension, marked_content, shape_contents
 
 __all__ = [
@@ -209,11 +211,29 @@ def genchar_strahov(
 
     Averages chi^mu(pi sigma) chi^{j_-(mu)}(sigma) over sigma in S_{n-1},
     where pi is any fixed member of the marked class (lam, i); the result is
-    independent of that choice.  Factorial cost, so guarded.
+    independent of that choice.  The walk over S_{n-1} depends only on
+    (lam, i): it runs once per subscript class and counts the pairs of cycle
+    types it meets, so each value is then a sum of at most p(n) p(n-1)
+    terms.  The walk is factorial in n, so every call is guarded, also when
+    the counts are already cached.
     """
     n = _common_order(mu, j, lam, i)
     check_guard(n, max_n, "character sum over S_{n-1}")
     reduced = decrement_part(mu, j)
+    total = sum(
+        count * chi(mu, alpha) * chi(reduced, beta)
+        for alpha, beta, count in _strahov_histogram(lam, i)
+    )
+    return Fraction(dimension(reduced) * total, math.factorial(n - 1))
+
+
+@cache
+def _strahov_histogram(
+    lam: Partition, i: int
+) -> tuple[tuple[Partition, Partition, int], ...]:
+    # (cycle type of pi tau, cycle type of tau, how many tau in S_{n-1} give
+    # that pair), for the fixed pi of (lam, i) below
+    n = lam.n
     # n sits on the marked i-cycle with 1..i-1; the other parts take
     # consecutive blocks of the remaining symbols
     rest = list(lam.parts)
@@ -223,15 +243,20 @@ def genchar_strahov(
         tuple(range(s, s + length)) for s, length in zip(starts, rest)
     ]
     pi = Permutation.from_cycles(n, cycles).images
+    pi_of = (0, *pi).__getitem__  # pi_of(t) = pi(t), 1-indexed
     pi_last = pi[n - 1]
-    total = 0
     # summing chi^mu(pi sigma^{-1}) chi^{reduced}(sigma) over sigma equals
     # summing chi^mu(pi tau) chi^{reduced}(tau): substitute tau = sigma^{-1};
-    # tau stays a raw tuple because this loop is the whole cost of the route
+    # tau and the cycle lengths stay raw tuples because this loop is the
+    # whole cost of the route
+    counts: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
     for tau in itertools.permutations(range(1, n)):
-        composite = tuple(pi[t - 1] for t in tau) + (pi_last,)
-        total += chi(mu, cycle_type(composite)) * chi(reduced, cycle_type(tau))
-    return Fraction(dimension(reduced) * total, math.factorial(n - 1))
+        composite = (*map(pi_of, tau), pi_last)
+        counts[cycle_lengths(composite), cycle_lengths(tau)] += 1
+    return tuple(
+        (Partition.unchecked(alpha), Partition.unchecked(beta), count)
+        for (alpha, beta), count in counts.items()
+    )
 
 
 # ---------------------------------------------------------------------------

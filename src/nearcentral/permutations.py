@@ -2,7 +2,7 @@
 
 A permutation is a tuple of images, 1-indexed, composed right to left.  The
 character-sum formula in `genchar` works on raw tuples in its inner loop and
-uses `cycle_type` directly; the oracle works with `Permutation` objects.
+counts them by `cycle_lengths`; the oracle works with `Permutation` objects.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from typing import Iterable, Sequence
 from .errors import DomainError
 from .partitions import Partition
 
-__all__ = ["Permutation", "cycle_type"]
+__all__ = ["Permutation", "cycle_lengths", "cycle_type"]
 
 
-def cycle_type(images: Sequence[int]) -> Partition:
-    """Cycle type of the permutation with one-line notation `images`."""
+def cycle_lengths(images: Sequence[int]) -> tuple[int, ...]:
+    """Cycle lengths of the permutation with one-line notation `images`,
+    largest first: the parts of `cycle_type` as a plain tuple."""
     lengths = []
     seen = [False] * (len(images) + 1)
     for start in range(1, len(images) + 1):
@@ -30,7 +31,12 @@ def cycle_type(images: Sequence[int]) -> Partition:
             length += 1
         lengths.append(length)
     lengths.sort(reverse=True)
-    return Partition.unchecked(tuple(lengths))
+    return tuple(lengths)
+
+
+def cycle_type(images: Sequence[int]) -> Partition:
+    """Cycle type of the permutation with one-line notation `images`."""
+    return Partition.unchecked(cycle_lengths(images))
 
 
 class Permutation:

@@ -112,30 +112,43 @@ def enumerate_syt(lam: Partition) -> list[StandardTableau]:
     """All standard tableaux of shape lam.
 
     Symbols are placed from n downward at removable corners, trying the
-    topmost corner first, so the output order is deterministic.
+    topmost corner first, so the output order is deterministic.  The search
+    backtracks through an explicit stack, so a shape of any number of cells
+    stays within Python's recursion limit.
     """
     filling = [[0] * part for part in lam.parts]
     results: list[StandardTableau] = []
     lengths = list(lam.parts)
     height = len(lengths)
-
-    def place(symbol: int) -> None:
+    placed: list[int] = []  # the row of each symbol placed so far, n first
+    symbol = lam.n  # the next symbol to place
+    r = 0  # the first row to try it in
+    while True:
         if symbol == 0:
             results.append(StandardTableau._unchecked(tuple(map(tuple, filling))))
-            return
-        for r in range(height):
-            length = lengths[r]
-            if length == 0:
-                break
-            if r + 1 < height and lengths[r + 1] == length:
-                continue  # not a removable corner
-            filling[r][length - 1] = symbol
-            lengths[r] = length - 1
-            place(symbol - 1)
-            lengths[r] = length
-
-    place(lam.n)
-    return results
+        else:
+            while r < height:
+                length = lengths[r]
+                if length == 0:
+                    r = height
+                elif r + 1 < height and lengths[r + 1] == length:
+                    r += 1  # not a removable corner
+                else:
+                    break
+            if r < height:
+                filling[r][length - 1] = symbol
+                lengths[r] = length - 1
+                placed.append(r)
+                symbol -= 1
+                r = 0
+                continue
+        # every corner for this symbol is tried: take back the last one placed
+        if not placed:
+            return results
+        r = placed.pop()
+        lengths[r] += 1
+        symbol += 1
+        r += 1
 
 
 def enumerate_syt_marked(lam: Partition, i: int) -> list[StandardTableau]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from nearcentral import (
@@ -31,6 +32,7 @@ from nearcentral import (
     extract_marked_coefficient,
     ga_multiply,
     genchar,
+    genchar_column,
     genchar_hook_row,
     genchar_seminormal,
     genchar_strahov,
@@ -110,6 +112,25 @@ def test_criterion_03_generalized_character_triple_agreement() -> None:
                     pass
                 if (lam, i) == hook_target:
                     assert genchar_hook_row(mu, j) == strahov, (mu.parts, j)
+    # n = 7: seminormal trace == character sum on every marked pair
+    marked = _marked(7)
+    for lam, i in marked:
+        for mu, j in marked:
+            assert genchar_seminormal(mu, j, lam, i) == genchar_strahov(
+                mu, j, lam, i, max_n=7
+            ), (mu.parts, j, lam.parts, i)
+    # n = 9: one seeded class without a closed form, its whole column
+    general = []
+    for lam, i in _marked(9):
+        try:
+            genchar_table2(lam, i, lam, i)
+        except UnsupportedPattern:
+            general.append((lam, i))
+    lam, i = random.Random(9).choice(general)
+    for m, value in genchar_column(lam, i).items():
+        assert value == genchar_strahov(m.shape, m.mark, lam, i, max_n=9), (
+            m, lam.parts, i
+        )
 
 
 def test_criterion_04_orthogonality() -> None:

@@ -89,6 +89,13 @@ def test_tableaux_listing(capsys) -> None:
     assert doc["count"] == 1
 
 
+def test_tableaux_of_a_long_row(capsys) -> None:
+    # one tableau, but more cells than Python's default recursion limit
+    code, doc, _ = _invoke(capsys, ["tableaux", "--shape", "1200"])
+    assert code == 0
+    assert doc == {"shape": "1200", "count": 1, "tableaux": [[list(range(1, 1201))]]}
+
+
 def test_chartable_json_and_csv(capsys) -> None:
     code, doc, _ = _invoke(capsys, ["chartable", "--n", "3"])
     assert code == 0

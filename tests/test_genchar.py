@@ -16,6 +16,7 @@ from nearcentral import (
     Permutation,
     UnsupportedPattern,
     chi,
+    class_size,
     class_sum,
     connection_coefficient,
     content_polynomial,
@@ -141,6 +142,74 @@ def test_strahov_value_does_not_depend_on_class_representative() -> None:
                             reduced, Permutation(images).cycle_type()
                         )
                     assert scale * total == expected, (mu.parts, j, lam.parts, i)
+
+
+def _strahov_per_value(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
+    # the character sum as one literal walk over S_{n-1} per value
+    n = mu.n
+    reduced = decrement_part(mu, j)
+    rest = list(lam.parts)
+    rest.remove(i)
+    starts = itertools.accumulate(rest, initial=i)
+    cycles = [(*range(1, i), n)] + [
+        tuple(range(s, s + length)) for s, length in zip(starts, rest)
+    ]
+    pi = Permutation.from_cycles(n, cycles).images
+    pi_last = pi[n - 1]
+    total = 0
+    for tau in itertools.permutations(range(1, n)):
+        composite = tuple(pi[t - 1] for t in tau) + (pi_last,)
+        total += chi(mu, Permutation(composite).cycle_type()) * chi(
+            reduced, Permutation(tau).cycle_type()
+        )
+    return Fraction(dimension(reduced) * total, math.factorial(n - 1))
+
+
+def test_strahov_equals_a_walk_per_value() -> None:
+    # n = 1 and n = 2: S_{n-1} holds one permutation, the empty tuple at n = 1
+    for n in range(1, 6):
+        for lam, i in _marked(n):
+            for mu, j in _marked(n):
+                assert genchar_strahov(mu, j, lam, i) == _strahov_per_value(
+                    mu, j, lam, i
+                ), (mu.parts, j, lam.parts, i)
+
+
+def test_strahov_histogram_counts_every_permutation_once() -> None:
+    classes = _marked(1) + _marked(2) + _marked(4) + [
+        (Partition((3, 2, 1)), 2),
+        (Partition((2, 2, 1, 1)), 1),
+    ]
+    for lam, i in classes:
+        n = lam.n
+        histogram = genchar_module._strahov_histogram(lam, i)
+        assert sum(count for _, _, count in histogram) == math.factorial(n - 1)
+        by_beta: dict[Partition, int] = defaultdict(int)
+        for alpha, beta, count in histogram:
+            assert alpha.n == n and beta.n == n - 1
+            by_beta[beta] += count
+        assert by_beta == {
+            beta: class_size(beta) for beta in enumerate_partitions(n - 1)
+        }, (lam.parts, i)
+
+
+def test_strahov_guard_holds_once_the_walk_is_cached(monkeypatch) -> None:
+    lam, i = Partition((3, 2, 1, 1)), 2
+    mu, j = Partition((4, 2, 1)), 1
+    histogram = genchar_module._strahov_histogram
+    monkeypatch.delenv("NEARCENTRAL_MAX_N", raising=False)
+    histogram.cache_clear()
+    value = genchar_strahov(mu, j, lam, i, max_n=7)
+    assert histogram.cache_info().currsize == 1
+    with pytest.raises(GuardExceeded, match="n=7 exceeds the guard max_n=6"):
+        genchar_strahov(mu, j, lam, i, max_n=6)
+    monkeypatch.setenv("NEARCENTRAL_MAX_N", "6")
+    with pytest.raises(GuardExceeded, match="n=7 exceeds the guard max_n=6"):
+        genchar_strahov(mu, j, lam, i)
+    # both refusals came before the cached walk was read
+    assert histogram.cache_info().hits == 0
+    assert genchar_strahov(mu, j, lam, i, max_n=7) == value
+    assert histogram.cache_info().hits == 1
 
 
 def test_table2_row_examples() -> None:

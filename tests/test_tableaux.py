@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -48,6 +49,41 @@ def test_enumerate_syt_produces_valid_tableaux_deterministically() -> None:
             for t in tableaux:
                 assert t.shape == lam
                 assert _is_standard(t.rows, n)
+
+
+def _syt_by_recursion(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
+    # place n, n-1, .., 1 at removable corners, topmost corner first
+    lengths = list(lam.parts)
+    filling = [[0] * part for part in lengths]
+    out: list[tuple[tuple[int, ...], ...]] = []
+
+    def place(symbol: int) -> None:
+        if symbol == 0:
+            out.append(tuple(map(tuple, filling)))
+            return
+        for r, length in enumerate(lengths):
+            if length and (r + 1 == len(lengths) or lengths[r + 1] < length):
+                filling[r][length - 1] = symbol
+                lengths[r] -= 1
+                place(symbol - 1)
+                lengths[r] += 1
+
+    place(lam.n)
+    return out
+
+
+def test_enumerate_syt_order_is_topmost_corner_first() -> None:
+    for n in range(9):
+        for lam in enumerate_partitions(n):
+            assert [t.rows for t in enumerate_syt(lam)] == _syt_by_recursion(lam), lam
+
+
+def test_enumerate_syt_runs_past_the_recursion_limit() -> None:
+    n = sys.getrecursionlimit() + 100
+    (row,) = enumerate_syt(Partition((n,)))
+    assert row.rows == (tuple(range(1, n + 1)),)
+    (column,) = enumerate_syt(Partition((1,) * n))
+    assert column.rows == tuple((s,) for s in range(1, n + 1))
 
 
 def test_enumerated_tableaux_match_validated_construction() -> None:
