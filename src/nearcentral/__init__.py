@@ -74,6 +74,7 @@ from .oracle import (
     z1_idempotent,
 )
 from .starcount import (
+    STAR_CLOSED_MAX,
     StarClosedCase,
     star_count,
     star_count_by_cycle_count,

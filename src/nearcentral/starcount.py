@@ -15,18 +15,24 @@ from fractions import Fraction
 from functools import cache
 
 from .characters import chi
-from .errors import DomainError, InconsistencyError
+from .errors import DomainError, GuardExceeded, InconsistencyError
 from .genchar import genchar
 from .partitions import Partition, class_size, decrement_part, enumerate_partitions
 from .tableaux import content_polynomial, dimension, marked_content
 
 __all__ = [
+    "STAR_CLOSED_MAX",
     "StarClosedCase",
     "star_count",
     "star_count_closed",
     "star_count_class",
     "star_count_by_cycle_count",
 ]
+
+# largest n and largest r `star_count_closed` takes; the transposed-mark case
+# needs O(n) near-hook dimensions, which cost about n^3 (a cold n = 1000 takes
+# about a second), and r sets the bit length of every power c^r
+STAR_CLOSED_MAX = 1000
 
 
 def _as_count(total: int | Fraction, denominator: int, what: str) -> int:
@@ -35,6 +41,11 @@ def _as_count(total: int | Fraction, denominator: int, what: str) -> int:
     if value.denominator != 1 or value < 0:
         raise InconsistencyError(f"{what} came out as {value}, not a count")
     return value.numerator
+
+
+@cache
+def _shapes(n: int) -> tuple[Partition, ...]:
+    return tuple(enumerate_partitions(n))
 
 
 @cache
@@ -55,7 +66,7 @@ def star_count(lam: Partition, i: int, r: int) -> int:
         raise DomainError("length must be nonnegative")
     n = lam.n
     total = Fraction(0)
-    for mu in enumerate_partitions(n):
+    for mu in _shapes(n):
         d = dimension(mu)
         for j in sorted(set(mu.parts)):
             total += (
@@ -118,11 +129,19 @@ def star_count_closed(case: StarClosedCase, n: int, r: int) -> int:
     (eigenvalue n-k-2, 1 <= k <= n-4) or on the last row (eigenvalue -k,
     2 <= k <= n-3), so each adds the pair ((-1)^k n d_{j_-(mu)}, c); marked
     on the row of length 2 their eigenvalue is 0.  They count from n = 5 on.
+
+    n or r above STAR_CLOSED_MAX raises GuardExceeded.
     """
     if n < 3:
         raise DomainError("closed forms need n >= 3")
     if r < 1:
         raise DomainError("length must be positive")
+    if n > STAR_CLOSED_MAX or r > STAR_CLOSED_MAX:
+        raise GuardExceeded(
+            f"closed-form star count at n = {n}, r = {r} sums O(n) powers c^r "
+            f"with |c| <= {n - 1}, each of up to {r * (n - 1).bit_length()} bits; "
+            f"the limit is n <= {STAR_CLOSED_MAX} and r <= {STAR_CLOSED_MAX}"
+        )
     total = sum(w * c**r for w, c in _closed_spectrum(case, n))
     return _as_count(total, math.factorial(n) * (n - 1), "closed-form star count")
 
@@ -134,7 +153,7 @@ def star_count_class(lam: Partition, r: int) -> int:
         raise DomainError("length must be positive")
     n = lam.n
     total = 0
-    for mu in enumerate_partitions(n):
+    for mu in _shapes(n):
         spectral = sum(d * c**r for d, c in _marked_spectrum(mu))
         total += spectral * chi(mu, lam)
     return _as_count(class_size(lam) * total, math.factorial(n), "class star count")
@@ -147,7 +166,7 @@ def star_count_by_cycle_count(n: int, k: int, r: int) -> int:
     if r < 0:
         raise DomainError("length must be nonnegative")
     total = 0
-    for mu in enumerate_partitions(n):
+    for mu in _shapes(n):
         spectral = sum(d * c**r for d, c in _marked_spectrum(mu))
         total += dimension(mu) * content_polynomial(mu)[k] * spectral
     return _as_count(total, math.factorial(n), "cycle-count star total")

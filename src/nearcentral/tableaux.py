@@ -114,38 +114,38 @@ def enumerate_syt(lam: Partition) -> list[StandardTableau]:
     Symbols are placed from n downward at removable corners, trying the
     topmost corner first, so the output order is deterministic.  The search
     backtracks through an explicit stack, so a shape of any number of cells
-    stays within Python's recursion limit.
+    stays within Python's recursion limit, and finds the next corner through
+    the column lengths in one step, so a tall shape costs no more per cell
+    than a long row.
     """
     filling = [[0] * part for part in lam.parts]
     results: list[StandardTableau] = []
     lengths = list(lam.parts)
     height = len(lengths)
+    # depth[c] is the number of rows longer than c, so among the rows of length
+    # L the lowest, the only removable corner, is row depth[L - 1] - 1
+    depth = _conjugate_lengths(lam)
     placed: list[int] = []  # the row of each symbol placed so far, n first
     symbol = lam.n  # the next symbol to place
     r = 0  # the first row to try it in
     while True:
         if symbol == 0:
             results.append(StandardTableau._unchecked(tuple(map(tuple, filling))))
-        else:
-            while r < height:
-                length = lengths[r]
-                if length == 0:
-                    r = height
-                elif r + 1 < height and lengths[r + 1] == length:
-                    r += 1  # not a removable corner
-                else:
-                    break
-            if r < height:
-                filling[r][length - 1] = symbol
-                lengths[r] = length - 1
-                placed.append(r)
-                symbol -= 1
-                r = 0
-                continue
+        elif r < height and lengths[r]:
+            length = lengths[r]
+            r = depth[length - 1] - 1
+            filling[r][length - 1] = symbol
+            lengths[r] = length - 1
+            depth[length - 1] = r
+            placed.append(r)
+            symbol -= 1
+            r = 0
+            continue
         # every corner for this symbol is tried: take back the last one placed
         if not placed:
             return results
         r = placed.pop()
+        depth[lengths[r]] = r + 1
         lengths[r] += 1
         symbol += 1
         r += 1

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import operator
+from functools import cache
 
 import pytest
 
@@ -16,6 +18,7 @@ from nearcentral import (
     enumerate_partitions,
     format_partition,
 )
+from nearcentral.characters import _mn
 
 
 def test_trivial_and_sign_characters() -> None:
@@ -52,13 +55,68 @@ def test_first_orthogonality_in_class_form() -> None:
 
 def test_row_orthogonality_at_bench_sizes() -> None:
     # sum_mu |C_mu| chi^lam(mu) chi^nu(mu) = n! [lam = nu]
-    for n in range(8, 13):
+    for n in (*range(8, 13), 16):
         sizes = [class_size(mu) for mu in enumerate_partitions(n)]
         table = character_table(n)
         for a, row in enumerate(table):
+            weighted = list(map(operator.mul, sizes, row))
             for b in range(a, len(table)):
-                total = sum(z * x * y for z, x, y in zip(sizes, row, table[b]))
+                total = sum(map(operator.mul, weighted, table[b]))
                 assert total == (math.factorial(n) if a == b else 0)
+
+
+def _tuple_beta_numbers(parts: tuple[int, ...]) -> tuple[int, ...]:
+    rows = len(parts)
+    return tuple([part + rows - 1 - k for k, part in enumerate(parts)])
+
+
+@cache
+def _tuple_mn(beta: tuple[int, ...], classes: tuple[int, ...]) -> int:
+    # the Murnaghan-Nakayama recursion on strictly decreasing beta-number
+    # tuples that the bit-set kernel replaced, kept as a reference
+    if not classes:
+        return 1
+    size, rest = classes[0], classes[1:]
+    rows = len(beta)
+    total = 0
+    for k, b in enumerate(beta):
+        target = b - size
+        if target < 0:
+            break
+        spot = k + 1
+        while spot < rows and beta[spot] > target:
+            spot += 1
+        if spot < rows and beta[spot] == target:
+            continue
+        reduced = beta[:k] + beta[k + 1:spot] + (target,) + beta[spot:]
+        while reduced and reduced[-1] == 0:
+            reduced = tuple([x - 1 for x in reduced[:-1]])
+        value = _tuple_mn(reduced, rest)
+        total += -value if (spot - k - 1) & 1 else value
+    return total
+
+
+def test_chi_equals_the_tuple_recursion() -> None:
+    for n in range(13):
+        shapes = enumerate_partitions(n)
+        for lam in shapes:
+            beta = _tuple_beta_numbers(lam.parts)
+            for mu in shapes:
+                assert chi(lam, mu) == _tuple_mn(beta, mu.parts), (lam, mu)
+
+
+def test_kernel_states_are_shared_across_zero_rows() -> None:
+    # a shape reached with zero rows below it is the same memo entry as the
+    # shape itself; without that a cold table at n = 16 keeps 96,152 states
+    _mn.cache_clear()
+    character_table(16)
+    assert _mn.cache_info().currsize == 64657
+
+
+def test_character_table_leaves_the_chi_cache_alone() -> None:
+    before = chi.cache_info()
+    character_table(11)
+    assert chi.cache_info() == before
 
 
 def test_chi_at_identity_is_dimension() -> None:

@@ -197,6 +197,36 @@ def _refuse(*args) -> None:
 
 
 @pytest.mark.parametrize(
+    "n, r, message",
+    [
+        ("1001", "90", "n = 1001, r = 90 sums O(n) powers c^r"),
+        ("40", "1001", "n = 40, r = 1001 sums O(n) powers c^r"),
+        ("10000000000", "10000000000", "each of up to 340000000000 bits"),
+    ],
+)
+def test_starfact_closed_guard_exceeded_exits_2(capsys, monkeypatch, n, r, message) -> None:
+    # refused before any weight or power is computed
+    monkeypatch.setattr("nearcentral.starcount._closed_spectrum", _refuse)
+    for case in ("full-cycle", "fix-point-mark1", "transposed-mark"):
+        code, doc, _ = _invoke(
+            capsys, ["starfact", "closed", "--case", case, "--n", n, "--r", r]
+        )
+        assert code == 2
+        assert doc["status"] == "error"
+        assert message in doc["error"]
+        assert "the limit is n <= 1000 and r <= 1000" in doc["error"]
+
+
+def test_starfact_closed_guard_boundary(capsys, monkeypatch) -> None:
+    monkeypatch.setattr("nearcentral.starcount.STAR_CLOSED_MAX", 5)
+    argv = ["starfact", "closed", "--case", "transposed-mark"]
+    assert run(argv + ["--n", "5", "--r", "5"]) == 0
+    assert run(argv + ["--n", "6", "--r", "5"]) == 2
+    assert run(argv + ["--n", "5", "--r", "6"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["partitions", "--n", "55"], "p(55) = 451276 partitions"),

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearcentral import (
+    STAR_CLOSED_MAX,
     DomainError,
+    GuardExceeded,
     MarkedPartition,
     Partition,
     StarClosedCase,
@@ -62,6 +69,22 @@ def test_closed_forms_pinned_values() -> None:
             if (r - (n - 2)) % 2:
                 assert star_count_closed(StarClosedCase.FIX_POINT_MARK1, n, r) == 0
                 assert star_count_closed(StarClosedCase.TRANSPOSED_MARK, n, r) == 0
+
+
+def test_closed_forms_are_refused_past_their_limit(monkeypatch) -> None:
+    def refuse(*args) -> None:
+        raise AssertionError(f"built the spectrum of {args}")
+
+    limit = STAR_CLOSED_MAX
+    assert limit >= 92  # the aggregates benchmark asks for n <= 50, r <= 92
+    monkeypatch.setattr("nearcentral.starcount._closed_spectrum", refuse)
+    for case in StarClosedCase:
+        with pytest.raises(GuardExceeded, match=f"n = {limit + 1}, r = 5 sums"):
+            star_count_closed(case, limit + 1, 5)
+        with pytest.raises(GuardExceeded, match=f"r <= {limit}"):
+            star_count_closed(case, 5, limit + 1)
+        with pytest.raises(AssertionError):
+            star_count_closed(case, limit, limit)
 
 
 # frozen from literal J_n^r expansions in the group algebra
@@ -171,3 +194,29 @@ def test_mass_conservation_at_bench_sizes() -> None:
         assert sum(star_count_class(lam, r) for lam in shapes) == 12**r
     for r in (19, 24):
         assert sum(star_count_by_cycle_count(18, k, r) for k in range(1, 19)) == 17**r
+
+
+# a marked class of n <= 7 and a length r <= 8, drawn deterministically
+marked_classes = st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.sampled_from(enumerate_marked_partitions(n))
+)
+lengths = st.integers(min_value=0, max_value=8)
+
+
+@cache
+def _jm_power(n: int, r: int) -> dict[MarkedPartition, Fraction]:
+    return jm_power_coefficients(n, r)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(marked_classes, lengths)
+def test_star_count_is_the_jm_power_coefficient(marked, r) -> None:
+    n = marked.shape.n
+    assert star_count(marked.shape, marked.mark, r) == _jm_power(n, r)[marked]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=8))
+def test_class_counts_add_up_to_every_sequence(n, r) -> None:
+    # each of the (n-1)^r star sequences has its product in exactly one class
+    assert sum(star_count_class(lam, r) for lam in enumerate_partitions(n)) == (n - 1) ** r

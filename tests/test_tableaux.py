@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+import time
 
 import pytest
 
@@ -84,6 +85,17 @@ def test_enumerate_syt_runs_past_the_recursion_limit() -> None:
     assert row.rows == (tuple(range(1, n + 1)),)
     (column,) = enumerate_syt(Partition((1,) * n))
     assert column.rows == tuple((s,) for s in range(1, n + 1))
+
+
+def test_enumerate_syt_of_a_tall_column_is_linear() -> None:
+    # a corner search that walks down a run of equal rows one row at a time
+    # spends seconds on this column; one step per cell takes milliseconds
+    n = 10_000
+    start = time.perf_counter()
+    (column,) = enumerate_syt(Partition((1,) * n))
+    elapsed = time.perf_counter() - start
+    assert column.rows == tuple((s,) for s in range(1, n + 1))
+    assert elapsed < 1.0, elapsed
 
 
 def test_enumerated_tableaux_match_validated_construction() -> None:
