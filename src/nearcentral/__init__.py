@@ -71,6 +71,7 @@ from .oracle import (
     jm_element,
     jm_power_coefficients,
     run_verify,
+    star_walk,
     z1_idempotent,
 )
 from .starcount import (

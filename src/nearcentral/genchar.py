@@ -10,8 +10,10 @@ orthogonality sums built from them:
 - closed forms (`genchar_table2`), chiefly the Jucys-Murphy polynomials of
   Table 1 evaluated at contents;
 - a trace in Young's seminormal form (`genchar_seminormal`,
-  `genchar_column`), a sum over the standard tableaux of mu, for every
-  class, at n <= SEMINORMAL_MAX_N;
+  `genchar_column`), a sum over the standard tableaux of mu run as paths in
+  Young's lattice, for every class, at n <= SEMINORMAL_MAX_N: a single
+  value takes one pass over the shapes inside mu, a whole column one pass
+  over every shape of size 1..n;
 - a character sum over S_{n-1} (`genchar_strahov`), kept as a verifier:
   one walk over the (n-1)! permutations per subscript class (lam, i),
   then at most p(n) p(n-1) terms per value.
@@ -19,7 +21,9 @@ orthogonality sums built from them:
 The dispatcher `genchar` takes the closed form when there is one, else the
 seminormal trace.
 
-Everything is exact: values are `fractions.Fraction`, never floats.
+Everything is exact: values are `fractions.Fraction`, never floats.  The
+lattice pass keeps integer weights over one denominator, scale^(n - len(lam))
+with scale = lcm(1..n-1), and builds one Fraction per value at the end.
 """
 
 from __future__ import annotations
@@ -304,50 +308,84 @@ def genchar_seminormal(mu: Partition, j: int, lam: Partition, i: int) -> Fractio
 
 def genchar_column(lam: Partition, i: int) -> dict[MarkedPartition, Fraction]:
     """gamma^{mu,j}_{lam,i} for every marked shape (mu, j) of n, by the
-    seminormal trace: one pass over the tableaux of each mu."""
+    seminormal trace of `genchar_seminormal` in one unbounded lattice pass:
+    the pass visits every shape of size 1..n, and the summed weight of the
+    paths that end on mu with n's cell in a row of length j is the value at
+    (mu, j), an integer over scale^(n - len(lam))."""
     if i not in lam:
         raise DomainError(f"mark {i} is not a part of {lam}")
     n = lam.n
     _check_seminormal(n, sum(dimension(mu) for mu in enumerate_partitions(n)))
-    return {
-        m: _seminormal_trace(m.shape, lam, i)[m.mark]
-        for m in enumerate_marked_partitions(n)
+    ends, denominator = _lattice_pass(lam, i, None)
+    values = {
+        (shape, shape[r]): Fraction(weight, denominator)
+        for (shape, r), weight in ends.items()
     }
+    return {m: values[m.shape.parts, m.mark] for m in enumerate_marked_partitions(n)}
 
 
 @cache
 def _seminormal_trace(mu: Partition, lam: Partition, i: int) -> dict[int, Fraction]:
-    # {j: gamma^{mu,j}_{lam,i}} for every mark j of mu, in one pass.  The sum
-    # over tableaux of prod 1/r_k runs as paths in Young's lattice: place
-    # 1, 2, .., n one cell at a time and keep, per (shape so far, row of the
-    # last cell), the summed weight of the tableaux that reach it.  The row
-    # of n's cell is the row whose length is the mark.
-    n = mu.n
-    _check_seminormal(n, dimension(mu))
+    # {j: gamma^{mu,j}_{lam,i}} for every mark j of mu, from one lattice pass
+    # bounded by mu: integer weights over scale^(n - len(lam))
+    _check_seminormal(mu.n, dimension(mu))
+    ends, denominator = _lattice_pass(lam, i, mu.parts)
+    return {
+        mu.parts[r]: Fraction(weight, denominator) for (_, r), weight in ends.items()
+    }
+
+
+def _lattice_pass(
+    lam: Partition, i: int, within: tuple[int, ...] | None
+) -> tuple[dict[tuple[tuple[int, ...], int], int], int]:
+    # The sum over tableaux of prod 1/r_k runs as paths in Young's lattice:
+    # place 1, 2, .., n one cell at a time, inside the shape `within` (or
+    # anywhere, when it is None), and keep, per (shape so far, row of the
+    # last cell), the summed weight of the tableaux that reach it.  Each
+    # linked step divides by r with 0 < |r| <= n - 1, so it multiplies by
+    # scale // r exactly, scale = lcm(1..n-1); the word has n - len(lam)
+    # letters, so every weight is an integer over scale^(n - len(lam)).
+    # Returns the states after n cells and that denominator.
+    n = lam.n
     rest = list(lam.parts)
     rest.remove(i)
     # s_k is in the word unless k ends a block
     block_ends = set(itertools.accumulate(rest + [i]))
-    parts = mu.parts
-    rows = range(len(parts))
+    scale = math.lcm(*range(1, n))
+    # with no bound, n rows of n cells hold every shape of size n
+    bound = (n,) * n if within is None else within
+    rows = len(bound)
     # symbol 1 sits in the corner cell
-    states: dict[tuple[tuple[int, ...], int], Fraction] = {
-        ((1,) + (0,) * (len(parts) - 1), 0): Fraction(1)
-    }
+    states: dict[tuple[tuple[int, ...], int], int] = {((1,), 0): 1}
     for k in range(1, n):
         # placing symbol k + 1: s_k contributes 1/r
         linked = k not in block_ends
-        grown: dict[tuple[tuple[int, ...], int], Fraction] = {}
+        grown: dict[tuple[tuple[int, ...], int], int] = {}
         for (shape, last), weight in states.items():
             last_content = shape[last] - 1 - last
-            for r in rows:
-                length = shape[r]
-                if length < parts[r] and (r == 0 or shape[r - 1] > length):
-                    key = (shape[:r] + (length + 1,) + shape[r + 1 :], r)
-                    step = weight / (length - r - last_content) if linked else weight
+            for key, content in _addable_cells(shape):
+                bigger, r = key
+                if r < rows and bigger[r] <= bound[r]:
+                    if linked:
+                        step = weight * (scale // (content - last_content))
+                    else:
+                        step = weight
                     grown[key] = grown.get(key, 0) + step
         states = grown
-    return {parts[r]: weight for (_, r), weight in states.items()}
+    return states, scale ** (n - len(lam))
+
+
+@cache
+def _addable_cells(
+    shape: tuple[int, ...],
+) -> tuple[tuple[tuple[tuple[int, ...], int], int], ...]:
+    # ((shape plus the cell, its row), the cell's content) for each cell that
+    # can be added to `shape`; row len(shape) opens a new row
+    return tuple(
+        ((shape[:r] + (length + 1,) + shape[r + 1 :], r), length - r)
+        for r, length in enumerate(shape + (0,))
+        if r == 0 or shape[r - 1] > length
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ idempotents as explicit character sums over the whole group.  Factorial cost
 throughout, so the main entry points are guarded; the point is to be an
 independent ground truth for the closed-form code.
 
+Beside the group algebra, `star_walk` recounts star factorizations as an
+integer walk over marked cycle types, cheap far past where S_n can be
+listed, so the spectral counts have a check above n = 7.
+
 Products come in two speed tiers with the same values.  Dense products at
 n <= 6 look every p * q up in a composition table of S_n, built once per
 process with one C-level gather per row.  Every other product composes image
@@ -48,6 +52,7 @@ __all__ = [
     "is_near_central",
     "jm_power_coefficients",
     "enumerate_star_factorizations",
+    "star_walk",
     "evaluate_asf_at_jm",
     "VerificationError",
     "run_verify",
@@ -472,6 +477,48 @@ def enumerate_star_factorizations(
         return sum(walk(prefix * s, depth + 1) for s in stars)
 
     return walk(Permutation.identity(n), 0)
+
+
+def star_walk(n: int, rmax: int) -> list[dict[MarkedPartition, int]]:
+    """walk[r][(lam, i)]: how many length-r sequences of stars multiply to a
+    permutation of marked cycle type (lam, i), summed over the whole marked
+    class, for r = 0 .. rmax.
+
+    No representation theory: multiplying by a star (a n) either splits the
+    i-cycle through n into a d-cycle through n and an (i-d)-cycle (one a for
+    each 1 <= d < i), or merges an m-cycle off n into it (m times the number
+    of m-cycles choices of a).  So the counts move as an integer walk over
+    the marked partitions of n, and walk[r][(lam, i)] / |C_{lam,i}| is the
+    count for one permutation of the class.
+    """
+    if n < 1:
+        raise DomainError("n must be positive")
+    if rmax < 0:
+        raise DomainError("length must be nonnegative")
+    state: dict[tuple[tuple[int, ...], int], int] = {((1,) * n, 1): 1}
+    walk = [state]
+    for _ in range(rmax):
+        step: dict[tuple[tuple[int, ...], int], int] = {}
+        for (lam, i), count in state.items():
+            rest = list(lam)
+            rest.remove(i)
+            for d in range(1, i):
+                key = (tuple(sorted(rest + [d, i - d], reverse=True)), d)
+                step[key] = step.get(key, 0) + count
+            for m in set(rest):
+                merged = list(rest)
+                merged.remove(m)
+                key = (tuple(sorted(merged + [i + m], reverse=True)), i + m)
+                step[key] = step.get(key, 0) + count * m * rest.count(m)
+        state = step
+        walk.append(state)
+    return [
+        {
+            MarkedPartition(Partition.unchecked(lam), i): count
+            for (lam, i), count in level.items()
+        }
+        for level in walk
+    ]
 
 
 def evaluate_asf_at_jm(f: Row, n: int, *, max_n: int | None = None) -> GroupAlgebraElement:

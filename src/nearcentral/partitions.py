@@ -11,7 +11,6 @@ part of (2,2) means the same thing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import DomainError, InconsistencyError
@@ -107,22 +106,46 @@ class Partition:
         return parse_partition(text)
 
 
-@dataclass(frozen=True)
 class MarkedPartition:
-    """A partition together with a marked part size."""
+    """A partition together with a marked part size.
+
+    Immutable and hashable like `Partition`; two marked partitions are equal
+    when their shapes and marks are.
+    """
+
+    __slots__ = ("shape", "mark")
 
     shape: Partition
     mark: int
 
-    def __post_init__(self) -> None:
-        if type(self.mark) is not int:
-            raise DomainError(f"mark must be an integer, got {self.mark!r}")
-        if self.mark not in self.shape:
-            raise DomainError(f"mark {self.mark} is not a part of {self.shape}")
+    def __init__(self, shape: Partition, mark: int):
+        if type(mark) is not int:
+            raise DomainError(f"mark must be an integer, got {mark!r}")
+        if mark not in shape:
+            raise DomainError(f"mark {mark} is not a part of {shape}")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "mark", mark)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("MarkedPartition is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("MarkedPartition is immutable")
 
     @property
     def n(self) -> int:
         return self.shape.n
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, MarkedPartition):
+            return self.shape == other.shape and self.mark == other.mark
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.mark))
+
+    def __repr__(self) -> str:
+        return f"MarkedPartition(shape={self.shape!r}, mark={self.mark!r})"
 
     def __str__(self) -> str:
         return format_marked_partition(self)

@@ -29,9 +29,10 @@ __all__ = [
     "star_count_by_cycle_count",
 ]
 
-# largest n and largest r `star_count_closed` takes; the transposed-mark case
-# needs O(n) near-hook dimensions, which cost about n^3 (a cold n = 1000 takes
-# about a second), and r sets the bit length of every power c^r
+# largest n `star_count_closed` takes, and largest r every star count takes;
+# the transposed-mark case needs O(n) near-hook dimensions, which cost about
+# n^3 (a cold n = 1000 takes about a second), and r sets the bit length of
+# every power c^r (`star_count_class` at n = 18 took 2.5 s at r = 10^5)
 STAR_CLOSED_MAX = 1000
 
 
@@ -57,24 +58,45 @@ def _marked_spectrum(mu: Partition) -> tuple[tuple[int, int], ...]:
     )
 
 
+@cache
+def _star_spectrum(lam: Partition, i: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # (den, ((c, w), ..)): den times the sum of d_mu gamma^{mu,j}_{lam,i} over
+    # the marked shapes (mu, j) with marked content c is the integer w
+    weights: dict[int, Fraction] = {}
+    for mu in _shapes(lam.n):
+        d = dimension(mu)
+        for j in sorted(set(mu.parts)):
+            c = marked_content(mu, j)
+            weights[c] = weights.get(c, 0) + d * genchar(mu, j, lam, i)
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    return den, tuple((c, int(w * den)) for c, w in sorted(weights.items()))
+
+
+def _check_length(n: int, r: int) -> None:
+    if r > STAR_CLOSED_MAX:
+        raise GuardExceeded(
+            f"star count at n = {n}, r = {r} sums powers c^r with |c| <= {n - 1}, "
+            f"each of up to {r * (n - 1).bit_length()} bits; "
+            f"the limit is r <= {STAR_CLOSED_MAX}"
+        )
+
+
 def star_count(lam: Partition, i: int, r: int) -> int:
     """Number of length-r star sequences multiplying to a fixed permutation
-    of marked cycle type (lam, i)."""
+    of marked cycle type (lam, i): the sum of d_mu gamma^{mu,j}_{lam,i}
+    c_{mu,j}^r over the marked shapes (mu, j), divided by n!.
+
+    r above STAR_CLOSED_MAX raises GuardExceeded.
+    """
     if i not in lam:
         raise DomainError(f"mark {i} is not a part of {lam}")
     if r < 0:
         raise DomainError("length must be nonnegative")
     n = lam.n
-    total = Fraction(0)
-    for mu in _shapes(n):
-        d = dimension(mu)
-        for j in sorted(set(mu.parts)):
-            total += (
-                d
-                * genchar(mu, j, lam, i)
-                * Fraction(marked_content(mu, j)) ** r
-            )
-    return _as_count(total, math.factorial(n), "star count")
+    _check_length(n, r)
+    den, spectrum = _star_spectrum(lam, i)
+    total = sum(w * c**r for c, w in spectrum)
+    return _as_count(total, den * math.factorial(n), "star count")
 
 
 class StarClosedCase(Enum):
@@ -152,6 +174,7 @@ def star_count_class(lam: Partition, r: int) -> int:
     if r < 1:
         raise DomainError("length must be positive")
     n = lam.n
+    _check_length(n, r)
     total = 0
     for mu in _shapes(n):
         spectral = sum(d * c**r for d, c in _marked_spectrum(mu))
@@ -165,6 +188,7 @@ def star_count_by_cycle_count(n: int, k: int, r: int) -> int:
         raise DomainError(f"cycle count {k} is outside 1..{n}")
     if r < 0:
         raise DomainError("length must be nonnegative")
+    _check_length(n, r)
     total = 0
     for mu in _shapes(n):
         spectral = sum(d * c**r for d, c in _marked_spectrum(mu))

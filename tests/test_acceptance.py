@@ -47,6 +47,7 @@ from nearcentral import (
     star_count_by_cycle_count,
     star_count_class,
     star_count_closed,
+    star_walk,
     subscript_sum_chi,
     superscript_sum,
     table1_rows,
@@ -66,6 +67,39 @@ def test_criterion_01_oracle_equivalence() -> None:
             table = jm_power_coefficients(n, r)
             for m, coeff in table.items():
                 assert star_count(m.shape, m.mark, r) == coeff, (n, r, m)
+    # past the group algebra, the walk over marked cycle types: the counts of
+    # every marked class at n = 10 and of seeded ones at n = 11, 12 (every
+    # class there costs seconds of cold gamma columns), and the class and
+    # cycle-count aggregates up to n = 14
+    for n, sample in ((10, None), (11, 24), (12, 24)):
+        walk = star_walk(n, n + 3)
+        marked = enumerate_marked_partitions(n)
+        if sample is not None:
+            marked = random.Random(n).sample(marked, sample)
+        for m in marked:
+            size = marked_class_size(m.shape, m.mark)
+            for r in (n + 1, n + 2, n + 3):
+                total = walk[r].get(m, 0)
+                assert total % size == 0, (m, r)
+                assert star_count(m.shape, m.mark, r) == total // size, (m, r)
+    for n in range(10, 15):
+        walk = star_walk(n, n + 2)
+        for r in (n + 1, n + 2):
+            by_class: dict[Partition, int] = {}
+            by_cycles: dict[int, int] = {}
+            for m, count in walk[r].items():
+                by_class[m.shape] = by_class.get(m.shape, 0) + count
+                by_cycles[len(m.shape)] = by_cycles.get(len(m.shape), 0) + count
+            for lam in enumerate_partitions(n):
+                assert star_count_class(lam, r) == by_class.get(lam, 0), (lam, r)
+            for k in range(1, n + 1):
+                assert star_count_by_cycle_count(n, k, r) == by_cycles.get(k, 0), (n, k, r)
+    # and the walk itself against the literal J_n^r coefficients, n <= 7
+    for n in range(1, 8):
+        walk = star_walk(n, 6)
+        for r in range(7):
+            for m, coeff in jm_power_coefficients(n, r).items():
+                assert coeff * marked_class_size(m.shape, m.mark) == walk[r].get(m, 0)
 
 
 def test_criterion_02_closed_forms() -> None:

@@ -229,6 +229,46 @@ def test_starfact_closed_guard_boundary(capsys, monkeypatch) -> None:
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (
+            ["starfact", "count", "--lambda", "2,1", "--i", "2", "--r", "1001"],
+            "n = 3, r = 1001 sums powers c^r with |c| <= 2, each of up to 2002 bits",
+        ),
+        (
+            ["starfact", "class", "--lambda", "3,2,1", "--r", "100000"],
+            "n = 6, r = 100000 sums powers c^r with |c| <= 5, each of up to 300000 bits",
+        ),
+        (
+            ["starfact", "cycles", "--n", "18", "--k", "3", "--r", "1001"],
+            "n = 18, r = 1001 sums powers c^r with |c| <= 17, each of up to 5005 bits",
+        ),
+    ],
+)
+def test_starfact_length_guard_exceeded_exits_2(capsys, monkeypatch, argv, message) -> None:
+    # refused before any spectrum or power is computed
+    for name in ("_star_spectrum", "_shapes"):
+        monkeypatch.setattr(f"nearcentral.starcount.{name}", _refuse)
+    code, doc, _ = _invoke(capsys, argv)
+    assert code == 2
+    assert doc["status"] == "error"
+    assert message in doc["error"]
+    assert "the limit is r <= 1000" in doc["error"]
+
+
+def test_starfact_length_guard_boundary(capsys, monkeypatch) -> None:
+    monkeypatch.setattr("nearcentral.starcount.STAR_CLOSED_MAX", 5)
+    for argv in (
+        ["starfact", "count", "--lambda", "2,1", "--i", "2"],
+        ["starfact", "class", "--lambda", "2,1"],
+        ["starfact", "cycles", "--n", "3", "--k", "2"],
+    ):
+        assert run(argv + ["--r", "5"]) == 0
+        assert run(argv + ["--r", "6"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         (["partitions", "--n", "55"], "p(55) = 451276 partitions"),
         (["partitions", "--n", "55", "--marked"], "p(55) = 451276 partitions"),
         (["partitions", "--n", "1000001"], "p(1000001) > 10^31 partitions"),
@@ -297,10 +337,17 @@ def test_listing_guard_boundary(capsys, monkeypatch) -> None:
 )
 def test_internal_inconsistency_exits_70(capsys, monkeypatch, module, argv) -> None:
     # a wrong gamma makes a count fractional: a library defect, not bad input
+    spectrum = importlib.import_module("nearcentral.starcount")._star_spectrum
+    # a spectrum cached by an earlier test would hide the patched genchar,
+    # and the one built from it must not outlive this test
+    spectrum.cache_clear()
     monkeypatch.setattr(
         importlib.import_module(module), "genchar", lambda *args: Fraction(1, 3)
     )
-    code, doc, err = _invoke(capsys, argv)
+    try:
+        code, doc, err = _invoke(capsys, argv)
+    finally:
+        spectrum.cache_clear()
     assert code == 70
     assert doc["status"] == "error"
     assert "internal inconsistency" in err

@@ -3,15 +3,19 @@ from __future__ import annotations
 import importlib
 import itertools
 import math
+import random
 from collections import defaultdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearcentral import (
     DomainError,
     GuardExceeded,
     InconsistencyError,
+    MarkedPartition,
     Partition,
     Permutation,
     UnsupportedPattern,
@@ -29,6 +33,7 @@ from nearcentral import (
     genchar,
     genchar_column,
     genchar_hook_row,
+    genchar_seminormal,
     genchar_strahov,
     genchar_table2,
     marked_class_size,
@@ -345,6 +350,49 @@ def test_seminormal_route_is_refused_past_its_limit() -> None:
         genchar(lam, 2, lam, 2)
 
 
+def _fraction_trace(mu: Partition, lam: Partition, i: int) -> dict[int, Fraction]:
+    # the seminormal path sum with one Fraction division per linked step, as
+    # it stood before the integer lattice pass; a literal reference
+    n = mu.n
+    rest = list(lam.parts)
+    rest.remove(i)
+    block_ends = set(itertools.accumulate(rest + [i]))
+    parts = mu.parts
+    rows = range(len(parts))
+    states = {((1,) + (0,) * (len(parts) - 1), 0): Fraction(1)}
+    for k in range(1, n):
+        linked = k not in block_ends
+        grown: dict[tuple[tuple[int, ...], int], Fraction] = {}
+        for (shape, last), weight in states.items():
+            last_content = shape[last] - 1 - last
+            for r in rows:
+                length = shape[r]
+                if length < parts[r] and (r == 0 or shape[r - 1] > length):
+                    key = (shape[:r] + (length + 1,) + shape[r + 1 :], r)
+                    step = weight / (length - r - last_content) if linked else weight
+                    grown[key] = grown.get(key, 0) + step
+        states = grown
+    return {parts[r]: weight for (_, r), weight in states.items()}
+
+
+def test_lattice_pass_equals_the_fraction_trace() -> None:
+    # every marked pair of n <= 8, by the bounded pass and by the column
+    for n in range(1, 9):
+        for lam, i in _marked(n):
+            column = genchar_column(lam, i)
+            for mu in enumerate_partitions(n):
+                for j, value in _fraction_trace(mu, lam, i).items():
+                    assert genchar_seminormal(mu, j, lam, i) == value, (mu, j, lam, i)
+                    assert column[MarkedPartition(mu, j)] == value, (mu, j, lam, i)
+    # seeded whole columns where the weights run to hundreds of bits
+    for n in (10, 12):
+        for lam, i in random.Random(n).sample(_marked(n), 2):
+            column = genchar_column(lam, i)
+            for mu in enumerate_partitions(n):
+                for j, value in _fraction_trace(mu, lam, i).items():
+                    assert column[MarkedPartition(mu, j)] == value, (mu, j, lam, i)
+
+
 def test_non_integral_superscript_sum_is_an_inconsistency(monkeypatch) -> None:
     monkeypatch.setattr(genchar_module, "genchar", lambda *args: Fraction(1, 3))
     lam = Partition((2, 1))
@@ -448,3 +496,20 @@ def test_orthogonality_examples() -> None:
     for n in range(2, 7):
         full = Partition((n,))
         assert orthogonality_check(full, n, full, n) == 1
+
+
+# three marked classes of one n <= 7, drawn deterministically
+class_triples = (
+    st.integers(min_value=2, max_value=7)
+    .map(_marked)
+    .flatmap(lambda marked: st.tuples(*[st.sampled_from(marked)] * 3))
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(class_triples)
+def test_connection_coefficient_is_symmetric_and_a_product_coefficient(triple) -> None:
+    (lam, i), (mu, j), (nu, k) = triple
+    value = connection_coefficient(lam, i, mu, j, nu, k)
+    assert value == connection_coefficient(mu, j, lam, i, nu, k)
+    assert value == multi_product_coefficient([(lam, i), (mu, j)], nu, k)

@@ -47,6 +47,16 @@ def test_package_imports_only_the_standard_library() -> None:
     assert not outside
 
 
+def test_cli_import_skips_dataclasses_and_inspect() -> None:
+    # both pull in ast, dis and tokenize, a cost every cold process would pay
+    loaded = _fresh(
+        "import json, sys\n"
+        "import nearcentral.cli\n"
+        "print(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))\n"
+    )
+    assert loaded == []
+
+
 def test_permutations_sit_below_genchar_and_oracle() -> None:
     # a bare package object keeps nearcentral/__init__ from importing the rest
     loaded = _fresh(

@@ -62,6 +62,21 @@ def test_marked_partition_equality_is_by_part_value() -> None:
     assert MarkedPartition(shape, 2) != MarkedPartition(shape, 1)
 
 
+def test_marked_partition_is_an_immutable_value() -> None:
+    marked = MarkedPartition(Partition((2, 2, 1)), 2)
+    assert hash(marked) == hash(MarkedPartition(Partition((2, 1, 2)), 2))
+    assert len({marked, MarkedPartition(Partition((2, 2, 1)), 2)}) == 1
+    assert marked != (marked.shape, marked.mark)
+    assert repr(marked) == "MarkedPartition(shape=Partition([2, 2, 1]), mark=2)"
+    assert str(marked) == "2,2,1@2" and marked.n == 5
+    with pytest.raises(AttributeError):
+        marked.mark = 1
+    with pytest.raises(AttributeError):
+        del marked.shape
+    with pytest.raises(AttributeError):
+        marked.extra = 0
+
+
 def test_enumerate_partitions_small() -> None:
     assert [p.parts for p in enumerate_partitions(3)] == [(3,), (2, 1), (1, 1, 1)]
     assert [p.parts for p in enumerate_partitions(0)] == [()]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache
 
@@ -14,10 +15,13 @@ from nearcentral import (
     MarkedPartition,
     Partition,
     StarClosedCase,
+    dimension,
     enumerate_marked_partitions,
     enumerate_partitions,
+    genchar,
     jm_power_coefficients,
     marked_class_size,
+    marked_content,
     star_count,
     star_count_by_cycle_count,
     star_count_class,
@@ -69,6 +73,46 @@ def test_closed_forms_pinned_values() -> None:
             if (r - (n - 2)) % 2:
                 assert star_count_closed(StarClosedCase.FIX_POINT_MARK1, n, r) == 0
                 assert star_count_closed(StarClosedCase.TRANSPOSED_MARK, n, r) == 0
+
+
+def test_star_count_is_the_literal_spectral_sum() -> None:
+    # sum of d_mu gamma^{mu,j}_{lam,i} c_{mu,j}^r over every marked shape,
+    # in Fractions, one term per (mu, j)
+    for n in range(1, 9):
+        shapes = enumerate_marked_partitions(n)
+        for m in shapes:
+            terms = [
+                (dimension(s.shape) * genchar(s.shape, s.mark, m.shape, m.mark),
+                 Fraction(marked_content(s.shape, s.mark)))
+                for s in shapes
+            ]
+            for r in range(13):
+                total = sum((g * c**r for g, c in terms), Fraction(0))
+                assert star_count(m.shape, m.mark, r) == total / math.factorial(n), (m, r)
+
+
+def _refuse(*args) -> None:
+    raise AssertionError(f"computed {args}")
+
+
+def test_star_counts_are_refused_past_the_length_limit(monkeypatch) -> None:
+    limit = STAR_CLOSED_MAX
+    lam = Partition((3, 2, 1))
+    for name in ("_star_spectrum", "_shapes"):
+        monkeypatch.setattr(f"nearcentral.starcount.{name}", _refuse)
+    with pytest.raises(GuardExceeded, match=f"r = {limit + 1} sums powers c\\^r"):
+        star_count(lam, 2, limit + 1)
+    with pytest.raises(GuardExceeded, match=f"r <= {limit}"):
+        star_count_class(lam, limit + 1)
+    with pytest.raises(GuardExceeded, match="each of up to 3003 bits"):
+        star_count_by_cycle_count(6, 2, limit + 1)
+    for count in (
+        lambda: star_count(lam, 2, limit),
+        lambda: star_count_class(lam, limit),
+        lambda: star_count_by_cycle_count(6, 2, limit),
+    ):
+        with pytest.raises(AssertionError):
+            count()
 
 
 def test_closed_forms_are_refused_past_their_limit(monkeypatch) -> None:
@@ -220,3 +264,10 @@ def test_star_count_is_the_jm_power_coefficient(marked, r) -> None:
 def test_class_counts_add_up_to_every_sequence(n, r) -> None:
     # each of the (n-1)^r star sequences has its product in exactly one class
     assert sum(star_count_class(lam, r) for lam in enumerate_partitions(n)) == (n - 1) ** r
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=8))
+def test_cycle_counts_add_up_to_every_sequence(n, r) -> None:
+    # each of the (n-1)^r star sequences has a product with some number of cycles
+    assert sum(star_count_by_cycle_count(n, k, r) for k in range(1, n + 1)) == (n - 1) ** r
