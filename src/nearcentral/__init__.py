@@ -76,6 +76,7 @@ from .oracle import (
 )
 from .starcount import (
     STAR_CLOSED_MAX,
+    STAR_COUNT_MAX_N,
     StarClosedCase,
     star_count,
     star_count_by_cycle_count,

@@ -101,4 +101,5 @@ def character_table(n: int) -> list[list[int]]:
     parts = enumerate_partitions(n)
     # straight to the kernel, so a table leaves chi's cache as it was
     classes = [mu.parts for mu in parts]
-    return [[_mn(_beta_mask(lam.parts), c) for c in classes] for lam in parts]
+    masks = [_beta_mask(lam.parts) for lam in parts]
+    return [[_mn(mask, c) for c in classes] for mask in masks]

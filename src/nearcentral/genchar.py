@@ -19,11 +19,19 @@ orthogonality sums built from them:
   then at most p(n) p(n-1) terms per value.
 
 The dispatcher `genchar` takes the closed form when there is one, else the
-seminormal trace.
+bounded seminormal pass; it serves single values and the row sums
+(`superscript_sum`, `subscript_sum_chi`, `weighted_sum`,
+`orthogonality_check`).  Sums over every marked shape (mu, j) for one class
+(lam, i) read that class's cached integer column instead (`_column`): one
+unbounded pass for n <= SEMINORMAL_MAX_N, the closed forms above it.  Its
+readers are `genchar_column`, the star-count spectra of `starcount`, and
+`multi_product_coefficient` (hence `connection_coefficient`), which sums
+the factor columns in integers and divides once.
 
 Everything is exact: values are `fractions.Fraction`, never floats.  The
 lattice pass keeps integer weights over one denominator, scale^(n - len(lam))
-with scale = lcm(1..n-1), and builds one Fraction per value at the end.
+with scale = lcm(1..n-1); a column keeps them as integers over its lowest
+common denominator, and single values become Fractions at the end.
 """
 
 from __future__ import annotations
@@ -101,12 +109,16 @@ Row = Callable[[JMVariables], Any]
 
 def _elementary(values: Sequence[Any], degree: int, one: Any) -> Any:
     # coefficient of t^degree in prod (1 + v t), by one-row convolution;
-    # the values commute, so this holds for Jucys-Murphy elements as well
-    if degree > len(values):
+    # the values commute, so this holds for Jucys-Murphy elements as well.
+    # After value t, row[d] is e_d of the first t + 1 values; only the band
+    # of d <= t + 1 that the remaining values can still lift to `degree` is
+    # kept, so e_m of m values costs m steps instead of m^2
+    m = len(values)
+    if degree > m:
         return 0 * one
     row = [one] + [0 * one] * degree
-    for v in values:
-        for d in range(degree, 0, -1):
+    for t, v in enumerate(values):
+        for d in range(min(degree, t + 1), max(0, degree - m + t), -1):
             row[d] = row[d] + row[d - 1] * v
     return row[degree]
 
@@ -267,16 +279,28 @@ def _strahov_histogram(
 # the seminormal trace
 
 # largest n the seminormal trace runs at, so that every spectral sum built on
-# `genchar` stays bounded; a column at n = 12 sums over 140152 tableaux
+# `genchar` or a column stays bounded; a column at n = 12 sums over 140152
+# tableaux (above the cap only classes with a closed form have columns)
 SEMINORMAL_MAX_N = 12
 
 
-def _check_seminormal(n: int, tableaux: int) -> None:
-    if n > SEMINORMAL_MAX_N:
-        raise GuardExceeded(
-            f"seminormal trace over {tableaux} tableaux at n={n} exceeds "
-            f"the limit n <= {SEMINORMAL_MAX_N}"
-        )
+def _seminormal_refusal(n: int, tableaux: int | str) -> GuardExceeded:
+    return GuardExceeded(
+        f"seminormal trace over {tableaux} tableaux at n={n} exceeds "
+        f"the limit n <= {SEMINORMAL_MAX_N}"
+    )
+
+
+def _tableau_count(n: int) -> int | str:
+    # the standard tableaux of every shape of n, i.e. the sum of d_mu, are
+    # the involutions of S_n: I(m) = I(m-1) + (m-1) I(m-2); past n = 1000
+    # name a bound instead of running the big-integer recurrence
+    if n > 1000:
+        return "more than 10^1000"
+    previous, count = 1, 1
+    for m in range(2, n + 1):
+        previous, count = count, count + (m - 1) * previous
+    return count
 
 
 def genchar_seminormal(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
@@ -307,28 +331,54 @@ def genchar_seminormal(mu: Partition, j: int, lam: Partition, i: int) -> Fractio
 
 
 def genchar_column(lam: Partition, i: int) -> dict[MarkedPartition, Fraction]:
-    """gamma^{mu,j}_{lam,i} for every marked shape (mu, j) of n, by the
-    seminormal trace of `genchar_seminormal` in one unbounded lattice pass:
-    the pass visits every shape of size 1..n, and the summed weight of the
-    paths that end on mu with n's cell in a row of length j is the value at
-    (mu, j), an integer over scale^(n - len(lam))."""
+    """gamma^{mu,j}_{lam,i} for every marked shape (mu, j) of n, keyed in
+    `enumerate_marked_partitions` order.
+
+    The values come from the cached integer column `_column`, which star
+    counts (`star_count`) and product coefficients
+    (`multi_product_coefficient`, `connection_coefficient`) read too: one
+    unbounded lattice pass of the seminormal trace for n <= SEMINORMAL_MAX_N,
+    the closed forms of `genchar_table2` above; a class with neither raises
+    `GuardExceeded`, naming the tableaux of n the pass would sum over."""
+    den, weights = _column(lam, i)
+    n = lam.n
+    return {
+        m: Fraction(w, den) for m, w in zip(enumerate_marked_partitions(n), weights)
+    }
+
+
+@cache
+def _column(lam: Partition, i: int) -> tuple[int, tuple[int, ...]]:
+    # (den, weights) in lowest terms: gamma^{mu,j}_{lam,i} is weights[t] / den
+    # for the t-th marked shape (mu, j) of enumerate_marked_partitions(n).
+    # Below the cap, one unbounded pass: the summed weight of the paths that
+    # end on mu with n's cell in a row of length j is the value at (mu, j),
+    # an integer over scale^(n - len(lam)).
     if i not in lam:
         raise DomainError(f"mark {i} is not a part of {lam}")
     n = lam.n
-    _check_seminormal(n, sum(dimension(mu) for mu in enumerate_partitions(n)))
-    ends, denominator = _lattice_pass(lam, i, None)
-    values = {
-        (shape, shape[r]): Fraction(weight, denominator)
-        for (shape, r), weight in ends.items()
-    }
-    return {m: values[m.shape.parts, m.mark] for m in enumerate_marked_partitions(n)}
+    marked = enumerate_marked_partitions(n)
+    if n <= SEMINORMAL_MAX_N:
+        ends, den = _lattice_pass(lam, i, None)
+        by_mark = {(shape, shape[r]): weight for (shape, r), weight in ends.items()}
+        weights = [by_mark[m.shape.parts, m.mark] for m in marked]
+    else:
+        try:
+            values = [genchar_table2(m.shape, m.mark, lam, i) for m in marked]
+        except UnsupportedPattern:
+            raise _seminormal_refusal(n, _tableau_count(n)) from None
+        den = math.lcm(*(v.denominator for v in values))
+        weights = [v.numerator * (den // v.denominator) for v in values]
+    common = math.gcd(den, *weights)
+    return den // common, tuple(w // common for w in weights)
 
 
 @cache
 def _seminormal_trace(mu: Partition, lam: Partition, i: int) -> dict[int, Fraction]:
     # {j: gamma^{mu,j}_{lam,i}} for every mark j of mu, from one lattice pass
     # bounded by mu: integer weights over scale^(n - len(lam))
-    _check_seminormal(mu.n, dimension(mu))
+    if mu.n > SEMINORMAL_MAX_N:
+        raise _seminormal_refusal(mu.n, dimension(mu))
     ends, denominator = _lattice_pass(lam, i, mu.parts)
     return {
         mu.parts[r]: Fraction(weight, denominator) for (_, r), weight in ends.items()
@@ -559,18 +609,32 @@ def multi_product_coefficient(
         if i not in lam:
             raise DomainError(f"mark {i} is not a part of {lam}")
     r = len(factors)
-    total = Fraction(0)
-    for rho, ell in _marked_iter(n):
-        dd = dimension(decrement_part(rho, ell))
-        term = genchar(rho, ell, mu, j) * Fraction(dimension(rho), dd**r)
-        for lam, i in factors:
-            term *= genchar(rho, ell, lam, i)
-        total += term
-    sizes = math.prod(marked_class_size(lam, i) for lam, i in factors)
-    value = Fraction(sizes, math.factorial(n)) * total
-    if value.denominator != 1 or value < 0:
-        raise InconsistencyError(f"product coefficient came out as {value}")
-    return int(value)
+    # gamma^{rho,ell}_{mu,j} d_rho / d_{ell_-(rho)}^r times the factors'
+    # gammas, summed over (rho, ell) in integers: every column is an integer
+    # vector over its own denominator
+    columns = [_column(mu, j)] + [_column(lam, i) for lam, i in factors]
+    scale, weights = _product_weights(n, r)
+    total = sum(map(math.prod, zip(weights, *(w for _, w in columns))))
+    numerator = math.prod(marked_class_size(lam, i) for lam, i in factors) * total
+    denominator = math.factorial(n) * scale * math.prod(den for den, _ in columns)
+    value, remainder = divmod(numerator, denominator)
+    if remainder or value < 0:
+        raise InconsistencyError(
+            f"product coefficient came out as {Fraction(numerator, denominator)}"
+        )
+    return value
+
+
+@cache
+def _product_weights(n: int, r: int) -> tuple[int, tuple[int, ...]]:
+    # (scale, v): v[t] = d_rho scale / d_{ell_-(rho)}^r, an integer, for the
+    # t-th marked shape (rho, ell) of enumerate_marked_partitions(n)
+    pairs = [
+        (dimension(m.shape), dimension(decrement_part(m.shape, m.mark)) ** r)
+        for m in enumerate_marked_partitions(n)
+    ]
+    scale = math.lcm(*(dd // math.gcd(d, dd) for d, dd in pairs))
+    return scale, tuple(d * scale // dd for d, dd in pairs)
 
 
 def orthogonality_check(lam: Partition, i: int, mu: Partition, j: int) -> Fraction:

@@ -14,14 +14,21 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 
-from .characters import chi
+from .characters import _partition_count, chi
 from .errors import DomainError, GuardExceeded, InconsistencyError
-from .genchar import genchar
-from .partitions import Partition, class_size, decrement_part, enumerate_partitions
+from .genchar import _column
+from .partitions import (
+    Partition,
+    class_size,
+    decrement_part,
+    enumerate_marked_partitions,
+    enumerate_partitions,
+)
 from .tableaux import content_polynomial, dimension, marked_content
 
 __all__ = [
     "STAR_CLOSED_MAX",
+    "STAR_COUNT_MAX_N",
     "StarClosedCase",
     "star_count",
     "star_count_closed",
@@ -35,13 +42,20 @@ __all__ = [
 # every power c^r (`star_count_class` at n = 18 took 2.5 s at r = 10^5)
 STAR_CLOSED_MAX = 1000
 
+# largest n `star_count`, `star_count_class` and `star_count_by_cycle_count`
+# take: each sums over all p(n) shapes, or over every marked shape, and a
+# cold call at n = 30 takes about a second (1.7 s at n = 32)
+STAR_COUNT_MAX_N = 30
 
-def _as_count(total: int | Fraction, denominator: int, what: str) -> int:
-    """total / denominator, which must be a nonnegative integer."""
-    value = Fraction(total, denominator)
-    if value.denominator != 1 or value < 0:
-        raise InconsistencyError(f"{what} came out as {value}, not a count")
-    return value.numerator
+
+def _as_count(total: int, denominator: int, what: str) -> int:
+    """total / denominator (denominator > 0), which must be a nonnegative
+    integer; one integer division, a Fraction only to word a failure."""
+    value, remainder = divmod(total, denominator)
+    if remainder or value < 0:
+        shown = Fraction(total, denominator)
+        raise InconsistencyError(f"{what} came out as {shown}, not a count")
+    return value
 
 
 @cache
@@ -59,20 +73,36 @@ def _marked_spectrum(mu: Partition) -> tuple[tuple[int, int], ...]:
 
 
 @cache
+def _marked_terms(n: int) -> tuple[tuple[int, int], ...]:
+    # (d_mu, c_{mu,j}) for each marked shape (mu, j) of n, in the order of
+    # enumerate_marked_partitions(n), which is the order of a gamma column
+    return tuple(
+        (dimension(m.shape), marked_content(m.shape, m.mark))
+        for m in enumerate_marked_partitions(n)
+    )
+
+
+@cache
 def _star_spectrum(lam: Partition, i: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    # (den, ((c, w), ..)): den times the sum of d_mu gamma^{mu,j}_{lam,i} over
-    # the marked shapes (mu, j) with marked content c is the integer w
-    weights: dict[int, Fraction] = {}
-    for mu in _shapes(lam.n):
-        d = dimension(mu)
-        for j in sorted(set(mu.parts)):
-            c = marked_content(mu, j)
-            weights[c] = weights.get(c, 0) + d * genchar(mu, j, lam, i)
-    den = math.lcm(*(w.denominator for w in weights.values()))
-    return den, tuple((c, int(w * den)) for c, w in sorted(weights.items()))
+    # (den, ((c, w), ..)) in lowest terms: den times the sum of
+    # d_mu gamma^{mu,j}_{lam,i} over the marked shapes (mu, j) with marked
+    # content c is the integer w; the gammas are the integer column of (lam, i)
+    den, weights = _column(lam, i)
+    sums: dict[int, int] = {}
+    for (d, c), w in zip(_marked_terms(lam.n), weights):
+        sums[c] = sums.get(c, 0) + d * w
+    common = math.gcd(den, *sums.values())
+    return den // common, tuple((c, sums[c] // common) for c in sorted(sums))
 
 
-def _check_length(n: int, r: int) -> None:
+def _check_size(n: int, r: int) -> None:
+    if n > STAR_COUNT_MAX_N:
+        # p(n) itself takes O(n^1.5) big-integer steps; past n = 1000 name a bound
+        shapes = f"= {_partition_count(n)}" if n <= 1000 else "> 10^31"
+        raise GuardExceeded(
+            f"star count at n = {n} sums over p({n}) {shapes} shapes; "
+            f"the limit is n <= {STAR_COUNT_MAX_N}"
+        )
     if r > STAR_CLOSED_MAX:
         raise GuardExceeded(
             f"star count at n = {n}, r = {r} sums powers c^r with |c| <= {n - 1}, "
@@ -84,16 +114,18 @@ def _check_length(n: int, r: int) -> None:
 def star_count(lam: Partition, i: int, r: int) -> int:
     """Number of length-r star sequences multiplying to a fixed permutation
     of marked cycle type (lam, i): the sum of d_mu gamma^{mu,j}_{lam,i}
-    c_{mu,j}^r over the marked shapes (mu, j), divided by n!.
+    c_{mu,j}^r over the marked shapes (mu, j), divided by n!.  The gammas
+    come from the cached integer column of (lam, i) in `genchar`.
 
-    r above STAR_CLOSED_MAX raises GuardExceeded.
+    n above STAR_COUNT_MAX_N or r above STAR_CLOSED_MAX raises GuardExceeded,
+    and so does a class without a closed form above SEMINORMAL_MAX_N.
     """
     if i not in lam:
         raise DomainError(f"mark {i} is not a part of {lam}")
     if r < 0:
         raise DomainError("length must be nonnegative")
     n = lam.n
-    _check_length(n, r)
+    _check_size(n, r)
     den, spectrum = _star_spectrum(lam, i)
     total = sum(w * c**r for c, w in spectrum)
     return _as_count(total, den * math.factorial(n), "star count")
@@ -170,11 +202,14 @@ def star_count_closed(case: StarClosedCase, n: int, r: int) -> int:
 
 def star_count_class(lam: Partition, r: int) -> int:
     """Number of length-r star sequences whose product has cycle type lam,
-    over all members of the whole conjugacy class."""
+    over all members of the whole conjugacy class.
+
+    n above STAR_COUNT_MAX_N or r above STAR_CLOSED_MAX raises GuardExceeded.
+    """
     if r < 1:
         raise DomainError("length must be positive")
     n = lam.n
-    _check_length(n, r)
+    _check_size(n, r)
     total = 0
     for mu in _shapes(n):
         spectral = sum(d * c**r for d, c in _marked_spectrum(mu))
@@ -183,12 +218,15 @@ def star_count_class(lam: Partition, r: int) -> int:
 
 
 def star_count_by_cycle_count(n: int, k: int, r: int) -> int:
-    """Number of length-r star sequences whose product has exactly k cycles."""
+    """Number of length-r star sequences whose product has exactly k cycles.
+
+    n above STAR_COUNT_MAX_N or r above STAR_CLOSED_MAX raises GuardExceeded.
+    """
     if not 1 <= k <= n:
         raise DomainError(f"cycle count {k} is outside 1..{n}")
     if r < 0:
         raise DomainError("length must be nonnegative")
-    _check_length(n, r)
+    _check_size(n, r)
     total = 0
     for mu in _shapes(n):
         spectral = sum(d * c**r for d, c in _marked_spectrum(mu))

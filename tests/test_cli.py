@@ -2,10 +2,9 @@ from __future__ import annotations
 
 import importlib
 import json
-from fractions import Fraction
-
 import pytest
 
+from nearcentral import enumerate_marked_partitions
 from nearcentral.cli import run
 
 
@@ -267,6 +266,29 @@ def test_starfact_length_guard_boundary(capsys, monkeypatch) -> None:
 
 
 @pytest.mark.parametrize(
+    "command",
+    [
+        ["starfact", "count", "--lambda", "{n}", "--i", "{n}", "--r", "5"],
+        ["starfact", "class", "--lambda", "{n}", "--r", "5"],
+        ["starfact", "cycles", "--n", "{n}", "--k", "1", "--r", "5"],
+    ],
+)
+def test_starfact_size_guard(capsys, monkeypatch, command) -> None:
+    # n = 31 is refused before any shape is listed; n = 30 gets through to
+    # the computation, which fails here on purpose
+    for name in ("_star_spectrum", "_shapes"):
+        monkeypatch.setattr(f"nearcentral.starcount.{name}", _refuse)
+    code, doc, _ = _invoke(capsys, [arg.format(n=31) for arg in command])
+    assert code == 2
+    assert doc["status"] == "error"
+    assert "star count at n = 31 sums over p(31) = 6842 shapes" in doc["error"]
+    assert "the limit is n <= 30" in doc["error"]
+    with pytest.raises(AssertionError):
+        run([arg.format(n=30) for arg in command])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["partitions", "--n", "55"], "p(55) = 451276 partitions"),
@@ -336,14 +358,17 @@ def test_listing_guard_boundary(capsys, monkeypatch) -> None:
     ],
 )
 def test_internal_inconsistency_exits_70(capsys, monkeypatch, module, argv) -> None:
-    # a wrong gamma makes a count fractional: a library defect, not bad input
+    # a wrong gamma makes a count fractional: a library defect, not bad input;
+    # star counts and product coefficients read gamma from the integer column,
+    # so every value of the patched column is 1/3
+    def wrong_column(lam, i):
+        return 3, (1,) * len(enumerate_marked_partitions(lam.n))
+
     spectrum = importlib.import_module("nearcentral.starcount")._star_spectrum
-    # a spectrum cached by an earlier test would hide the patched genchar,
+    # a spectrum cached by an earlier test would hide the patched column,
     # and the one built from it must not outlive this test
     spectrum.cache_clear()
-    monkeypatch.setattr(
-        importlib.import_module(module), "genchar", lambda *args: Fraction(1, 3)
-    )
+    monkeypatch.setattr(importlib.import_module(module), "_column", wrong_column)
     try:
         code, doc, err = _invoke(capsys, argv)
     finally:

@@ -18,6 +18,7 @@ from nearcentral import (
     MarkedPartition,
     Partition,
     Permutation,
+    StarClosedCase,
     UnsupportedPattern,
     chi,
     class_size,
@@ -40,6 +41,7 @@ from nearcentral import (
     multi_product_coefficient,
     orthogonality_check,
     star_count,
+    star_count_closed,
     subscript_sum_chi,
     superscript_sum,
     weighted_sum,
@@ -111,6 +113,16 @@ def test_asf_arithmetic_evaluates_like_plain_polynomials() -> None:
     s = evaluate_asf(p1, mu, 2)
     assert (x, s) == (0, 2)
     assert evaluate_asf(mixed, mu, 2) == (x + 2) * s - x * x + 5 == 9
+
+
+def test_elementary_is_the_sum_over_subsets() -> None:
+    # the banded convolution against e_d written out, for every degree
+    rng = random.Random(5)
+    for m in range(8):
+        values = [rng.randint(-6, 6) for _ in range(m)]
+        for degree in range(m + 2):
+            expected = sum(map(math.prod, itertools.combinations(values, degree)))
+            assert genchar_module._elementary(values, degree, 1) == expected, (values, degree)
 
 
 def test_strahov_formula_frozen_s3_values() -> None:
@@ -393,6 +405,63 @@ def test_lattice_pass_equals_the_fraction_trace() -> None:
                     assert column[MarkedPartition(mu, j)] == value, (mu, j, lam, i)
 
 
+# a marked class of n <= 10, drawn deterministically
+small_classes = st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: st.sampled_from(_marked(n))
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(small_classes)
+def test_column_equals_the_single_values(marked_class) -> None:
+    # the cached integer column against the bounded pass of `genchar`, value
+    # by value, and against the literal Fraction trace for n <= 8
+    lam, i = marked_class
+    n = lam.n
+    column = genchar_column(lam, i)
+    assert list(column) == enumerate_marked_partitions(n)
+    traces = {mu: _fraction_trace(mu, lam, i) for mu in enumerate_partitions(n) if n <= 8}
+    for m, value in column.items():
+        assert value == genchar(m.shape, m.mark, lam, i), (m, lam, i)
+        if n <= 8:
+            assert value == traces[m.shape][m.mark], (m, lam, i)
+
+
+def test_columns_past_the_cap() -> None:
+    # the refusal names the tableaux of every shape of n, which one column
+    # pass would sum over: the involutions of S_n
+    assert [genchar_module._tableau_count(n) for n in range(13)] == [
+        sum(dimension(mu) for mu in enumerate_partitions(n)) for n in range(13)
+    ]
+    assert genchar_module._tableau_count(1000) > 10**1000
+    assert genchar_module._tableau_count(1001) == "more than 10^1000"
+    general = Partition((3, 2) + (1,) * 9)
+    full = Partition((14,))
+    column_work = "seminormal trace over 2390480 tableaux at n=14 exceeds the limit n <= 12"
+    with pytest.raises(GuardExceeded, match=column_work):
+        star_count(general, 2, 5)
+    with pytest.raises(GuardExceeded, match=column_work):
+        connection_coefficient(full, 14, full, 14, general, 2)
+    with pytest.raises(GuardExceeded, match=column_work):
+        connection_coefficient(general, 2, full, 14, full, 14)
+    # classes with a closed form keep their columns, star counts and
+    # product coefficients there
+    for n in (13, 14):
+        full, split = Partition((n,)), Partition((n - 1, 1))
+        for lam, i in ((full, n), (split, 1), (split, n - 1), (Partition((1,) * n), 1)):
+            for m, value in genchar_column(lam, i).items():
+                assert value == genchar_table2(m.shape, m.mark, lam, i), (m, lam, i)
+        for r in range(n - 1, n + 4):
+            assert star_count(full, n, r) == star_count_closed(StarClosedCase.FULL_CYCLE, n, r)
+            assert star_count(split, 1, r) == star_count_closed(
+                StarClosedCase.FIX_POINT_MARK1, n, r
+            )
+        # a star (a n) times a fixed n-cycle is an (n-1)-cycle through n
+        # for exactly one a: the one next to n on the cycle, which it fixes
+        star = Partition((2,) + (1,) * (n - 2))
+        assert connection_coefficient(split, n - 1, star, 2, full, n) == 1
+
+
 def test_non_integral_superscript_sum_is_an_inconsistency(monkeypatch) -> None:
     monkeypatch.setattr(genchar_module, "genchar", lambda *args: Fraction(1, 3))
     lam = Partition((2, 1))
@@ -450,6 +519,32 @@ def test_connection_coefficient_pinned_s3_values() -> None:
     assert connection_coefficient(lam, 2, lam, 2, Partition((1, 1, 1)), 1) == 2
     assert connection_coefficient(lam, 2, lam, 2, Partition((3,)), 3) == 1
     assert connection_coefficient(lam, 2, lam, 2, lam, 1) == 0
+
+
+def _connection_reference(
+    lam: Partition, i: int, mu: Partition, j: int, nu: Partition, k: int
+) -> Fraction:
+    # the structure constant as one Fraction term per marked shape, as
+    # `multi_product_coefficient` summed it before the integer columns; a
+    # literal reference
+    n = nu.n
+    total = Fraction(0)
+    for rho, ell in _marked(n):
+        dd = dimension(decrement_part(rho, ell))
+        term = genchar(rho, ell, nu, k) * Fraction(dimension(rho), dd**2)
+        for a, b in ((lam, i), (mu, j)):
+            term *= genchar(rho, ell, a, b)
+        total += term
+    sizes = marked_class_size(lam, i) * marked_class_size(mu, j)
+    return Fraction(sizes, math.factorial(n)) * total
+
+
+def test_connection_coefficient_equals_the_fraction_sum() -> None:
+    for n in range(1, 6):
+        for a, b, c in itertools.product(_marked(n), repeat=3):
+            assert connection_coefficient(*a, *b, *c) == _connection_reference(
+                *a, *b, *c
+            ), (a, b, c)
 
 
 def test_connection_coefficient_symmetric_and_integral() -> None:

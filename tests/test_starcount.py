@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nearcentral.starcount as starcount
 from nearcentral import (
     STAR_CLOSED_MAX,
+    STAR_COUNT_MAX_N,
     DomainError,
     GuardExceeded,
     MarkedPartition,
@@ -91,6 +94,23 @@ def test_star_count_is_the_literal_spectral_sum() -> None:
                 assert star_count(m.shape, m.mark, r) == total / math.factorial(n), (m, r)
 
 
+def test_star_spectrum_is_in_lowest_terms() -> None:
+    # the spectrum as it was built from Fraction gammas before the integer
+    # columns: d_mu gamma^{mu,j}_{lam,i} summed per marked content c, over the
+    # least common denominator; a literal reference
+    for n in range(1, 9):
+        shapes = enumerate_marked_partitions(n)
+        for m in shapes:
+            weights: dict[int, Fraction] = {}
+            for s in shapes:
+                c = marked_content(s.shape, s.mark)
+                g = genchar(s.shape, s.mark, m.shape, m.mark)
+                weights[c] = weights.get(c, 0) + dimension(s.shape) * g
+            den = math.lcm(*(w.denominator for w in weights.values()))
+            expected = (den, tuple((c, int(w * den)) for c, w in sorted(weights.items())))
+            assert starcount._star_spectrum(m.shape, m.mark) == expected, m
+
+
 def _refuse(*args) -> None:
     raise AssertionError(f"computed {args}")
 
@@ -110,6 +130,31 @@ def test_star_counts_are_refused_past_the_length_limit(monkeypatch) -> None:
         lambda: star_count(lam, 2, limit),
         lambda: star_count_class(lam, limit),
         lambda: star_count_by_cycle_count(6, 2, limit),
+    ):
+        with pytest.raises(AssertionError):
+            count()
+
+
+def test_star_counts_are_refused_past_the_size_limit(monkeypatch) -> None:
+    limit = STAR_COUNT_MAX_N
+    assert limit >= 18  # the benchmark and the tests count up to n = 18
+    for name in ("_star_spectrum", "_shapes"):
+        monkeypatch.setattr(f"nearcentral.starcount.{name}", _refuse)
+    past = Partition((limit + 1,))
+    shapes = re.escape(f"n = {limit + 1} sums over p({limit + 1}) = 6842 shapes")
+    with pytest.raises(GuardExceeded, match=shapes):
+        star_count(past, limit + 1, 5)
+    with pytest.raises(GuardExceeded, match=shapes):
+        star_count_class(past, 5)
+    with pytest.raises(GuardExceeded, match=f"the limit is n <= {limit}"):
+        star_count_by_cycle_count(limit + 1, 1, 5)
+    with pytest.raises(GuardExceeded, match=re.escape("p(1000001) > 10^31 shapes")):
+        star_count_by_cycle_count(10**6 + 1, 1, 5)
+    at = Partition((limit,))
+    for count in (
+        lambda: star_count(at, limit, 5),
+        lambda: star_count_class(at, 5),
+        lambda: star_count_by_cycle_count(limit, 1, 5),
     ):
         with pytest.raises(AssertionError):
             count()
