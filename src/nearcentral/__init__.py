@@ -40,6 +40,8 @@ from .tableaux import (
 from .characters import CHARACTER_TABLE_MAX_N, character_table, chi
 from .permutations import Permutation
 from .genchar import (
+    COLUMN_MAX_N,
+    GENCHAR_MAX_N,
     JMVariables,
     SEMINORMAL_MAX_N,
     connection_coefficient,
@@ -47,6 +49,7 @@ from .genchar import (
     genchar,
     genchar_column,
     genchar_hook_row,
+    genchar_row,
     genchar_seminormal,
     genchar_strahov,
     genchar_table2,

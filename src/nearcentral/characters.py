@@ -65,8 +65,8 @@ def chi(lam: Partition, mu: Partition) -> int:
     return _mn(_beta_mask(lam.parts), mu.parts)
 
 
-def _partition_count(n: int) -> int:
-    # p(n) by Euler's pentagonal number recurrence
+def _partition_counts(n: int) -> list[int]:
+    # p(0), .., p(n) by Euler's pentagonal number recurrence
     counts = [1] + [0] * n
     for m in range(1, n + 1):
         total, k = 0, 1
@@ -81,7 +81,7 @@ def _partition_count(n: int) -> int:
             total += term if k & 1 else -term
             k += 1
         counts[m] = total
-    return counts[n]
+    return counts
 
 
 def character_table(n: int) -> list[list[int]]:
@@ -93,7 +93,7 @@ def character_table(n: int) -> list[list[int]]:
     """
     if n > CHARACTER_TABLE_MAX_N:
         # p(n) itself takes O(n^1.5) big-integer steps; past n = 1000 name a bound
-        entries = f"= {_partition_count(n) ** 2}" if n <= 1000 else "> 10^62"
+        entries = f"= {_partition_counts(n)[n] ** 2}" if n <= 1000 else "> 10^62"
         raise GuardExceeded(
             f"character table of S_{n} has p({n})^2 {entries} entries; "
             f"the limit is n <= {CHARACTER_TABLE_MAX_N}"

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Any
 
-from .characters import _partition_count, character_table
+from .characters import _partition_counts, character_table
 from .errors import DomainError, GuardExceeded, InconsistencyError
 from .genchar import (
     connection_coefficient,
@@ -82,7 +82,7 @@ def _cmd_partitions(args: argparse.Namespace) -> dict[str, Any]:
     if args.n < 0:
         raise DomainError("n must be nonnegative")
     # p(n) itself takes O(n^1.5) big-integer steps; past n = 1000 name a bound
-    count = _partition_count(args.n) if args.n <= 1000 else None
+    count = _partition_counts(args.n)[args.n] if args.n <= 1000 else None
     if count is None or count > LIST_MAX:
         shown = "> 10^31" if count is None else f"= {count}"
         raise GuardExceeded(

@@ -4,33 +4,39 @@ The algebra spanned by the marked class sums K_{lam,i} is commutative, and its
 primitive idempotents Gamma^{mu,j} are indexed by the same marked partitions.
 The coefficient of Gamma^{mu,j} in K_{lam,i}, normalized by n!/d_mu, is the
 generalized character gamma^{mu,j}_{lam,i}.  This module computes those
-numbers three independent ways, plus the structure constants and
-orthogonality sums built from them:
+numbers four ways, plus the structure constants and orthogonality sums
+built from them:
 
 - closed forms (`genchar_table2`), chiefly the Jucys-Murphy polynomials of
   Table 1 evaluated at contents;
-- a trace in Young's seminormal form (`genchar_seminormal`,
-  `genchar_column`), a sum over the standard tableaux of mu run as paths in
-  Young's lattice, for every class, at n <= SEMINORMAL_MAX_N: a single
-  value takes one pass over the shapes inside mu, a whole column one pass
-  over every shape of size 1..n;
+- the marked Murnaghan-Nakayama rule (`genchar`, `genchar_row`) for every
+  other class at n <= GENCHAR_MAX_N: gamma^{mu,j}_{lam,i} is the sum over
+  nu of chi^nu on lam less one part i, times a marked rim factor that one
+  backward pass from (mu, j) yields for every nu and every i (`_RimPass`);
+- a trace in Young's seminormal form (`genchar_column`, and
+  `genchar_seminormal` as a verifier), a sum over the standard tableaux run
+  as paths in Young's lattice, at n <= SEMINORMAL_MAX_N: one pass over
+  every shape of size 1..n gives a whole column;
 - a character sum over S_{n-1} (`genchar_strahov`), kept as a verifier:
   one walk over the (n-1)! permutations per subscript class (lam, i),
   then at most p(n) p(n-1) terms per value.
 
-The dispatcher `genchar` takes the closed form when there is one, else the
-bounded seminormal pass; it serves single values and the row sums
-(`superscript_sum`, `subscript_sum_chi`, `weighted_sum`,
-`orthogonality_check`).  Sums over every marked shape (mu, j) for one class
-(lam, i) read that class's cached integer column instead (`_column`): one
-unbounded pass for n <= SEMINORMAL_MAX_N, the closed forms above it.  Its
-readers are `genchar_column`, the star-count spectra of `starcount`, and
-`multi_product_coefficient` (hence `connection_coefficient`), which sums
-the factor columns in integers and divides once.
+The dispatcher `genchar` takes the closed form when the class has one (a
+cached set per n), else the rule, whose rim pass is cached per superscript
+(mu, j) and deepened only as far as the mark i asks.  Rows, a fixed (mu, j)
+against every class, are cached too (`genchar_row`); the row sums
+`subscript_sum_chi`, `weighted_sum` and `orthogonality_check` read them.
+Sums over every marked shape (mu, j) for one class (lam, i) read that
+class's cached integer column instead (`_column`): one unbounded
+seminormal pass for n <= SEMINORMAL_MAX_N, the closed forms above it, up
+to COLUMN_MAX_N.  Its readers are `genchar_column`, the star-count spectra
+of `starcount`, and `multi_product_coefficient` (hence
+`connection_coefficient`), which sums the factor columns in integers and
+divides once.
 
 Everything is exact: values are `fractions.Fraction`, never floats.  The
-lattice pass keeps integer weights over one denominator, scale^(n - len(lam))
-with scale = lcm(1..n-1); a column keeps them as integers over its lowest
+rim pass and the lattice pass keep integer weights over powers of
+scale = lcm(1..n-1); a column keeps them as integers over its lowest
 common denominator, and single values become Fractions at the end.
 """
 
@@ -41,9 +47,9 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
-from .characters import chi
+from .characters import _beta_mask, _mn, _partition_counts, chi
 from .errors import (
     DomainError,
     GuardExceeded,
@@ -56,7 +62,6 @@ from .partitions import (
     Partition,
     decrement_part,
     enumerate_marked_partitions,
-    enumerate_partitions,
     class_size,
     marked_class_size,
 )
@@ -69,12 +74,15 @@ __all__ = [
     "table1_poly",
     "evaluate_asf",
     "SEMINORMAL_MAX_N",
+    "COLUMN_MAX_N",
+    "GENCHAR_MAX_N",
     "genchar_strahov",
     "genchar_seminormal",
     "genchar_column",
     "genchar_table2",
     "genchar_hook_row",
     "genchar",
+    "genchar_row",
     "superscript_sum",
     "subscript_sum_chi",
     "weighted_sum",
@@ -278,10 +286,15 @@ def _strahov_histogram(
 # ---------------------------------------------------------------------------
 # the seminormal trace
 
-# largest n the seminormal trace runs at, so that every spectral sum built on
-# `genchar` or a column stays bounded; a column at n = 12 sums over 140152
+# largest n the seminormal trace runs at: it fills whole columns (`_column`),
+# one unbounded lattice pass each; a column at n = 12 sums over 140152
 # tableaux (above the cap only classes with a closed form have columns)
 SEMINORMAL_MAX_N = 12
+
+# largest n of any sum over every marked shape of n: a gamma column, and so
+# every star count and product coefficient (`starcount` re-exports it as
+# STAR_COUNT_MAX_N); a cold closed-form column at n = 30 takes about 2 s
+COLUMN_MAX_N = 30
 
 
 def _seminormal_refusal(n: int, tableaux: int | str) -> GuardExceeded:
@@ -303,8 +316,18 @@ def _tableau_count(n: int) -> int | str:
     return count
 
 
+def _marked_count(n: int) -> int | str:
+    # a marked partition (mu, j) of n is a partition of n - j plus the part
+    # j, so there are p(0) + .. + p(n-1) of them; past n = 1000 name a bound
+    if n > 1000:
+        return "more than 10^31"
+    return sum(_partition_counts(n)[:n])
+
+
 def genchar_seminormal(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
-    """gamma^{mu,j}_{lam,i} as a trace in Young's seminormal form.
+    """gamma^{mu,j}_{lam,i} as a trace in Young's seminormal form, for
+    n <= SEMINORMAL_MAX_N; a verifier, read out of the lattice pass that
+    fills the column of (lam, i).
 
     K_{lam,i} commutes with S_{n-1}, so it acts by a scalar on the block of
     V^mu that restricts to j_-(mu), and gamma^{mu,j}_{lam,i} is the trace of
@@ -326,8 +349,11 @@ def genchar_seminormal(mu: Partition, j: int, lam: Partition, i: int) -> Fractio
     letters are distinct.  So only the path that stays on T returns to it,
     and rho^mu(pi)_{T,T} = prod_k 1 / r_k(T).
     """
-    _common_order(mu, j, lam, i)
-    return _seminormal_trace(mu, lam, i)[j]
+    n = _common_order(mu, j, lam, i)
+    if n > SEMINORMAL_MAX_N:
+        raise _seminormal_refusal(n, _tableau_count(n))
+    den, weights = _column(lam, i)
+    return Fraction(weights[_marked_index(n)[mu, j]], den)
 
 
 def genchar_column(lam: Partition, i: int) -> dict[MarkedPartition, Fraction]:
@@ -338,8 +364,10 @@ def genchar_column(lam: Partition, i: int) -> dict[MarkedPartition, Fraction]:
     counts (`star_count`) and product coefficients
     (`multi_product_coefficient`, `connection_coefficient`) read too: one
     unbounded lattice pass of the seminormal trace for n <= SEMINORMAL_MAX_N,
-    the closed forms of `genchar_table2` above; a class with neither raises
-    `GuardExceeded`, naming the tableaux of n the pass would sum over."""
+    the closed forms of `genchar_table2` above, up to COLUMN_MAX_N.  A
+    larger n raises `GuardExceeded` naming the marked shapes of n; a class
+    without a closed form above SEMINORMAL_MAX_N raises it naming the
+    tableaux of n the pass would sum over."""
     den, weights = _column(lam, i)
     n = lam.n
     return {
@@ -357,43 +385,35 @@ def _column(lam: Partition, i: int) -> tuple[int, tuple[int, ...]]:
     if i not in lam:
         raise DomainError(f"mark {i} is not a part of {lam}")
     n = lam.n
+    if n > COLUMN_MAX_N:
+        raise GuardExceeded(
+            f"gamma column at n={n} holds one value for each of the "
+            f"{_marked_count(n)} marked shapes of n; "
+            f"the limit is n <= {COLUMN_MAX_N}"
+        )
     marked = enumerate_marked_partitions(n)
     if n <= SEMINORMAL_MAX_N:
-        ends, den = _lattice_pass(lam, i, None)
+        ends, den = _lattice_pass(lam, i)
         by_mark = {(shape, shape[r]): weight for (shape, r), weight in ends.items()}
         weights = [by_mark[m.shape.parts, m.mark] for m in marked]
     else:
-        try:
-            values = [genchar_table2(m.shape, m.mark, lam, i) for m in marked]
-        except UnsupportedPattern:
-            raise _seminormal_refusal(n, _tableau_count(n)) from None
+        if (lam, i) not in _closed_classes(n):
+            raise _seminormal_refusal(n, _tableau_count(n))
+        values = [genchar_table2(m.shape, m.mark, lam, i) for m in marked]
         den = math.lcm(*(v.denominator for v in values))
         weights = [v.numerator * (den // v.denominator) for v in values]
     common = math.gcd(den, *weights)
     return den // common, tuple(w // common for w in weights)
 
 
-@cache
-def _seminormal_trace(mu: Partition, lam: Partition, i: int) -> dict[int, Fraction]:
-    # {j: gamma^{mu,j}_{lam,i}} for every mark j of mu, from one lattice pass
-    # bounded by mu: integer weights over scale^(n - len(lam))
-    if mu.n > SEMINORMAL_MAX_N:
-        raise _seminormal_refusal(mu.n, dimension(mu))
-    ends, denominator = _lattice_pass(lam, i, mu.parts)
-    return {
-        mu.parts[r]: Fraction(weight, denominator) for (_, r), weight in ends.items()
-    }
-
-
 def _lattice_pass(
-    lam: Partition, i: int, within: tuple[int, ...] | None
+    lam: Partition, i: int
 ) -> tuple[dict[tuple[tuple[int, ...], int], int], int]:
     # The sum over tableaux of prod 1/r_k runs as paths in Young's lattice:
-    # place 1, 2, .., n one cell at a time, inside the shape `within` (or
-    # anywhere, when it is None), and keep, per (shape so far, row of the
-    # last cell), the summed weight of the tableaux that reach it.  Each
-    # linked step divides by r with 0 < |r| <= n - 1, so it multiplies by
-    # scale // r exactly, scale = lcm(1..n-1); the word has n - len(lam)
+    # place 1, 2, .., n one cell at a time and keep, per (shape so far, row
+    # of the last cell), the summed weight of the tableaux that reach it.
+    # Each linked step divides by r with 0 < |r| <= n - 1, so it multiplies
+    # by scale // r exactly, scale = lcm(1..n-1); the word has n - len(lam)
     # letters, so every weight is an integer over scale^(n - len(lam)).
     # Returns the states after n cells and that denominator.
     n = lam.n
@@ -402,9 +422,6 @@ def _lattice_pass(
     # s_k is in the word unless k ends a block
     block_ends = set(itertools.accumulate(rest + [i]))
     scale = math.lcm(*range(1, n))
-    # with no bound, n rows of n cells hold every shape of size n
-    bound = (n,) * n if within is None else within
-    rows = len(bound)
     # symbol 1 sits in the corner cell
     states: dict[tuple[tuple[int, ...], int], int] = {((1,), 0): 1}
     for k in range(1, n):
@@ -414,13 +431,11 @@ def _lattice_pass(
         for (shape, last), weight in states.items():
             last_content = shape[last] - 1 - last
             for key, content in _addable_cells(shape):
-                bigger, r = key
-                if r < rows and bigger[r] <= bound[r]:
-                    if linked:
-                        step = weight * (scale // (content - last_content))
-                    else:
-                        step = weight
-                    grown[key] = grown.get(key, 0) + step
+                if linked:
+                    step = weight * (scale // (content - last_content))
+                else:
+                    step = weight
+                grown[key] = grown.get(key, 0) + step
         states = grown
     return states, scale ** (n - len(lam))
 
@@ -436,6 +451,138 @@ def _addable_cells(
         for r, length in enumerate(shape + (0,))
         if r == 0 or shape[r - 1] > length
     )
+
+
+@cache
+def _marked_index(n: int) -> dict[tuple[Partition, int], int]:
+    # position of each marked shape (mu, j) in enumerate_marked_partitions(n)
+    return {(m.shape, m.mark): t for t, m in enumerate(enumerate_marked_partitions(n))}
+
+
+# ---------------------------------------------------------------------------
+# the marked Murnaghan-Nakayama rule
+
+# largest n at which `genchar` and `genchar_row` take the rule, for classes
+# without a closed form; the slowest cold rows found at n = 26, such as
+# (9,7,4,3,2,1)@4, take about a second (about 1.5 s at n = 27, 0.6 s at 24)
+GENCHAR_MAX_N = 26
+
+
+class _RimPass:
+    """The backward rim pass of a marked shape (mu, j), deepened on demand.
+
+    In the seminormal trace the marked cycle sits on the top block
+    n-i+1 .. n, and s_{n-i} is not in the word, so the symbols below the
+    block contribute the ordinary trace of pi's other cycles on V^nu, which
+    is chi^nu_{lam minus i}.  Hence
+    gamma^{mu,j}_{lam,i} = sum over nu of chi^nu_{lam minus i} h_i(nu),
+    where the marked rim factor h_i(nu) sums, over the fillings of mu / nu
+    by n-i+1 .. n that put n at the end of the lowest row of length j,
+    prod_k 1 / (c(k+1) - c(k)) for k = n-i+1 .. n-1.
+
+    The pass takes n off mu and then one corner at a time: a state is (the
+    shape left, content of the last cell removed).  Removing a cell of
+    content c after one of content c_last multiplies by 1 / (c_last - c),
+    held as scale // (c_last - c), scale = lcm(1..n-1).  After d more cells
+    the weights, summed by shape, are h_{d+1}(nu) scale^d.  A shape is its
+    beta-number set over len(mu) rows, held as the bits of one int: taking
+    a cell off row k lowers bead b = mu_k + len(mu) - 1 - k by one, onto a
+    free place, and the cell's content is b - len(mu).
+    """
+
+    __slots__ = ("scale", "rows", "states", "levels")
+
+    def __init__(self, mu: Partition, j: int):
+        parts = mu.parts
+        self.scale = math.lcm(*range(1, mu.n))
+        self.rows = rows = len(parts)
+        # n ends the lowest row k of length j: its bead is j + rows - 1 - k
+        k = rows - 1 - parts[::-1].index(j)
+        bead = 1 << (j + rows - 1 - k)
+        mask = _beta_mask(parts) ^ bead ^ (bead >> 1)
+        self.states = {(mask, j - 1 - k): 1}
+        # levels[d]: ((beta mask of nu without zero rows, h_{d+1}(nu) scale^d), ..)
+        self.levels = [((_without_zero_rows(mask), 1),)]
+
+    def level(self, d: int) -> tuple[tuple[int, int], ...]:
+        while len(self.levels) <= d:
+            self._step()
+        return self.levels[d]
+
+    def _step(self) -> None:
+        # one more cell off every state; the level is summed on the way
+        scale, rows = self.scale, self.rows
+        grown: dict[tuple[int, int], int] = {}
+        by_shape: dict[int, int] = {}
+        for (mask, last), weight in self.states.items():
+            # a bead b >= 1 with b - 1 free is a corner of its row
+            movable = mask & ~(mask << 1) & ~1
+            while movable:
+                bead = movable & -movable
+                movable ^= bead
+                content = bead.bit_length() - 1 - rows
+                smaller = mask ^ bead ^ (bead >> 1)
+                step = weight * (scale // (last - content))
+                key = (smaller, content)
+                grown[key] = grown.get(key, 0) + step
+                by_shape[smaller] = by_shape.get(smaller, 0) + step
+        self.states = grown
+        self.levels.append(
+            tuple((_without_zero_rows(m), w) for m, w in by_shape.items() if w)
+        )
+
+
+def _without_zero_rows(mask: int) -> int:
+    # a beta mask as `_mn` keys it: the zero rows, the low run of set bits,
+    # shifted off
+    return mask >> (mask ^ (mask + 1)).bit_length() - 1
+
+
+@cache
+def _rim_pass(mu: Partition, j: int) -> _RimPass:
+    return _RimPass(mu, j)
+
+
+def _rule_value(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
+    # gamma^{mu,j}_{lam,i} by the marked rule: level i - 1 of the rim pass
+    # against chi^nu on lam less one part i, then one division
+    rim = _rim_pass(mu, j)
+    parts = lam.parts
+    t = parts.index(i)
+    rest = parts[:t] + parts[t + 1 :]
+    total = sum(weight * _mn(mask, rest) for mask, weight in rim.level(i - 1))
+    return Fraction(total, rim.scale ** (i - 1))
+
+
+def _shapes_inside(parts: tuple[int, ...]) -> int | str:
+    # the partitions nu with nu_k <= parts_k for every row k, the empty one
+    # too: counts[v] is the number of choices of the rows so far whose last
+    # row has length v; past n = 1000 name a bound
+    if sum(parts) > 1000:
+        return f"at most 2^{parts[0] + len(parts)}"
+    counts = [1] * (parts[0] + 1)
+    for bound in parts[1:]:
+        counts = list(itertools.accumulate(reversed(counts)))[::-1][: bound + 1]
+    return sum(counts)
+
+
+def _rule_refusal(mu: Partition, j: int, what: str) -> GuardExceeded:
+    return GuardExceeded(
+        f"{what} at n={mu.n} takes a rim pass from {mu}@{j} over up to "
+        f"{_shapes_inside(mu.parts)} shapes inside {mu}; "
+        f"the limit is n <= {GENCHAR_MAX_N}"
+    )
+
+
+@cache
+def _closed_classes(n: int) -> frozenset[tuple[Partition, int]]:
+    # the classes (lam, i) of n that `genchar_table2` answers: the identity,
+    # (n-1, 1) marked on the long cycle, and every class of Table 1
+    closed = {(m.shape, m.mark) for m in _table1_index(n)}
+    closed.add((Partition.unchecked((1,) * n), 1))
+    if n >= 5:
+        closed.add((Partition.unchecked((n - 1, 1)), n - 1))
+    return frozenset(closed)
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +670,39 @@ def genchar_hook_row(mu: Partition, j: int) -> Fraction:
 @cache
 def genchar(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
     """gamma^{mu,j}_{lam,i}: the closed form of `genchar_table2` when the
-    class has one, else the seminormal trace (n <= SEMINORMAL_MAX_N)."""
-    try:
+    class has one, else the marked Murnaghan-Nakayama rule, for
+    n <= GENCHAR_MAX_N; a larger n raises `GuardExceeded` naming the rim
+    pass it would take."""
+    n = _common_order(mu, j, lam, i)
+    if (lam, i) in _closed_classes(n):
         return genchar_table2(mu, j, lam, i)
-    except UnsupportedPattern:
-        return genchar_seminormal(mu, j, lam, i)
+    if n > GENCHAR_MAX_N:
+        raise _rule_refusal(mu, j, "marked Murnaghan-Nakayama rule")
+    return _rule_value(mu, j, lam, i)
+
+
+def genchar_row(mu: Partition, j: int) -> dict[MarkedPartition, Fraction]:
+    """gamma^{mu,j}_{lam,i} for every marked class (lam, i) of n, keyed in
+    `enumerate_marked_partitions` order.
+
+    Classes with a closed form take it; the rest read levels of one cached
+    rim pass from (mu, j), as `genchar` does.  n above GENCHAR_MAX_N raises
+    `GuardExceeded` naming that pass."""
+    return dict(zip(enumerate_marked_partitions(mu.n), _row(mu, j)))
+
+
+@cache
+def _row(mu: Partition, j: int) -> tuple[Fraction, ...]:
+    # gamma^{mu,j} at the t-th marked class of enumerate_marked_partitions(n)
+    if j not in mu:
+        raise DomainError(f"mark {j} is not a part of {mu}")
+    if mu.n > GENCHAR_MAX_N:
+        raise _rule_refusal(
+            mu, j, f"gamma row over the {_marked_count(mu.n)} marked classes"
+        )
+    return tuple(
+        genchar(mu, j, m.shape, m.mark) for m in enumerate_marked_partitions(mu.n)
+    )
 
 
 def superscript_sum(mu: Partition, lam: Partition, i: int) -> int:
@@ -544,15 +719,18 @@ def superscript_sum(mu: Partition, lam: Partition, i: int) -> int:
 
 
 def subscript_sum_chi(mu: Partition, j: int, lam: Partition) -> Fraction:
-    """Class-size-weighted sum of gamma^{mu,j}_{lam,i} over marks i of lam.
+    """Class-size-weighted sum of gamma^{mu,j}_{lam,i} over marks i of lam,
+    read from the row of (mu, j).
 
     Normalized by d_mu / (|C_lam| d_{j_-(mu)}), this again yields chi^mu_lam.
     """
-    if lam.n != mu.n:
+    n = mu.n
+    if lam.n != n:
         raise DomainError(f"{mu} and {lam} are partitions of different integers")
+    row, index = _row(mu, j), _marked_index(n)
     total = sum(
         (
-            marked_class_size(lam, i) * genchar(mu, j, lam, i)
+            marked_class_size(lam, i) * row[index[lam, i]]
             for i in sorted(set(lam.parts))
         ),
         Fraction(0),
@@ -565,21 +743,18 @@ def subscript_sum_chi(mu: Partition, j: int, lam: Partition) -> Fraction:
 
 def weighted_sum(rho: Partition, ell: int, m: int) -> Fraction:
     """Sum of |C_{lam,i}| gamma^{rho,ell}_{lam,i} / d_{ell_-(rho)} over all
-    marked classes whose shape has exactly m parts.
+    marked classes whose shape has exactly m parts, read from the row of
+    (rho, ell).
 
     Equals the elementary symmetric polynomial e_{n-m} of the contents of rho,
     i.e. a coefficient of the content polynomial.
     """
-    if ell not in rho:
-        raise DomainError(f"mark {ell} is not a part of {rho}")
-    n = rho.n
+    row = _row(rho, ell)
     dd = dimension(decrement_part(rho, ell))
     total = Fraction(0)
-    for lam in enumerate_partitions(n):
-        if len(lam) != m:
-            continue
-        for i in sorted(set(lam.parts)):
-            total += Fraction(marked_class_size(lam, i), dd) * genchar(rho, ell, lam, i)
+    for marked, value in zip(enumerate_marked_partitions(rho.n), row):
+        if len(marked.shape) == m:
+            total += Fraction(marked_class_size(marked.shape, marked.mark), dd) * value
     return total
 
 
@@ -645,15 +820,8 @@ def orthogonality_check(lam: Partition, i: int, mu: Partition, j: int) -> Fracti
     """
     n = _common_order(lam, i, mu, j)
     total = Fraction(0)
-    for rho, k in _marked_iter(n):
-        total += (
-            marked_class_size(rho, k)
-            * genchar(lam, i, rho, k)
-            * genchar(mu, j, rho, k)
-        )
+    for marked, left, right in zip(
+        enumerate_marked_partitions(n), _row(lam, i), _row(mu, j)
+    ):
+        total += marked_class_size(marked.shape, marked.mark) * left * right
     return total / math.factorial(n)
-
-
-def _marked_iter(n: int) -> Iterable[tuple[Partition, int]]:
-    for marked in enumerate_marked_partitions(n):
-        yield marked.shape, marked.mark

@@ -14,9 +14,9 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 
-from .characters import _partition_count, chi
+from .characters import _partition_counts, chi
 from .errors import DomainError, GuardExceeded, InconsistencyError
-from .genchar import _column
+from .genchar import COLUMN_MAX_N, _column
 from .partitions import (
     Partition,
     class_size,
@@ -44,8 +44,9 @@ STAR_CLOSED_MAX = 1000
 
 # largest n `star_count`, `star_count_class` and `star_count_by_cycle_count`
 # take: each sums over all p(n) shapes, or over every marked shape, and a
-# cold call at n = 30 takes about a second (1.7 s at n = 32)
-STAR_COUNT_MAX_N = 30
+# cold call at n = 30 takes about a second (1.7 s at n = 32); the same limit
+# as every gamma column's
+STAR_COUNT_MAX_N = COLUMN_MAX_N
 
 
 def _as_count(total: int, denominator: int, what: str) -> int:
@@ -98,7 +99,7 @@ def _star_spectrum(lam: Partition, i: int) -> tuple[int, tuple[tuple[int, int], 
 def _check_size(n: int, r: int) -> None:
     if n > STAR_COUNT_MAX_N:
         # p(n) itself takes O(n^1.5) big-integer steps; past n = 1000 name a bound
-        shapes = f"= {_partition_count(n)}" if n <= 1000 else "> 10^31"
+        shapes = f"= {_partition_counts(n)[n]}" if n <= 1000 else "> 10^31"
         raise GuardExceeded(
             f"star count at n = {n} sums over p({n}) {shapes} shapes; "
             f"the limit is n <= {STAR_COUNT_MAX_N}"
@@ -115,10 +116,13 @@ def star_count(lam: Partition, i: int, r: int) -> int:
     """Number of length-r star sequences multiplying to a fixed permutation
     of marked cycle type (lam, i): the sum of d_mu gamma^{mu,j}_{lam,i}
     c_{mu,j}^r over the marked shapes (mu, j), divided by n!.  The gammas
-    come from the cached integer column of (lam, i) in `genchar`.
+    come from the cached integer column of (lam, i) in `genchar`: the
+    seminormal trace for n <= SEMINORMAL_MAX_N, the closed forms above, not
+    the marked Murnaghan-Nakayama rule that single values and rows take.
 
-    n above STAR_COUNT_MAX_N or r above STAR_CLOSED_MAX raises GuardExceeded,
-    and so does a class without a closed form above SEMINORMAL_MAX_N.
+    n above STAR_COUNT_MAX_N (the column limit COLUMN_MAX_N) or r above
+    STAR_CLOSED_MAX raises GuardExceeded, and so does a class without a
+    closed form above SEMINORMAL_MAX_N.
     """
     if i not in lam:
         raise DomainError(f"mark {i} is not a part of {lam}")

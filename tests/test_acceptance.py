@@ -7,6 +7,7 @@ tolerance other than equality would hide a transcription bug.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 import random
@@ -119,8 +120,10 @@ def test_criterion_02_closed_forms() -> None:
 
 
 def test_criterion_03_generalized_character_triple_agreement() -> None:
-    # every marked pair: seminormal trace == character sum == oracle
-    # extraction; the closed forms too wherever they exist
+    # every marked pair: marked Murnaghan-Nakayama rule == seminormal trace
+    # == character sum == oracle extraction; the closed forms too wherever
+    # they exist
+    rule = importlib.import_module("nearcentral.genchar")._rule_value
     for n in range(3, 7):
         marked = _marked(n)
         hook_target = (Partition((n - 1, 1)), n - 1)
@@ -130,6 +133,7 @@ def test_criterion_03_generalized_character_triple_agreement() -> None:
             for lam, i in marked:
                 strahov = genchar_strahov(mu, j, lam, i)
                 extracted = scale * extract_marked_coefficient(gamma, lam, i)
+                assert rule(mu, j, lam, i) == strahov, (mu.parts, j, lam.parts, i)
                 assert genchar_seminormal(mu, j, lam, i) == strahov, (
                     mu.parts, j, lam.parts, i
                 )
@@ -142,13 +146,15 @@ def test_criterion_03_generalized_character_triple_agreement() -> None:
                     pass
                 if (lam, i) == hook_target:
                     assert genchar_hook_row(mu, j) == strahov, (mu.parts, j)
-    # n = 7: seminormal trace == character sum on every marked pair
+    # n = 7: rule == seminormal trace == character sum on every marked pair
     marked = _marked(7)
     for lam, i in marked:
         for mu, j in marked:
-            assert genchar_seminormal(mu, j, lam, i) == genchar_strahov(
-                mu, j, lam, i, max_n=7
-            ), (mu.parts, j, lam.parts, i)
+            strahov = genchar_strahov(mu, j, lam, i, max_n=7)
+            assert rule(mu, j, lam, i) == strahov, (mu.parts, j, lam.parts, i)
+            assert genchar_seminormal(mu, j, lam, i) == strahov, (
+                mu.parts, j, lam.parts, i
+            )
     # n = 9: one seeded class without a closed form, its whole column
     general = []
     for lam, i in _marked(9):
@@ -161,6 +167,7 @@ def test_criterion_03_generalized_character_triple_agreement() -> None:
         assert value == genchar_strahov(m.shape, m.mark, lam, i, max_n=9), (
             m, lam.parts, i
         )
+        assert rule(m.shape, m.mark, lam, i) == value, (m, lam.parts, i)
 
 
 def test_criterion_04_orthogonality() -> None:

@@ -24,6 +24,17 @@ def test_genchar_default_method(capsys) -> None:
     assert doc == {"value": "1/2", "method": "auto"}
 
 
+def test_genchar_document_is_value_and_method(capsys) -> None:
+    # the benchmark compares the whole document, so it holds exactly these
+    # two keys, and "method" echoes the request
+    base = ["genchar", "--n", "4", "--mu", "3,1", "--j", "1", "--lambda", "2,1,1", "--i", "2"]
+    for method in ("auto", "table", "strahov", "oracle"):
+        code, doc, _ = _invoke(capsys, base + ["--method", method])
+        assert code == 0
+        assert set(doc) == {"value", "method"}
+        assert doc["method"] == method
+
+
 def test_genchar_all_methods_agree(capsys) -> None:
     for lam, i, expected in (("2,1", "2", "1/2"), ("1,1,1", "1", "1")):
         base = ["genchar", "--n", "3", "--mu", "2,1", "--j", "2", "--lambda", lam]
@@ -164,18 +175,40 @@ def test_guard_exceeded_exits_2(capsys) -> None:
     assert doc["status"] == "error"
 
 
-def test_seminormal_guard_exceeded_exits_2(capsys) -> None:
-    code, doc, _ = _invoke(
-        capsys,
-        [
-            "genchar", "--n", "13",
-            "--mu", "6,4,3", "--j", "4",
-            "--lambda", "6,4,3", "--i", "4",
-        ],
-    )
+def test_genchar_guard_exceeded_exits_2(capsys, monkeypatch) -> None:
+    # a class without a closed form: n = 27 is refused before any rim pass,
+    # n = 26 gets through to the rule, which fails here on purpose
+    genchar_module = importlib.import_module("nearcentral.genchar")
+    monkeypatch.setattr(genchar_module, "_rule_value", _refuse)
+    genchar_module.genchar.cache_clear()
+    argv = ["genchar", "--n", "27", "--mu", "9,7,4,3,2,1,1", "--j", "4",
+            "--lambda", "9,7,4,3,2,1,1", "--i", "4"]
+    code, doc, _ = _invoke(capsys, argv)
     assert code == 2
     assert doc["status"] == "error"
-    assert "tableaux at n=13" in doc["error"]
+    assert "rim pass from 9,7,4,3,2,1,1@4 over up to 1475 shapes" in doc["error"]
+    assert "the limit is n <= 26" in doc["error"]
+    with pytest.raises(AssertionError):
+        run(["genchar", "--n", "26", "--mu", "9,7,4,3,2,1", "--j", "4",
+             "--lambda", "9,7,4,3,2,1", "--i", "4"])
+    capsys.readouterr()
+
+
+def test_connection_column_guard(capsys, monkeypatch) -> None:
+    # classes with a closed form: n = 31 is refused before any column value,
+    # n = 30 gets through to the closed forms, which fail here on purpose
+    genchar_module = importlib.import_module("nearcentral.genchar")
+    monkeypatch.setattr(genchar_module, "genchar_table2", _refuse)
+    argv = ["connection", "--n", "{n}", "--lambda", "{n}", "--i", "{n}",
+            "--mu", "{m},1", "--j", "1", "--nu", "{n}", "--k", "{n}"]
+    code, doc, _ = _invoke(capsys, [a.format(n=31, m=30) for a in argv])
+    assert code == 2
+    assert doc["status"] == "error"
+    assert "gamma column at n=31 holds one value for each of the 28629 marked shapes" in doc["error"]
+    assert "the limit is n <= 30" in doc["error"]
+    with pytest.raises(AssertionError):
+        run([a.format(n=30, m=29) for a in argv])
+    capsys.readouterr()
 
 
 def test_chartable_guard_exceeded_exits_2(capsys, monkeypatch) -> None:

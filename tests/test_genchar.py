@@ -12,6 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearcentral import (
+    COLUMN_MAX_N,
+    GENCHAR_MAX_N,
+    SEMINORMAL_MAX_N,
+    STAR_COUNT_MAX_N,
     DomainError,
     GuardExceeded,
     InconsistencyError,
@@ -34,6 +38,7 @@ from nearcentral import (
     genchar,
     genchar_column,
     genchar_hook_row,
+    genchar_row,
     genchar_seminormal,
     genchar_strahov,
     genchar_table2,
@@ -49,6 +54,7 @@ from nearcentral import (
 
 # the module itself: the package attribute `genchar` is the dispatcher
 genchar_module = importlib.import_module("nearcentral.genchar")
+characters_module = importlib.import_module("nearcentral.characters")
 
 
 def _marked(n: int) -> list[tuple[Partition, int]]:
@@ -358,8 +364,68 @@ def test_seminormal_route_is_refused_past_its_limit() -> None:
     lam = Partition((3, 2) + (1,) * 8)
     with pytest.raises(GuardExceeded, match="568504 tableaux at n=13"):
         genchar_column(lam, 2)
-    with pytest.raises(GuardExceeded, match="tableaux at n=13"):
-        genchar(lam, 2, lam, 2)
+    with pytest.raises(GuardExceeded, match="568504 tableaux at n=13"):
+        genchar_seminormal(lam, 2, lam, 2)
+
+
+def _refuse(*args) -> None:
+    raise AssertionError(f"computed {args}")
+
+
+def test_rule_is_refused_past_its_limit(monkeypatch) -> None:
+    assert GENCHAR_MAX_N == 26
+    past = Partition((9, 7, 4, 3, 2, 1, 1))
+    work = "at n=27 takes a rim pass from 9,7,4,3,2,1,1@4 over up to 1475 shapes"
+    with pytest.raises(GuardExceeded, match=f"Murnaghan-Nakayama rule {work}"):
+        genchar(past, 4, past, 4)
+    with pytest.raises(GuardExceeded, match=f"row over the 11732 marked classes {work}"):
+        genchar_row(past, 4)
+    # classes with a closed form keep their values past the limit
+    full = Partition((27,))
+    assert genchar(past, 4, full, 27) == genchar_table2(past, 4, full, 27)
+    # at the limit both reach the rule, which fails here on purpose
+    monkeypatch.setattr(genchar_module, "_rule_value", _refuse)
+    genchar.cache_clear()
+    genchar_module._row.cache_clear()
+    at = Partition((9, 7, 4, 3, 2, 1))
+    with pytest.raises(AssertionError):
+        genchar(at, 4, at, 4)
+    with pytest.raises(AssertionError):
+        genchar_row(at, 4)
+
+
+def test_shapes_inside_counts_the_subdiagrams() -> None:
+    for n in range(1, 9):
+        smaller = [nu for m in range(n + 1) for nu in enumerate_partitions(m)]
+        for mu in enumerate_partitions(n):
+            inside = sum(
+                len(nu) <= len(mu) and all(a <= b for a, b in zip(nu.parts, mu.parts))
+                for nu in smaller
+            )
+            assert genchar_module._shapes_inside(mu.parts) == inside, mu
+    assert genchar_module._shapes_inside((1001,)) == "at most 2^1002"
+
+
+def test_columns_are_refused_past_the_column_limit(monkeypatch) -> None:
+    # one limit for columns and star counts
+    assert STAR_COUNT_MAX_N == COLUMN_MAX_N == 30
+    assert genchar_module._marked_count(31) == sum(
+        len(enumerate_partitions(m)) for m in range(31)
+    )
+    assert genchar_module._marked_count(1001) == "more than 10^31"
+    full, split = Partition((31,)), Partition((30, 1))
+    refusal = "gamma column at n=31 holds one value for each of the 28629 marked shapes"
+    with pytest.raises(GuardExceeded, match=refusal):
+        genchar_column(full, 31)
+    with pytest.raises(GuardExceeded, match=refusal):
+        connection_coefficient(full, 31, split, 1, full, 31)
+    # at the limit the closed forms are reached, and fail here on purpose
+    monkeypatch.setattr(genchar_module, "genchar_table2", _refuse)
+    full, split = Partition((30,)), Partition((29, 1))
+    with pytest.raises(AssertionError):
+        genchar_column(full, 30)
+    with pytest.raises(AssertionError):
+        connection_coefficient(full, 30, split, 1, full, 30)
 
 
 def _fraction_trace(mu: Partition, lam: Partition, i: int) -> dict[int, Fraction]:
@@ -405,6 +471,137 @@ def test_lattice_pass_equals_the_fraction_trace() -> None:
                     assert column[MarkedPartition(mu, j)] == value, (mu, j, lam, i)
 
 
+def test_rule_equals_the_fraction_trace() -> None:
+    # every marked pair of n <= 8, by the rule itself and through `genchar`
+    rule = genchar_module._rule_value
+    for n in range(1, 9):
+        for lam, i in _marked(n):
+            for mu in enumerate_partitions(n):
+                for j, value in _fraction_trace(mu, lam, i).items():
+                    assert rule(mu, j, lam, i) == value, (mu, j, lam, i)
+                    assert genchar(mu, j, lam, i) == value, (mu, j, lam, i)
+
+
+def _border_strip_sign(mu: Partition, nu: Partition) -> int:
+    # (-1)^(rows - 1) when mu / nu is a border strip: a nonempty skew shape,
+    # edge-connected, holding no 2 x 2 square; else 0.  Cell by cell.
+    if len(nu) > len(mu) or any(b > a for a, b in zip(mu.parts, nu.parts)):
+        return 0
+    inner = nu.parts + (0,) * (len(mu) - len(nu))
+    cells = {
+        (r, c) for r, (a, b) in enumerate(zip(mu.parts, inner)) for c in range(b, a)
+    }
+    if not cells:
+        return 0
+    if any({(r, c + 1), (r + 1, c), (r + 1, c + 1)} <= cells for r, c in cells):
+        return 0
+    start = min(cells)
+    seen, stack = {start}, [start]
+    while stack:
+        r, c = stack.pop()
+        for cell in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+            if cell in cells and cell not in seen:
+                seen.add(cell)
+                stack.append(cell)
+    if seen != cells:
+        return 0
+    return (-1) ** (len({r for r, _ in cells}) - 1)
+
+
+def test_rim_factors_sum_to_border_strip_signs() -> None:
+    # sum_j h_i(nu -> mu; j) is (-1)^height when mu / nu is a border strip
+    # of size i and 0 otherwise: ordinary Murnaghan-Nakayama
+    beta_mask = characters_module._beta_mask
+    for n in range(1, 11):
+        for mu in enumerate_partitions(n):
+            for i in range(1, n + 1):
+                sums: dict[int, int] = defaultdict(int)
+                for j in set(mu.parts):
+                    rim = genchar_module._rim_pass(mu, j)
+                    for mask, weight in rim.level(i - 1):
+                        sums[mask] += weight
+                scale = math.lcm(*range(1, n)) ** (i - 1)
+                expected = {
+                    beta_mask(nu.parts): _border_strip_sign(mu, nu) * scale
+                    for nu in enumerate_partitions(n - i)
+                }
+                got = {mask: w for mask, w in sums.items() if w}
+                assert got == {m: w for m, w in expected.items() if w}, (mu, i)
+
+
+def test_rule_at_mark_one_is_the_reduced_character() -> None:
+    # gamma^{mu,j}_{lam,1} = chi^{j_-(mu)} on lam less its part 1
+    rule = genchar_module._rule_value
+    for n in range(1, 10):
+        for lam in enumerate_partitions(n):
+            if 1 not in lam:
+                continue
+            rest = Partition(lam.parts[:-1])
+            for mu, j in _marked(n):
+                expected = chi(decrement_part(mu, j), rest)
+                assert rule(mu, j, lam, 1) == expected, (mu, j, lam)
+                assert genchar(mu, j, lam, 1) == expected, (mu, j, lam)
+
+
+def test_closed_classes_are_the_classes_with_a_closed_form() -> None:
+    for n in range(1, 10):
+        closed = genchar_module._closed_classes(n)
+        assert closed <= set(_marked(n))
+        for lam, i in _marked(n):
+            try:
+                genchar_table2(lam, i, lam, i)
+            except UnsupportedPattern:
+                assert (lam, i) not in closed, (lam, i)
+            else:
+                assert (lam, i) in closed, (lam, i)
+
+
+def test_rows_equal_the_seminormal_trace() -> None:
+    # seeded rows against the lattice pass, read through the columns
+    for n in (10, 11, 12):
+        for mu, j in random.Random(n).sample(_marked(n), 2):
+            row = genchar_row(mu, j)
+            assert list(row) == enumerate_marked_partitions(n)
+            for m, value in row.items():
+                assert value == genchar_seminormal(mu, j, m.shape, m.mark), (
+                    mu, j, m
+                )
+
+
+# three marked partitions of one n past the seminormal cap, drawn
+# deterministically
+large_triples = (
+    st.integers(min_value=SEMINORMAL_MAX_N + 1, max_value=GENCHAR_MAX_N)
+    .map(_marked)
+    .flatmap(lambda marked: st.tuples(*[st.sampled_from(marked)] * 3))
+)
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(large_triples)
+def test_rows_past_the_seminormal_cap(triple) -> None:
+    # no literal trace reaches here: check the row of (mu, j) against chi
+    # and the content polynomial, and orthogonality with a second row
+    (mu, j), (lam, i), (nu, k) = triple
+    n = mu.n
+    row = genchar_row(mu, j)
+    assert list(row) == enumerate_marked_partitions(n)
+    assert row[MarkedPartition(lam, i)] == genchar(mu, j, lam, i)
+    assert superscript_sum(mu, lam, i) == chi(mu, lam)
+    assert subscript_sum_chi(mu, j, lam) == chi(mu, lam)
+    assert weighted_sum(mu, j, len(lam)) == content_polynomial(mu)[len(lam)]
+    norm = Fraction(dimension(decrement_part(mu, j)), dimension(mu))
+    assert orthogonality_check(mu, j, mu, j) == norm
+    assert orthogonality_check(mu, j, nu, k) == (norm if (nu, k) == (mu, j) else 0)
+
+
+def test_benchmark_counters_are_cache_infos() -> None:
+    # the benchmark worker reads the hits and misses of these three caches
+    for fn in (genchar, chi, dimension):
+        info = fn.cache_info()
+        assert info.hits >= 0 and info.misses >= 0
+
+
 # a marked class of n <= 10, drawn deterministically
 small_classes = st.integers(min_value=1, max_value=10).flatmap(
     lambda n: st.sampled_from(_marked(n))
@@ -414,8 +611,8 @@ small_classes = st.integers(min_value=1, max_value=10).flatmap(
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(small_classes)
 def test_column_equals_the_single_values(marked_class) -> None:
-    # the cached integer column against the bounded pass of `genchar`, value
-    # by value, and against the literal Fraction trace for n <= 8
+    # the cached integer column against `genchar` (closed forms and the
+    # rule), value by value, and against the literal Fraction trace for n <= 8
     lam, i = marked_class
     n = lam.n
     column = genchar_column(lam, i)
