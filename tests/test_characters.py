@@ -18,7 +18,7 @@ from nearcentral import (
     enumerate_partitions,
     format_partition,
 )
-from nearcentral.characters import _mn
+from nearcentral.characters import _beta_mask, _chi_column, _mn
 
 
 def test_trivial_and_sign_characters() -> None:
@@ -105,11 +105,34 @@ def test_chi_equals_the_tuple_recursion() -> None:
                 assert chi(lam, mu) == _tuple_mn(beta, mu.parts), (lam, mu)
 
 
+def test_chi_columns_equal_the_shape_recursions() -> None:
+    # column k of a class is chi of the k-th shape: the tuple recursion for
+    # n <= 9, chi (the bit-set recursion) for n <= 12, edge cases included
+    assert _chi_column(()) == (1,)
+    assert _chi_column((1,)) == (1,)
+    assert character_table(0) == [[1]]
+    assert character_table(1) == [[1]]
+    for n in range(13):
+        shapes = enumerate_partitions(n)
+        for mu in shapes:
+            column = _chi_column(mu.parts)
+            assert column == tuple(chi(lam, mu) for lam in shapes), mu
+            if n <= 9:
+                assert column == tuple(
+                    _tuple_mn(_tuple_beta_numbers(lam.parts), mu.parts) for lam in shapes
+                ), mu
+
+
 def test_kernel_states_are_shared_across_zero_rows() -> None:
     # a shape reached with zero rows below it is the same memo entry as the
-    # shape itself; without that a cold table at n = 16 keeps 96,152 states
+    # shape itself; without that the n = 16 table, shape by shape, keeps
+    # 96,152 states
     _mn.cache_clear()
-    character_table(16)
+    shapes = enumerate_partitions(16)
+    for lam in shapes:
+        mask = _beta_mask(lam.parts)
+        for mu in shapes:
+            _mn(mask, mu.parts)
     assert _mn.cache_info().currsize == 64657
 
 

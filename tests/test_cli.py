@@ -4,7 +4,7 @@ import importlib
 import json
 import pytest
 
-from nearcentral import enumerate_marked_partitions
+from nearcentral import enumerate_marked_partitions, enumerate_partitions
 from nearcentral.cli import run
 
 
@@ -277,7 +277,7 @@ def test_starfact_closed_guard_boundary(capsys, monkeypatch) -> None:
 )
 def test_starfact_length_guard_exceeded_exits_2(capsys, monkeypatch, argv, message) -> None:
     # refused before any spectrum or power is computed
-    for name in ("_star_spectrum", "_shapes"):
+    for name in ("_star_spectrum", "_shapes", "_chi_column", "_class_weights"):
         monkeypatch.setattr(f"nearcentral.starcount.{name}", _refuse)
     code, doc, _ = _invoke(capsys, argv)
     assert code == 2
@@ -309,7 +309,7 @@ def test_starfact_length_guard_boundary(capsys, monkeypatch) -> None:
 def test_starfact_size_guard(capsys, monkeypatch, command) -> None:
     # n = 31 is refused before any shape is listed; n = 30 gets through to
     # the computation, which fails here on purpose
-    for name in ("_star_spectrum", "_shapes"):
+    for name in ("_star_spectrum", "_shapes", "_chi_column", "_class_weights"):
         monkeypatch.setattr(f"nearcentral.starcount.{name}", _refuse)
     code, doc, _ = _invoke(capsys, [arg.format(n=31) for arg in command])
     assert code == 2
@@ -372,36 +372,51 @@ def test_listing_guard_boundary(capsys, monkeypatch) -> None:
     capsys.readouterr()
 
 
+def _wrong_column(lam, i):
+    # every gamma of the column 1/3
+    return 3, (1,) * len(enumerate_marked_partitions(lam.n))
+
+
+def _wrong_chi_column(parts):
+    # chi 1 on the row (n) and 0 elsewhere: the class (3) at r = 1 then
+    # counts |C_(3)| 2^1 / 3! = 2/3
+    return (1,) + (0,) * (len(enumerate_partitions(sum(parts))) - 1)
+
+
 @pytest.mark.parametrize(
-    "module, argv",
+    "module, name, wrong, argv",
     [
-        (
-            "nearcentral.starcount",
+        pytest.param(
+            "nearcentral.starcount", "_column", _wrong_column,
             ["starfact", "count", "--lambda", "2,1", "--i", "2", "--r", "2"],
+            id="nearcentral.starcount-argv0",
         ),
-        (
-            "nearcentral.genchar",
+        pytest.param(
+            "nearcentral.genchar", "_column", _wrong_column,
             [
                 "connection", "--n", "3",
                 "--lambda", "2,1", "--i", "2",
                 "--mu", "2,1", "--j", "2",
                 "--nu", "1,1,1", "--k", "1",
             ],
+            id="nearcentral.genchar-argv1",
+        ),
+        pytest.param(
+            "nearcentral.starcount", "_chi_column", _wrong_chi_column,
+            ["starfact", "class", "--lambda", "3", "--r", "1"],
+            id="nearcentral.starcount-argv2",
         ),
     ],
 )
-def test_internal_inconsistency_exits_70(capsys, monkeypatch, module, argv) -> None:
-    # a wrong gamma makes a count fractional: a library defect, not bad input;
-    # star counts and product coefficients read gamma from the integer column,
-    # so every value of the patched column is 1/3
-    def wrong_column(lam, i):
-        return 3, (1,) * len(enumerate_marked_partitions(lam.n))
-
+def test_internal_inconsistency_exits_70(capsys, monkeypatch, module, name, wrong, argv) -> None:
+    # a wrong gamma or chi makes a count fractional: a library defect, not
+    # bad input; star counts and product coefficients read gamma from the
+    # integer column, class counts read chi from its column
     spectrum = importlib.import_module("nearcentral.starcount")._star_spectrum
     # a spectrum cached by an earlier test would hide the patched column,
     # and the one built from it must not outlive this test
     spectrum.cache_clear()
-    monkeypatch.setattr(importlib.import_module(module), "_column", wrong_column)
+    monkeypatch.setattr(importlib.import_module(module), name, wrong)
     try:
         code, doc, err = _invoke(capsys, argv)
     finally:

@@ -18,6 +18,9 @@ from nearcentral import (
     MarkedPartition,
     Partition,
     StarClosedCase,
+    chi,
+    class_size,
+    decrement_part,
     dimension,
     enumerate_marked_partitions,
     enumerate_partitions,
@@ -118,7 +121,7 @@ def _refuse(*args) -> None:
 def test_star_counts_are_refused_past_the_length_limit(monkeypatch) -> None:
     limit = STAR_CLOSED_MAX
     lam = Partition((3, 2, 1))
-    for name in ("_star_spectrum", "_shapes"):
+    for name in ("_star_spectrum", "_shapes", "_chi_column", "_class_weights"):
         monkeypatch.setattr(f"nearcentral.starcount.{name}", _refuse)
     with pytest.raises(GuardExceeded, match=f"r = {limit + 1} sums powers c\\^r"):
         star_count(lam, 2, limit + 1)
@@ -138,7 +141,7 @@ def test_star_counts_are_refused_past_the_length_limit(monkeypatch) -> None:
 def test_star_counts_are_refused_past_the_size_limit(monkeypatch) -> None:
     limit = STAR_COUNT_MAX_N
     assert limit >= 18  # the benchmark and the tests count up to n = 18
-    for name in ("_star_spectrum", "_shapes"):
+    for name in ("_star_spectrum", "_shapes", "_chi_column", "_class_weights"):
         monkeypatch.setattr(f"nearcentral.starcount.{name}", _refuse)
     past = Partition((limit + 1,))
     shapes = re.escape(f"n = {limit + 1} sums over p({limit + 1}) = 6842 shapes")
@@ -230,6 +233,22 @@ def test_star_count_class_examples() -> None:
     assert star_count_class(Partition((3, 1)), 2) == 6
     assert star_count_class(Partition((2, 2)), 4) == 12
     assert star_count_class(Partition((3, 1)), 4) == 54
+
+
+def test_star_count_class_is_the_literal_character_sum() -> None:
+    # |C_lam|/n! sum_mu chi^mu_lam sum_j d_{j_-(mu)} c_{mu,j}^r, one chi
+    # call per shape mu and one term per distinct part j
+    for n in range(1, 11):
+        shapes = enumerate_partitions(n)
+        for lam in shapes:
+            for r in range(1, 13):
+                total = sum(
+                    chi(mu, lam) * dimension(decrement_part(mu, j)) * marked_content(mu, j) ** r
+                    for mu in shapes
+                    for j in set(mu.parts)
+                )
+                expected = Fraction(class_size(lam) * total, math.factorial(n))
+                assert star_count_class(lam, r) == expected, (lam, r)
 
 
 def test_star_count_class_aggregates_marked_counts() -> None:
