@@ -43,15 +43,12 @@ from .genchar import (
     COLUMN_MAX_N,
     GENCHAR_MAX_N,
     JMVariables,
-    SEMINORMAL_MAX_N,
     connection_coefficient,
     evaluate_asf,
     genchar,
     genchar_column,
     genchar_hook_row,
     genchar_row,
-    genchar_seminormal,
-    genchar_strahov,
     genchar_table2,
     multi_product_coefficient,
     orthogonality_check,
@@ -70,6 +67,7 @@ from .oracle import (
     evaluate_asf_at_jm,
     extract_marked_coefficient,
     ga_multiply,
+    genchar_strahov,
     is_near_central,
     jm_element,
     jm_power_coefficients,

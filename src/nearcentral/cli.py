@@ -22,12 +22,12 @@ from .errors import DomainError, GuardExceeded, InconsistencyError
 from .genchar import (
     connection_coefficient,
     genchar,
-    genchar_strahov,
     genchar_table2,
 )
 from .oracle import (
     VerificationError,
     extract_marked_coefficient,
+    genchar_strahov,
     run_verify,
     z1_idempotent,
 )

@@ -4,7 +4,7 @@ The algebra spanned by the marked class sums K_{lam,i} is commutative, and its
 primitive idempotents Gamma^{mu,j} are indexed by the same marked partitions.
 The coefficient of Gamma^{mu,j} in K_{lam,i}, normalized by n!/d_mu, is the
 generalized character gamma^{mu,j}_{lam,i}.  This module computes those
-numbers four ways, plus the structure constants and orthogonality sums
+numbers three ways, plus the structure constants and orthogonality sums
 built from them:
 
 - closed forms (`genchar_table2`), chiefly the Jucys-Murphy polynomials of
@@ -13,13 +13,13 @@ built from them:
   other class at n <= GENCHAR_MAX_N: gamma^{mu,j}_{lam,i} is the sum over
   nu of chi^nu on lam less one part i, times a marked rim factor that one
   backward pass from (mu, j) yields for every nu and every i (`_RimPass`);
-- a trace in Young's seminormal form (`genchar_column`, and
-  `genchar_seminormal` as a verifier), a sum over the standard tableaux run
-  as paths in Young's lattice, at n <= SEMINORMAL_MAX_N: one pass over
-  every shape of size 1..n gives a whole column;
-- a character sum over S_{n-1} (`genchar_strahov`), kept as a verifier:
-  one walk over the (n-1)! permutations per subscript class (lam, i),
-  then at most p(n) p(n-1) terms per value.
+- a trace in Young's seminormal form (`genchar_column`), a sum over the
+  standard tableaux run as paths in Young's lattice, for every class at
+  n <= COLUMN_MAX_N: one forward pass over the marked block's i cells,
+  started from chi on lam less one part i, gives a whole column.
+
+The character sum over S_{n-1} (`oracle.genchar_strahov`) is their
+verifier.
 
 The dispatcher `genchar` takes the closed form when the class has one (a
 cached set per n), else the rule, whose rim pass is cached per superscript
@@ -27,12 +27,10 @@ cached set per n), else the rule, whose rim pass is cached per superscript
 against every class, are cached too (`genchar_row`); the row sums
 `subscript_sum_chi`, `weighted_sum` and `orthogonality_check` read them.
 Sums over every marked shape (mu, j) for one class (lam, i) read that
-class's cached integer column instead (`_column`): one unbounded
-seminormal pass for n <= SEMINORMAL_MAX_N, the closed forms above it, up
-to COLUMN_MAX_N.  Its readers are `genchar_column`, the star-count spectra
-of `starcount`, and `multi_product_coefficient` (hence
-`connection_coefficient`), which sums the factor columns in integers and
-divides once.
+class's cached integer column instead (`_column`), the seminormal pass.
+Its readers are `genchar_column`, the star-count spectra of `starcount`,
+and `multi_product_coefficient` (hence `connection_coefficient`), which
+sums the factor columns in integers and divides once.
 
 Everything is exact: values are `fractions.Fraction`, never floats.  The
 rim pass and the lattice pass keep integer weights over powers of
@@ -44,18 +42,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .characters import _beta_mask, _mn, _partition_counts, chi
+from .characters import _beta_mask, _chi_column, _mn, _partition_counts, _shapes
 from .errors import (
     DomainError,
     GuardExceeded,
     InconsistencyError,
     UnsupportedPattern,
-    check_guard,
 )
 from .partitions import (
     MarkedPartition,
@@ -65,7 +61,6 @@ from .partitions import (
     class_size,
     marked_class_size,
 )
-from .permutations import Permutation, cycle_lengths
 from .tableaux import dimension, marked_content, shape_contents
 
 __all__ = [
@@ -73,11 +68,8 @@ __all__ = [
     "table1_rows",
     "table1_poly",
     "evaluate_asf",
-    "SEMINORMAL_MAX_N",
     "COLUMN_MAX_N",
     "GENCHAR_MAX_N",
-    "genchar_strahov",
-    "genchar_seminormal",
     "genchar_column",
     "genchar_table2",
     "genchar_hook_row",
@@ -228,92 +220,15 @@ def _table1_index(n: int) -> dict[MarkedPartition, Row]:
     return index
 
 
-def genchar_strahov(
-    mu: Partition, j: int, lam: Partition, i: int, max_n: int | None = None
-) -> Fraction:
-    """gamma^{mu,j}_{lam,i} as a character sum over S_{n-1}.
-
-    Averages chi^mu(pi sigma) chi^{j_-(mu)}(sigma) over sigma in S_{n-1},
-    where pi is any fixed member of the marked class (lam, i); the result is
-    independent of that choice.  The walk over S_{n-1} depends only on
-    (lam, i): it runs once per subscript class and counts the pairs of cycle
-    types it meets, so each value is then a sum of at most p(n) p(n-1)
-    terms.  The walk is factorial in n, so every call is guarded, also when
-    the counts are already cached.
-    """
-    n = _common_order(mu, j, lam, i)
-    check_guard(n, max_n, "character sum over S_{n-1}")
-    reduced = decrement_part(mu, j)
-    total = sum(
-        count * chi(mu, alpha) * chi(reduced, beta)
-        for alpha, beta, count in _strahov_histogram(lam, i)
-    )
-    return Fraction(dimension(reduced) * total, math.factorial(n - 1))
-
-
-@cache
-def _strahov_histogram(
-    lam: Partition, i: int
-) -> tuple[tuple[Partition, Partition, int], ...]:
-    # (cycle type of pi tau, cycle type of tau, how many tau in S_{n-1} give
-    # that pair), for the fixed pi of (lam, i) below
-    n = lam.n
-    # n sits on the marked i-cycle with 1..i-1; the other parts take
-    # consecutive blocks of the remaining symbols
-    rest = list(lam.parts)
-    rest.remove(i)
-    starts = itertools.accumulate(rest, initial=i)
-    cycles = [(*range(1, i), n)] + [
-        tuple(range(s, s + length)) for s, length in zip(starts, rest)
-    ]
-    pi = Permutation.from_cycles(n, cycles).images
-    pi_of = (0, *pi).__getitem__  # pi_of(t) = pi(t), 1-indexed
-    pi_last = pi[n - 1]
-    # summing chi^mu(pi sigma^{-1}) chi^{reduced}(sigma) over sigma equals
-    # summing chi^mu(pi tau) chi^{reduced}(tau): substitute tau = sigma^{-1};
-    # tau and the cycle lengths stay raw tuples because this loop is the
-    # whole cost of the route
-    counts: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
-    for tau in itertools.permutations(range(1, n)):
-        composite = (*map(pi_of, tau), pi_last)
-        counts[cycle_lengths(composite), cycle_lengths(tau)] += 1
-    return tuple(
-        (Partition.unchecked(alpha), Partition.unchecked(beta), count)
-        for (alpha, beta), count in counts.items()
-    )
-
-
 # ---------------------------------------------------------------------------
 # the seminormal trace
 
-# largest n the seminormal trace runs at: it fills whole columns (`_column`),
-# one unbounded lattice pass each; a column at n = 12 sums over 140152
-# tableaux (above the cap only classes with a closed form have columns)
-SEMINORMAL_MAX_N = 12
-
 # largest n of any sum over every marked shape of n: a gamma column, and so
 # every star count and product coefficient (`starcount` re-exports it as
-# STAR_COUNT_MAX_N); a cold closed-form column at n = 30 takes about 2 s
+# STAR_COUNT_MAX_N); a cold column at n = 30 takes 0.5-0.65 s for (30)@30,
+# 0.6 s for (29,1)@29, 0.08 s for (29,1)@1 and up to 0.62 s for the
+# general classes timed
 COLUMN_MAX_N = 30
-
-
-def _seminormal_refusal(n: int, tableaux: int | str) -> GuardExceeded:
-    return GuardExceeded(
-        f"seminormal trace over {tableaux} tableaux at n={n} exceeds "
-        f"the limit n <= {SEMINORMAL_MAX_N}"
-    )
-
-
-def _tableau_count(n: int) -> int | str:
-    # the standard tableaux of every shape of n, i.e. the sum of d_mu, are
-    # the involutions of S_n: I(m) = I(m-1) + (m-1) I(m-2); past n = 1000
-    # name a bound instead of running the big-integer recurrence
-    if n > 1000:
-        return "more than 10^1000"
-    previous, count = 1, 1
-    for m in range(2, n + 1):
-        previous, count = count, count + (m - 1) * previous
-    return count
 
 
 def _marked_count(n: int) -> int | str:
@@ -324,38 +239,6 @@ def _marked_count(n: int) -> int | str:
     return sum(_partition_counts(n)[:n])
 
 
-def genchar_seminormal(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
-    """gamma^{mu,j}_{lam,i} as a trace in Young's seminormal form, for
-    n <= SEMINORMAL_MAX_N; a verifier, read out of the lattice pass that
-    fills the column of (lam, i).
-
-    K_{lam,i} commutes with S_{n-1}, so it acts by a scalar on the block of
-    V^mu that restricts to j_-(mu), and gamma^{mu,j}_{lam,i} is the trace of
-    rho^mu(pi) on that block for any pi in (lam, i).  A Young basis is
-    adapted to the restriction, so the trace is the sum of the diagonal
-    entries rho^mu(pi)_{T,T} over the standard tableaux T of mu whose n
-    ends a row of length j.
-
-    Take pi as cycles on consecutive blocks of symbols, the marked cycle on
-    the top block n-i+1 .. n: pi is then a product of the n - len(lam)
-    adjacent transpositions s_k with k and k+1 in one block, each once.  In
-    the seminormal form s_k v_T = v_T / r + a v_{s_k T}, where
-    r = c_T(k+1) - c_T(k) is the difference of contents; a = 0 when k and
-    k+1 share a row (r = 1) or a column (r = -1), else a = 1 for r > 0 and
-    a = 1 - 1/r^2 for r < 0 (Murphy, J. Algebra 1981; Okounkov-Vershik,
-    Selecta Math. 1996).  Expanding the product, a path that leaves T
-    through the transpositions of a nonempty subword ends at sigma T, with
-    sigma that subword's product, which is not the identity because its
-    letters are distinct.  So only the path that stays on T returns to it,
-    and rho^mu(pi)_{T,T} = prod_k 1 / r_k(T).
-    """
-    n = _common_order(mu, j, lam, i)
-    if n > SEMINORMAL_MAX_N:
-        raise _seminormal_refusal(n, _tableau_count(n))
-    den, weights = _column(lam, i)
-    return Fraction(weights[_marked_index(n)[mu, j]], den)
-
-
 def genchar_column(lam: Partition, i: int) -> dict[MarkedPartition, Fraction]:
     """gamma^{mu,j}_{lam,i} for every marked shape (mu, j) of n, keyed in
     `enumerate_marked_partitions` order.
@@ -363,11 +246,9 @@ def genchar_column(lam: Partition, i: int) -> dict[MarkedPartition, Fraction]:
     The values come from the cached integer column `_column`, which star
     counts (`star_count`) and product coefficients
     (`multi_product_coefficient`, `connection_coefficient`) read too: one
-    unbounded lattice pass of the seminormal trace for n <= SEMINORMAL_MAX_N,
-    the closed forms of `genchar_table2` above, up to COLUMN_MAX_N.  A
-    larger n raises `GuardExceeded` naming the marked shapes of n; a class
-    without a closed form above SEMINORMAL_MAX_N raises it naming the
-    tableaux of n the pass would sum over."""
+    lattice pass of the seminormal trace over the marked block, for every
+    class up to COLUMN_MAX_N.  A larger n raises `GuardExceeded` naming the
+    marked shapes of n."""
     den, weights = _column(lam, i)
     n = lam.n
     return {
@@ -379,9 +260,9 @@ def genchar_column(lam: Partition, i: int) -> dict[MarkedPartition, Fraction]:
 def _column(lam: Partition, i: int) -> tuple[int, tuple[int, ...]]:
     # (den, weights) in lowest terms: gamma^{mu,j}_{lam,i} is weights[t] / den
     # for the t-th marked shape (mu, j) of enumerate_marked_partitions(n).
-    # Below the cap, one unbounded pass: the summed weight of the paths that
-    # end on mu with n's cell in a row of length j is the value at (mu, j),
-    # an integer over scale^(n - len(lam)).
+    # The summed weight of the paths that end on mu with n's cell in a row
+    # of length j is the value at (mu, j); a marked shape no path reaches
+    # has the value 0.
     if i not in lam:
         raise DomainError(f"mark {i} is not a part of {lam}")
     n = lam.n
@@ -391,17 +272,9 @@ def _column(lam: Partition, i: int) -> tuple[int, tuple[int, ...]]:
             f"{_marked_count(n)} marked shapes of n; "
             f"the limit is n <= {COLUMN_MAX_N}"
         )
-    marked = enumerate_marked_partitions(n)
-    if n <= SEMINORMAL_MAX_N:
-        ends, den = _lattice_pass(lam, i)
-        by_mark = {(shape, shape[r]): weight for (shape, r), weight in ends.items()}
-        weights = [by_mark[m.shape.parts, m.mark] for m in marked]
-    else:
-        if (lam, i) not in _closed_classes(n):
-            raise _seminormal_refusal(n, _tableau_count(n))
-        values = [genchar_table2(m.shape, m.mark, lam, i) for m in marked]
-        den = math.lcm(*(v.denominator for v in values))
-        weights = [v.numerator * (den // v.denominator) for v in values]
+    ends, den = _lattice_pass(lam, i)
+    by_mark = {(shape, shape[r]): weight for (shape, r), weight in ends.items()}
+    weights = [by_mark.get((mu.parts, j), 0) for mu, j in _marked_index(n)]
     common = math.gcd(den, *weights)
     return den // common, tuple(w // common for w in weights)
 
@@ -409,35 +282,53 @@ def _column(lam: Partition, i: int) -> tuple[int, tuple[int, ...]]:
 def _lattice_pass(
     lam: Partition, i: int
 ) -> tuple[dict[tuple[tuple[int, ...], int], int], int]:
-    # The sum over tableaux of prod 1/r_k runs as paths in Young's lattice:
-    # place 1, 2, .., n one cell at a time and keep, per (shape so far, row
-    # of the last cell), the summed weight of the tableaux that reach it.
-    # Each linked step divides by r with 0 < |r| <= n - 1, so it multiplies
-    # by scale // r exactly, scale = lcm(1..n-1); the word has n - len(lam)
-    # letters, so every weight is an integer over scale^(n - len(lam)).
-    # Returns the states after n cells and that denominator.
+    # K_{lam,i} commutes with S_{n-1}, so it acts by a scalar on the block of
+    # V^mu that restricts to j_-(mu), and gamma^{mu,j}_{lam,i} is the trace
+    # of rho^mu(pi) on that block for any pi in (lam, i).  A Young basis is
+    # adapted to the restriction, so the trace is the sum of rho^mu(pi)_{T,T}
+    # over the standard tableaux T of mu whose n ends a row of length j.
+    #
+    # Take pi as cycles on consecutive blocks of symbols, the marked cycle on
+    # the top block n-i+1 .. n: pi is then the product of the adjacent
+    # transpositions s_k with k and k+1 in one block, each once.  In the
+    # seminormal form s_k v_T = v_T / r + a v_{s_k T}, where
+    # r = c_T(k+1) - c_T(k) is the difference of contents; a = 0 when k and
+    # k+1 share a row (r = 1) or a column (r = -1), else a = 1 for r > 0 and
+    # a = 1 - 1/r^2 for r < 0 (Murphy, J. Algebra 1981; Okounkov-Vershik,
+    # Selecta Math. 1996).  Expanding the product, a path that leaves T
+    # through the transpositions of a nonempty subword ends at sigma T, with
+    # sigma that subword's product, which is not the identity because its
+    # letters are distinct.  So only the path that stays on T returns to it,
+    # and rho^mu(pi)_{T,T} = prod_k 1 / r_k(T).
+    #
+    # The sum over tableaux runs as paths in Young's lattice: place the
+    # symbols one cell at a time and keep, per (shape so far, row of the
+    # last cell), the summed weight of the tableaux that reach it.  The
+    # symbols 1 .. n-i carry pi's other cycles, so the paths up to there sum,
+    # per shape nu of n-i, to the ordinary trace chi^nu_{lam minus i}: the
+    # pass starts from that chi column.  s_{n-i} ends a block, so placing
+    # n-i+1 is unlinked; each later step divides by r with 0 < |r| <= n - 1,
+    # i.e. multiplies by scale // r exactly, scale = lcm(1..n-1).  Returns
+    # the states after n cells, integers over scale^(i - 1), and that
+    # denominator.
     n = lam.n
-    rest = list(lam.parts)
-    rest.remove(i)
-    # s_k is in the word unless k ends a block
-    block_ends = set(itertools.accumulate(rest + [i]))
+    parts = lam.parts
+    t = parts.index(i)
     scale = math.lcm(*range(1, n))
-    # symbol 1 sits in the corner cell
-    states: dict[tuple[tuple[int, ...], int], int] = {((1,), 0): 1}
-    for k in range(1, n):
-        # placing symbol k + 1: s_k contributes 1/r
-        linked = k not in block_ends
+    states: dict[tuple[tuple[int, ...], int], int] = {}
+    for nu, weight in zip(_shapes(n - i), _chi_column(parts[:t] + parts[t + 1 :])):
+        if weight:
+            for key, _ in _addable_cells(nu.parts):
+                states[key] = states.get(key, 0) + weight
+    for _ in range(i - 1):
         grown: dict[tuple[tuple[int, ...], int], int] = {}
         for (shape, last), weight in states.items():
             last_content = shape[last] - 1 - last
             for key, content in _addable_cells(shape):
-                if linked:
-                    step = weight * (scale // (content - last_content))
-                else:
-                    step = weight
+                step = weight * (scale // (content - last_content))
                 grown[key] = grown.get(key, 0) + step
         states = grown
-    return states, scale ** (n - len(lam))
+    return states, scale ** (i - 1)
 
 
 @cache

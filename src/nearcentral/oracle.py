@@ -8,7 +8,9 @@ independent ground truth for the closed-form code.
 
 Beside the group algebra, `star_walk` recounts star factorizations as an
 integer walk over marked cycle types, cheap far past where S_n can be
-listed, so the spectral counts have a check above n = 7.
+listed, so the spectral counts have a check above n = 7; and
+`genchar_strahov` recomputes generalized characters as a character sum over
+S_{n-1}, with no idempotent built.
 
 Products come in two speed tiers with the same values.  Dense products at
 n <= 6 look every p * q up in a composition table of S_n, built once per
@@ -21,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from operator import itemgetter
@@ -28,7 +31,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .characters import chi
 from .errors import DomainError, GuardExceeded, check_guard
-from .genchar import JMVariables, Row, genchar, genchar_strahov, table1_rows
+from .genchar import JMVariables, Row, _common_order, genchar, table1_rows
 from .partitions import (
     MarkedPartition,
     Partition,
@@ -37,7 +40,7 @@ from .partitions import (
     enumerate_partitions,
     marked_class_size,
 )
-from .permutations import Permutation
+from .permutations import Permutation, cycle_lengths
 from .tableaux import dimension, marked_content
 
 __all__ = [
@@ -53,6 +56,7 @@ __all__ = [
     "jm_power_coefficients",
     "enumerate_star_factorizations",
     "star_walk",
+    "genchar_strahov",
     "evaluate_asf_at_jm",
     "VerificationError",
     "run_verify",
@@ -519,6 +523,61 @@ def star_walk(n: int, rmax: int) -> list[dict[MarkedPartition, int]]:
         }
         for level in walk
     ]
+
+
+def genchar_strahov(
+    mu: Partition, j: int, lam: Partition, i: int, max_n: int | None = None
+) -> Fraction:
+    """gamma^{mu,j}_{lam,i} as a character sum over S_{n-1}.
+
+    Averages chi^mu(pi sigma) chi^{j_-(mu)}(sigma) over sigma in S_{n-1},
+    where pi is any fixed member of the marked class (lam, i); the result is
+    independent of that choice.  The walk over S_{n-1} depends only on
+    (lam, i): it runs once per subscript class and counts the pairs of cycle
+    types it meets, so each value is then a sum of at most p(n) p(n-1)
+    terms.  The walk is factorial in n, so every call is guarded, also when
+    the counts are already cached.
+    """
+    n = _common_order(mu, j, lam, i)
+    check_guard(n, max_n, "character sum over S_{n-1}")
+    reduced = decrement_part(mu, j)
+    total = sum(
+        count * chi(mu, alpha) * chi(reduced, beta)
+        for alpha, beta, count in _strahov_histogram(lam, i)
+    )
+    return Fraction(dimension(reduced) * total, math.factorial(n - 1))
+
+
+@cache
+def _strahov_histogram(
+    lam: Partition, i: int
+) -> tuple[tuple[Partition, Partition, int], ...]:
+    # (cycle type of pi tau, cycle type of tau, how many tau in S_{n-1} give
+    # that pair), for the fixed pi of (lam, i) below
+    n = lam.n
+    # n sits on the marked i-cycle with 1..i-1; the other parts take
+    # consecutive blocks of the remaining symbols
+    rest = list(lam.parts)
+    rest.remove(i)
+    starts = itertools.accumulate(rest, initial=i)
+    cycles = [(*range(1, i), n)] + [
+        tuple(range(s, s + length)) for s, length in zip(starts, rest)
+    ]
+    pi = Permutation.from_cycles(n, cycles).images
+    pi_of = (0, *pi).__getitem__  # pi_of(t) = pi(t), 1-indexed
+    pi_last = pi[n - 1]
+    # summing chi^mu(pi sigma^{-1}) chi^{reduced}(sigma) over sigma equals
+    # summing chi^mu(pi tau) chi^{reduced}(tau): substitute tau = sigma^{-1};
+    # tau and the cycle lengths stay raw tuples because this loop is the
+    # whole cost of the route
+    counts: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
+    for tau in itertools.permutations(range(1, n)):
+        composite = (*map(pi_of, tau), pi_last)
+        counts[cycle_lengths(composite), cycle_lengths(tau)] += 1
+    return tuple(
+        (Partition.unchecked(alpha), Partition.unchecked(beta), count)
+        for (alpha, beta), count in counts.items()
+    )
 
 
 def evaluate_asf_at_jm(f: Row, n: int, *, max_n: int | None = None) -> GroupAlgebraElement:

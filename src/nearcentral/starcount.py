@@ -44,9 +44,9 @@ STAR_CLOSED_MAX = 1000
 
 # largest n `star_count`, `star_count_class` and `star_count_by_cycle_count`
 # take: each sums over all p(n) shapes, or over every marked shape; at
-# n = 30 a cold class count takes 0.2-0.5 s, a cold cycle count about 1 s
-# (1.5 s at n = 32) and a cold star count of (30)@30 about 1.4 s; the same
-# limit as every gamma column's
+# n = 30 a cold class count takes about 0.2 s, a cold cycle count about 1 s
+# and a cold star count 0.75-1 s, (30)@30 and general classes alike; the
+# same limit as every gamma column's
 STAR_COUNT_MAX_N = COLUMN_MAX_N
 
 
@@ -61,28 +61,39 @@ def _as_count(total: int, denominator: int, what: str) -> int:
 
 
 @cache
-def _marked_spectrum(mu: Partition) -> tuple[tuple[int, int], ...]:
-    # (d_{j_-(mu)}, c_{mu,j}) for each distinct part j of mu, increasing j
-    return tuple(
-        (dimension(decrement_part(mu, j)), marked_content(mu, j))
-        for j in sorted(set(mu.parts))
-    )
-
-
-@cache
 def _class_weights(n: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
     # (c, ks, ws) for each marked content c of n: the ks[a]-th shape mu of n
     # has a mark j with c_{mu,j} = c and d_{j_-(mu)} = ws[a] (at most one,
     # as the corners of mu lie on distinct diagonals), so that
-    # sum_mu chi^mu_lam sum_j d_{j_-(mu)} c_{mu,j}^r is
-    # sum_c c^r sum_a ws[a] chi^{mu_ks[a]}_lam
+    # sum_mu f(mu) sum_j d_{j_-(mu)} c_{mu,j}^r is
+    # sum_c c^r sum_a ws[a] f(mu_ks[a]) for any f on the shapes of n
     weights: dict[int, dict[int, int]] = {}
     for k, mu in enumerate(_shapes(n)):
-        for d, c in _marked_spectrum(mu):
-            weights.setdefault(c, {})[k] = d
+        for j in set(mu.parts):
+            c = marked_content(mu, j)
+            weights.setdefault(c, {})[k] = dimension(decrement_part(mu, j))
     return tuple(
         (c, tuple(weights[c]), tuple(weights[c].values())) for c in sorted(weights)
     )
+
+
+def _weighted_power_sum(n: int, r: int, f: tuple[int, ...]) -> int:
+    # sum_mu f[mu] sum_j d_{j_-(mu)} c_{mu,j}^r over the shapes mu of n,
+    # f indexed in enumerate_partitions order
+    return sum(
+        c**r * sum(map(mul, ws, map(f.__getitem__, ks)))
+        for c, ks, ws in _class_weights(n)
+    )
+
+
+@cache
+def _cycle_columns(n: int) -> tuple[tuple[int, ...], ...]:
+    # _cycle_columns(n)[k][a] is d_mu times the coefficient of t^k in the
+    # content polynomial of the a-th shape mu of n
+    columns = [
+        tuple(map(dimension(mu).__mul__, content_polynomial(mu))) for mu in _shapes(n)
+    ]
+    return tuple(zip(*columns))
 
 
 @cache
@@ -128,13 +139,12 @@ def star_count(lam: Partition, i: int, r: int) -> int:
     """Number of length-r star sequences multiplying to a fixed permutation
     of marked cycle type (lam, i): the sum of d_mu gamma^{mu,j}_{lam,i}
     c_{mu,j}^r over the marked shapes (mu, j), divided by n!.  The gammas
-    come from the cached integer column of (lam, i) in `genchar`: the
-    seminormal trace for n <= SEMINORMAL_MAX_N, the closed forms above, not
-    the marked Murnaghan-Nakayama rule that single values and rows take.
+    come from the cached integer column of (lam, i) in `genchar`, the
+    seminormal trace, not the marked Murnaghan-Nakayama rule that single
+    values and rows take.
 
     n above STAR_COUNT_MAX_N (the column limit COLUMN_MAX_N) or r above
-    STAR_CLOSED_MAX raises GuardExceeded, and so does a class without a
-    closed form above SEMINORMAL_MAX_N.
+    STAR_CLOSED_MAX raises GuardExceeded.
     """
     if i not in lam:
         raise DomainError(f"mark {i} is not a part of {lam}")
@@ -230,16 +240,15 @@ def star_count_class(lam: Partition, r: int) -> int:
         raise DomainError("length must be positive")
     n = lam.n
     _check_size(n, r)
-    column = _chi_column(lam.parts)
-    total = sum(
-        c**r * sum(map(mul, ws, map(column.__getitem__, ks)))
-        for c, ks, ws in _class_weights(n)
-    )
+    total = _weighted_power_sum(n, r, _chi_column(lam.parts))
     return _as_count(class_size(lam) * total, math.factorial(n), "class star count")
 
 
 def star_count_by_cycle_count(n: int, k: int, r: int) -> int:
-    """Number of length-r star sequences whose product has exactly k cycles.
+    """Number of length-r star sequences whose product has exactly k cycles:
+    sum_mu d_mu [t^k] prod over cells (t + content) sum_j d_{j_-(mu)}
+    c_{mu,j}^r over n!, read as a cached table of d_mu [t^k] against the
+    same weights per marked content as `star_count_class`.
 
     n above STAR_COUNT_MAX_N or r above STAR_CLOSED_MAX raises GuardExceeded.
     """
@@ -248,8 +257,5 @@ def star_count_by_cycle_count(n: int, k: int, r: int) -> int:
     if r < 0:
         raise DomainError("length must be nonnegative")
     _check_size(n, r)
-    total = 0
-    for mu in _shapes(n):
-        spectral = sum(d * c**r for d, c in _marked_spectrum(mu))
-        total += dimension(mu) * content_polynomial(mu)[k] * spectral
+    total = _weighted_power_sum(n, r, _cycle_columns(n)[k])
     return _as_count(total, math.factorial(n), "cycle-count star total")

@@ -195,20 +195,36 @@ def test_genchar_guard_exceeded_exits_2(capsys, monkeypatch) -> None:
 
 
 def test_connection_column_guard(capsys, monkeypatch) -> None:
-    # classes with a closed form: n = 31 is refused before any column value,
-    # n = 30 gets through to the closed forms, which fail here on purpose
+    # a class without a closed form: n = 31 is refused before any column
+    # value, n = 30 gets through to the lattice pass, which fails here on
+    # purpose
     genchar_module = importlib.import_module("nearcentral.genchar")
-    monkeypatch.setattr(genchar_module, "genchar_table2", _refuse)
-    argv = ["connection", "--n", "{n}", "--lambda", "{n}", "--i", "{n}",
-            "--mu", "{m},1", "--j", "1", "--nu", "{n}", "--k", "{n}"]
-    code, doc, _ = _invoke(capsys, [a.format(n=31, m=30) for a in argv])
+    monkeypatch.setattr(genchar_module, "_lattice_pass", _refuse)
+    genchar_module._column.cache_clear()
+
+    def argv(n: int) -> list[str]:
+        general = ",".join(["3", "2"] + ["1"] * (n - 5))
+        return ["connection", "--n", str(n), "--lambda", str(n), "--i", str(n),
+                "--mu", general, "--j", "2", "--nu", str(n), "--k", str(n)]
+
+    code, doc, _ = _invoke(capsys, argv(31))
     assert code == 2
     assert doc["status"] == "error"
     assert "gamma column at n=31 holds one value for each of the 28629 marked shapes" in doc["error"]
     assert "the limit is n <= 30" in doc["error"]
     with pytest.raises(AssertionError):
-        run([a.format(n=30, m=29) for a in argv])
+        run(argv(30))
     capsys.readouterr()
+
+
+def test_starfact_count_of_a_general_class_at_n13(capsys) -> None:
+    # (3,2,1^8)@2: four stars for the 3-cycle off n, one for the 2-cycle
+    # through n; a fixed point touched by a star costs two more, so the
+    # length-5 factorizations are those of (1 2 3)(4 n) at any n: six
+    argv = ["starfact", "count", "--lambda", "3,2" + ",1" * 8, "--i", "2", "--r", "5"]
+    code, doc, _ = _invoke(capsys, argv)
+    assert code == 0
+    assert doc == {"count": "6"}
 
 
 def test_chartable_guard_exceeded_exits_2(capsys, monkeypatch) -> None:

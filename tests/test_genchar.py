@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from nearcentral import (
     COLUMN_MAX_N,
     GENCHAR_MAX_N,
-    SEMINORMAL_MAX_N,
     STAR_COUNT_MAX_N,
     DomainError,
     GuardExceeded,
@@ -39,7 +38,6 @@ from nearcentral import (
     genchar_column,
     genchar_hook_row,
     genchar_row,
-    genchar_seminormal,
     genchar_strahov,
     genchar_table2,
     marked_class_size,
@@ -54,6 +52,7 @@ from nearcentral import (
 
 # the module itself: the package attribute `genchar` is the dispatcher
 genchar_module = importlib.import_module("nearcentral.genchar")
+oracle_module = importlib.import_module("nearcentral.oracle")
 characters_module = importlib.import_module("nearcentral.characters")
 
 
@@ -205,7 +204,7 @@ def test_strahov_histogram_counts_every_permutation_once() -> None:
     ]
     for lam, i in classes:
         n = lam.n
-        histogram = genchar_module._strahov_histogram(lam, i)
+        histogram = oracle_module._strahov_histogram(lam, i)
         assert sum(count for _, _, count in histogram) == math.factorial(n - 1)
         by_beta: dict[Partition, int] = defaultdict(int)
         for alpha, beta, count in histogram:
@@ -219,7 +218,7 @@ def test_strahov_histogram_counts_every_permutation_once() -> None:
 def test_strahov_guard_holds_once_the_walk_is_cached(monkeypatch) -> None:
     lam, i = Partition((3, 2, 1, 1)), 2
     mu, j = Partition((4, 2, 1)), 1
-    histogram = genchar_module._strahov_histogram
+    histogram = oracle_module._strahov_histogram
     monkeypatch.delenv("NEARCENTRAL_MAX_N", raising=False)
     histogram.cache_clear()
     value = genchar_strahov(mu, j, lam, i, max_n=7)
@@ -341,9 +340,9 @@ def test_dispatcher_matches_strahov_everywhere() -> None:
 
 def test_seminormal_route_runs_past_the_character_sum_frontier(monkeypatch) -> None:
     def refuse(*args, **kwargs):
-        pytest.fail("the dispatcher called the character sum")
+        pytest.fail("a column called the character sum")
 
-    monkeypatch.setattr(genchar_module, "genchar_strahov", refuse)
+    monkeypatch.setattr(oracle_module, "_strahov_histogram", refuse)
     genchar.cache_clear()
     n = 10
     swap3 = Partition((3, 2) + (1,) * (n - 5))
@@ -360,12 +359,20 @@ def test_seminormal_route_runs_past_the_character_sum_frontier(monkeypatch) -> N
     assert star_count(swap3, 2, 5) == enumerate_star_factorizations(pi, 5) == 6
 
 
-def test_seminormal_route_is_refused_past_its_limit() -> None:
-    lam = Partition((3, 2) + (1,) * 8)
-    with pytest.raises(GuardExceeded, match="568504 tableaux at n=13"):
-        genchar_column(lam, 2)
-    with pytest.raises(GuardExceeded, match="568504 tableaux at n=13"):
-        genchar_seminormal(lam, 2, lam, 2)
+def test_seminormal_route_is_refused_past_its_limit(monkeypatch) -> None:
+    # a class without a closed form: n = 31 is refused before any pass,
+    # n = 30 gets through to the lattice pass, which fails here on purpose
+    refusal = "gamma column at n=31 holds one value for each of the 28629 marked shapes"
+    past = Partition((3, 2) + (1,) * 26)
+    with pytest.raises(GuardExceeded, match=refusal):
+        genchar_column(past, 2)
+    with pytest.raises(GuardExceeded, match=refusal):
+        multi_product_coefficient([(past, 2)] * 3, past, 2)
+    monkeypatch.setattr(genchar_module, "_lattice_pass", _refuse)
+    genchar_module._column.cache_clear()
+    at = Partition((3, 2) + (1,) * 25)
+    with pytest.raises(AssertionError):
+        genchar_column(at, 2)
 
 
 def _refuse(*args) -> None:
@@ -419,8 +426,10 @@ def test_columns_are_refused_past_the_column_limit(monkeypatch) -> None:
         genchar_column(full, 31)
     with pytest.raises(GuardExceeded, match=refusal):
         connection_coefficient(full, 31, split, 1, full, 31)
-    # at the limit the closed forms are reached, and fail here on purpose
-    monkeypatch.setattr(genchar_module, "genchar_table2", _refuse)
+    # at the limit classes with a closed form reach the lattice pass too,
+    # which fails here on purpose
+    monkeypatch.setattr(genchar_module, "_lattice_pass", _refuse)
+    genchar_module._column.cache_clear()
     full, split = Partition((30,)), Partition((29, 1))
     with pytest.raises(AssertionError):
         genchar_column(full, 30)
@@ -454,13 +463,13 @@ def _fraction_trace(mu: Partition, lam: Partition, i: int) -> dict[int, Fraction
 
 
 def test_lattice_pass_equals_the_fraction_trace() -> None:
-    # every marked pair of n <= 8, by the bounded pass and by the column
+    # every marked pair of n <= 8: the trace over every symbol, against the
+    # column's pass over the marked block from the chi column
     for n in range(1, 9):
         for lam, i in _marked(n):
             column = genchar_column(lam, i)
             for mu in enumerate_partitions(n):
                 for j, value in _fraction_trace(mu, lam, i).items():
-                    assert genchar_seminormal(mu, j, lam, i) == value, (mu, j, lam, i)
                     assert column[MarkedPartition(mu, j)] == value, (mu, j, lam, i)
     # seeded whole columns where the weights run to hundreds of bits
     for n in (10, 12):
@@ -557,21 +566,22 @@ def test_closed_classes_are_the_classes_with_a_closed_form() -> None:
 
 
 def test_rows_equal_the_seminormal_trace() -> None:
-    # seeded rows against the lattice pass, read through the columns
+    # seeded rows against the lattice pass, read out of every class's column
     for n in (10, 11, 12):
         for mu, j in random.Random(n).sample(_marked(n), 2):
             row = genchar_row(mu, j)
             assert list(row) == enumerate_marked_partitions(n)
+            superscript = MarkedPartition(mu, j)
             for m, value in row.items():
-                assert value == genchar_seminormal(mu, j, m.shape, m.mark), (
+                assert value == genchar_column(m.shape, m.mark)[superscript], (
                     mu, j, m
                 )
 
 
-# three marked partitions of one n past the seminormal cap, drawn
-# deterministically
+# three marked partitions of one n past the literal traces (n >= 13),
+# drawn deterministically
 large_triples = (
-    st.integers(min_value=SEMINORMAL_MAX_N + 1, max_value=GENCHAR_MAX_N)
+    st.integers(min_value=13, max_value=GENCHAR_MAX_N)
     .map(_marked)
     .flatmap(lambda marked: st.tuples(*[st.sampled_from(marked)] * 3))
 )
@@ -624,39 +634,80 @@ def test_column_equals_the_single_values(marked_class) -> None:
             assert value == traces[m.shape][m.mark], (m, lam, i)
 
 
-def test_columns_past_the_cap() -> None:
-    # the refusal names the tableaux of every shape of n, which one column
-    # pass would sum over: the involutions of S_n
-    assert [genchar_module._tableau_count(n) for n in range(13)] == [
-        sum(dimension(mu) for mu in enumerate_partitions(n)) for n in range(13)
-    ]
-    assert genchar_module._tableau_count(1000) > 10**1000
-    assert genchar_module._tableau_count(1001) == "more than 10^1000"
-    general = Partition((3, 2) + (1,) * 9)
-    full = Partition((14,))
-    column_work = "seminormal trace over 2390480 tableaux at n=14 exceeds the limit n <= 12"
-    with pytest.raises(GuardExceeded, match=column_work):
+def test_columns_past_the_cap(monkeypatch) -> None:
+    # star counts and product coefficients of a class without a closed form:
+    # n = 31 is refused naming the shapes or the marked shapes of n, n = 30
+    # gets through to the lattice pass, which fails here on purpose
+    general, full = Partition((3, 2) + (1,) * 26), Partition((31,))
+    with pytest.raises(GuardExceeded, match="star count at n = 31 sums over p.31. = 6842 shapes"):
         star_count(general, 2, 5)
-    with pytest.raises(GuardExceeded, match=column_work):
-        connection_coefficient(full, 14, full, 14, general, 2)
-    with pytest.raises(GuardExceeded, match=column_work):
-        connection_coefficient(general, 2, full, 14, full, 14)
-    # classes with a closed form keep their columns, star counts and
-    # product coefficients there
-    for n in (13, 14):
+    refusal = "gamma column at n=31 holds one value for each of the 28629 marked shapes"
+    with pytest.raises(GuardExceeded, match=refusal):
+        connection_coefficient(full, 31, full, 31, general, 2)
+    with pytest.raises(GuardExceeded, match=refusal):
+        connection_coefficient(general, 2, full, 31, full, 31)
+    monkeypatch.setattr(genchar_module, "_lattice_pass", _refuse)
+    genchar_module._column.cache_clear()
+    general, full = Partition((3, 2) + (1,) * 25), Partition((30,))
+    with pytest.raises(AssertionError):
+        star_count(general, 2, 5)
+    with pytest.raises(AssertionError):
+        connection_coefficient(full, 30, full, 30, general, 2)
+    with pytest.raises(AssertionError):
+        connection_coefficient(general, 2, full, 30, full, 30)
+
+
+def test_closed_columns_up_to_the_cap() -> None:
+    # classes with a closed form: sampled column entries against
+    # `genchar_table2`, and star counts and a product coefficient against
+    # closed forms, up to n = 30
+    for n in (13, 14, 21, 30):
+        rng = random.Random(n)
+        index = genchar_module._marked_index(n)
+        for lam, i in sorted(genchar_module._closed_classes(n), key=str):
+            den, weights = genchar_module._column(lam, i)
+            for mu, j in rng.sample(list(index), 60):
+                expected = genchar_table2(mu, j, lam, i)
+                assert Fraction(weights[index[mu, j]], den) == expected, (mu, j, lam, i)
         full, split = Partition((n,)), Partition((n - 1, 1))
-        for lam, i in ((full, n), (split, 1), (split, n - 1), (Partition((1,) * n), 1)):
-            for m, value in genchar_column(lam, i).items():
-                assert value == genchar_table2(m.shape, m.mark, lam, i), (m, lam, i)
-        for r in range(n - 1, n + 4):
+        for r in (n - 1, n, n + 3):
             assert star_count(full, n, r) == star_count_closed(StarClosedCase.FULL_CYCLE, n, r)
             assert star_count(split, 1, r) == star_count_closed(
                 StarClosedCase.FIX_POINT_MARK1, n, r
+            )
+            assert star_count(split, n - 1, r) == star_count_closed(
+                StarClosedCase.TRANSPOSED_MARK, n, r
             )
         # a star (a n) times a fixed n-cycle is an (n-1)-cycle through n
         # for exactly one a: the one next to n on the cycle, which it fixes
         star = Partition((2,) + (1,) * (n - 2))
         assert connection_coefficient(split, n - 1, star, 2, full, n) == 1
+
+
+# a marked class of 13 <= n <= 30, drawn deterministically
+past_the_trace = st.integers(min_value=13, max_value=COLUMN_MAX_N).flatmap(
+    lambda n: st.sampled_from(_marked(n))
+)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(past_the_trace)
+def test_general_columns_up_to_the_cap(marked_class) -> None:
+    # no literal trace reaches here: the column summed over the marks of each
+    # sampled shape is chi, and for n <= GENCHAR_MAX_N sampled entries equal
+    # the marked rule
+    lam, i = marked_class
+    n = lam.n
+    column = genchar_column(lam, i)
+    rng = random.Random(f"{lam}@{i}")
+    for mu in rng.sample(enumerate_partitions(n), 40):
+        total = sum(column[MarkedPartition(mu, j)] for j in set(mu.parts))
+        assert total == chi(mu, lam), (mu, lam, i)
+    if n <= GENCHAR_MAX_N:
+        for m in rng.sample(list(column), 4):
+            assert column[m] == genchar_module._rule_value(m.shape, m.mark, lam, i), (
+                m, lam, i
+            )
 
 
 def test_non_integral_superscript_sum_is_an_inconsistency(monkeypatch) -> None:

@@ -57,6 +57,22 @@ def test_cli_import_skips_dataclasses_and_inspect() -> None:
     assert loaded == []
 
 
+def test_bench_worker_reads_only_exported_names() -> None:
+    # the benchmark worker resolves `nc.<name>` on the package (the tests
+    # cannot import bench/), so a name it reads must stay exported
+    worker = PACKAGE_DIR.parents[1] / "bench" / "worker.py"
+    tree = ast.parse(worker.read_text(encoding="utf-8"))
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "nc"
+    }
+    assert {"genchar", "genchar_strahov", "star_count"} <= read
+    assert sorted(name for name in read if not hasattr(nearcentral, name)) == []
+
+
 def test_permutations_sit_below_genchar_and_oracle() -> None:
     # a bare package object keeps nearcentral/__init__ from importing the rest
     loaded = _fresh(
