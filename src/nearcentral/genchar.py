@@ -26,11 +26,12 @@ cached set per n), else the rule, whose rim pass is cached per superscript
 (mu, j) and deepened only as far as the mark i asks.  Rows, a fixed (mu, j)
 against every class, are cached too (`genchar_row`); the row sums
 `subscript_sum_chi`, `weighted_sum` and `orthogonality_check` read them.
-Sums over every marked shape (mu, j) for one class (lam, i) read that
-class's cached integer column instead (`_column`), the seminormal pass.
-Its readers are `genchar_column`, the star-count spectra of `starcount`,
-and `multi_product_coefficient` (hence `connection_coefficient`), which
-sums the factor columns in integers and divides once.
+Sums over every marked shape (mu, j) for one class (lam, i) read its cached
+integer column instead (`_column`, the seminormal pass): `genchar_column`,
+the star-count spectra of `starcount` and `multi_product_coefficient`
+(hence `connection_coefficient`), which sums the factor columns in integers
+and divides once.  Every sum over the marked shapes of n takes their order
+and weights d_mu, d_{j_-(mu)}, c_{mu,j}, |C_{mu,j}| from `_marked_shapes`.
 
 Everything is exact: values are `fractions.Fraction`, never floats.  The
 rim pass and the lattice pass keep integer weights over powers of
@@ -56,8 +57,8 @@ from .errors import (
 from .partitions import (
     MarkedPartition,
     Partition,
+    _cycle_type_symmetry,
     decrement_part,
-    enumerate_marked_partitions,
     class_size,
     marked_class_size,
 )
@@ -221,13 +222,53 @@ def _table1_index(n: int) -> dict[MarkedPartition, Row]:
 
 
 # ---------------------------------------------------------------------------
+# the marked shapes of n
+
+
+class _MarkedShapes(NamedTuple):
+    marked: tuple[MarkedPartition, ...]  # in `enumerate_marked_partitions` order
+    index: dict[tuple[Partition, int], int]  # (mu, j) -> position
+    shape: tuple[int, ...]  # position of mu among the shapes of n
+    dim: tuple[int, ...]  # d_mu
+    reduced: tuple[int, ...]  # d_{j_-(mu)}
+    content: tuple[int, ...]  # c_{mu,j}
+    size: tuple[int, ...]  # |C_{mu,j}|
+
+
+@cache
+def _marked_shapes(n: int) -> _MarkedShapes:
+    # the marked shapes of n in column and row order, and the weights of the
+    # sums over them; each reader checks its limit on n first.  The mark j
+    # ends the lowest row r of length j: c_{mu,j} = j - 1 - r, j_-(mu)
+    # shortens row r (dropping it when j = 1), d_mu = sum_j d_{j_-(mu)} and
+    # |C_{mu,j}| = (n-1)! j m_j / prod_i i^m_i m_i!
+    mus, marks, shape, dim, reduced, content, size = [], [], [], [], [], [], []
+    below = {nu.parts: dimension(nu) for nu in _shapes(n - 1)} if n else {}
+    factorial = math.factorial(n - 1) if n else 0
+    for k, mu in enumerate(_shapes(n)):
+        parts, z, first = mu.parts, _cycle_type_symmetry(mu), len(marks)
+        for r, (j, after) in enumerate(zip(parts, parts[1:] + (0,))):
+            if j != after:
+                mus.append(mu)
+                marks.append(j)
+                shape.append(k)
+                reduced.append(below[parts[:r] + (j - 1,) * (j > 1) + parts[r + 1 :]])
+                content.append(j - 1 - r)
+                size.append(factorial * j * parts.count(j) // z)
+        dim += [sum(reduced[first:])] * (len(marks) - first)
+    return _MarkedShapes(
+        tuple(map(MarkedPartition, mus, marks)),
+        dict(zip(zip(mus, marks), itertools.count())),
+        *map(tuple, (shape, dim, reduced, content, size)),
+    )
+
+
+# ---------------------------------------------------------------------------
 # the seminormal trace
 
 # largest n of any sum over every marked shape of n: a gamma column, and so
 # every star count and product coefficient (`starcount` re-exports it as
-# STAR_COUNT_MAX_N); a cold column at n = 30 takes 0.5-0.65 s for (30)@30,
-# 0.6 s for (29,1)@29, 0.08 s for (29,1)@1 and up to 0.62 s for the
-# general classes timed
+# STAR_COUNT_MAX_N); a cold column at n = 30 takes 0.2-0.85 s
 COLUMN_MAX_N = 30
 
 
@@ -241,19 +282,12 @@ def _marked_count(n: int) -> int | str:
 
 def genchar_column(lam: Partition, i: int) -> dict[MarkedPartition, Fraction]:
     """gamma^{mu,j}_{lam,i} for every marked shape (mu, j) of n, keyed in
-    `enumerate_marked_partitions` order.
-
-    The values come from the cached integer column `_column`, which star
-    counts (`star_count`) and product coefficients
-    (`multi_product_coefficient`, `connection_coefficient`) read too: one
-    lattice pass of the seminormal trace over the marked block, for every
-    class up to COLUMN_MAX_N.  A larger n raises `GuardExceeded` naming the
-    marked shapes of n."""
+    `enumerate_marked_partitions` order, from the cached integer column
+    `_column`: one lattice pass of the seminormal trace over the marked
+    block, for every class up to COLUMN_MAX_N.  A larger n raises
+    `GuardExceeded` naming the marked shapes of n."""
     den, weights = _column(lam, i)
-    n = lam.n
-    return {
-        m: Fraction(w, den) for m, w in zip(enumerate_marked_partitions(n), weights)
-    }
+    return dict(zip(_marked_shapes(lam.n).marked, (Fraction(w, den) for w in weights)))
 
 
 @cache
@@ -274,7 +308,7 @@ def _column(lam: Partition, i: int) -> tuple[int, tuple[int, ...]]:
         )
     ends, den = _lattice_pass(lam, i)
     by_mark = {(shape, shape[r]): weight for (shape, r), weight in ends.items()}
-    weights = [by_mark.get((mu.parts, j), 0) for mu, j in _marked_index(n)]
+    weights = [by_mark.get((mu.parts, j), 0) for mu, j in _marked_shapes(n).index]
     common = math.gcd(den, *weights)
     return den // common, tuple(w // common for w in weights)
 
@@ -342,12 +376,6 @@ def _addable_cells(
         for r, length in enumerate(shape + (0,))
         if r == 0 or shape[r - 1] > length
     )
-
-
-@cache
-def _marked_index(n: int) -> dict[tuple[Partition, int], int]:
-    # position of each marked shape (mu, j) in enumerate_marked_partitions(n)
-    return {(m.shape, m.mark): t for t, m in enumerate(enumerate_marked_partitions(n))}
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +607,8 @@ def genchar_row(mu: Partition, j: int) -> dict[MarkedPartition, Fraction]:
     Classes with a closed form take it; the rest read levels of one cached
     rim pass from (mu, j), as `genchar` does.  n above GENCHAR_MAX_N raises
     `GuardExceeded` naming that pass."""
-    return dict(zip(enumerate_marked_partitions(mu.n), _row(mu, j)))
+    row = _row(mu, j)  # refuses a large n before the table of n is built
+    return dict(zip(_marked_shapes(mu.n).marked, row))
 
 
 @cache
@@ -591,9 +620,7 @@ def _row(mu: Partition, j: int) -> tuple[Fraction, ...]:
         raise _rule_refusal(
             mu, j, f"gamma row over the {_marked_count(mu.n)} marked classes"
         )
-    return tuple(
-        genchar(mu, j, m.shape, m.mark) for m in enumerate_marked_partitions(mu.n)
-    )
+    return tuple(genchar(mu, j, m.shape, m.mark) for m in _marked_shapes(mu.n).marked)
 
 
 def superscript_sum(mu: Partition, lam: Partition, i: int) -> int:
@@ -618,18 +645,11 @@ def subscript_sum_chi(mu: Partition, j: int, lam: Partition) -> Fraction:
     n = mu.n
     if lam.n != n:
         raise DomainError(f"{mu} and {lam} are partitions of different integers")
-    row, index = _row(mu, j), _marked_index(n)
-    total = sum(
-        (
-            marked_class_size(lam, i) * row[index[lam, i]]
-            for i in sorted(set(lam.parts))
-        ),
-        Fraction(0),
-    )
-    return (
-        Fraction(dimension(mu), class_size(lam) * dimension(decrement_part(mu, j)))
-        * total
-    )
+    row, table = _row(mu, j), _marked_shapes(n)
+    at = [table.index[lam, i] for i in sorted(set(lam.parts))]
+    total = sum((table.size[t] * row[t] for t in at), Fraction(0))
+    t = table.index[mu, j]
+    return Fraction(table.dim[t], class_size(lam) * table.reduced[t]) * total
 
 
 def weighted_sum(rho: Partition, ell: int, m: int) -> Fraction:
@@ -640,13 +660,12 @@ def weighted_sum(rho: Partition, ell: int, m: int) -> Fraction:
     Equals the elementary symmetric polynomial e_{n-m} of the contents of rho,
     i.e. a coefficient of the content polynomial.
     """
-    row = _row(rho, ell)
-    dd = dimension(decrement_part(rho, ell))
+    row, table = _row(rho, ell), _marked_shapes(rho.n)
     total = Fraction(0)
-    for marked, value in zip(enumerate_marked_partitions(rho.n), row):
+    for marked, size, value in zip(table.marked, table.size, row):
         if len(marked.shape) == m:
-            total += Fraction(marked_class_size(marked.shape, marked.mark), dd) * value
-    return total
+            total += size * value
+    return total / table.reduced[table.index[rho, ell]]
 
 
 def connection_coefficient(
@@ -681,7 +700,8 @@ def multi_product_coefficient(
     columns = [_column(mu, j)] + [_column(lam, i) for lam, i in factors]
     scale, weights = _product_weights(n, r)
     total = sum(map(math.prod, zip(weights, *(w for _, w in columns))))
-    numerator = math.prod(marked_class_size(lam, i) for lam, i in factors) * total
+    table = _marked_shapes(n)
+    numerator = math.prod(table.size[table.index[lam, i]] for lam, i in factors) * total
     denominator = math.factorial(n) * scale * math.prod(den for den, _ in columns)
     value, remainder = divmod(numerator, denominator)
     if remainder or value < 0:
@@ -694,13 +714,11 @@ def multi_product_coefficient(
 @cache
 def _product_weights(n: int, r: int) -> tuple[int, tuple[int, ...]]:
     # (scale, v): v[t] = d_rho scale / d_{ell_-(rho)}^r, an integer, for the
-    # t-th marked shape (rho, ell) of enumerate_marked_partitions(n)
-    pairs = [
-        (dimension(m.shape), dimension(decrement_part(m.shape, m.mark)) ** r)
-        for m in enumerate_marked_partitions(n)
-    ]
-    scale = math.lcm(*(dd // math.gcd(d, dd) for d, dd in pairs))
-    return scale, tuple(d * scale // dd for d, dd in pairs)
+    # t-th marked shape (rho, ell) of n
+    table = _marked_shapes(n)
+    powers = [dd**r for dd in table.reduced]
+    scale = math.lcm(*(dd // math.gcd(d, dd) for d, dd in zip(table.dim, powers)))
+    return scale, tuple(d * scale // dd for d, dd in zip(table.dim, powers))
 
 
 def orthogonality_check(lam: Partition, i: int, mu: Partition, j: int) -> Fraction:
@@ -710,9 +728,6 @@ def orthogonality_check(lam: Partition, i: int, mu: Partition, j: int) -> Fracti
     function computes the sum literally so callers can verify that.
     """
     n = _common_order(lam, i, mu, j)
-    total = Fraction(0)
-    for marked, left, right in zip(
-        enumerate_marked_partitions(n), _row(lam, i), _row(mu, j)
-    ):
-        total += marked_class_size(marked.shape, marked.mark) * left * right
+    left, right = _row(lam, i), _row(mu, j)
+    total = sum(map(math.prod, zip(_marked_shapes(n).size, left, right)), Fraction(0))
     return total / math.factorial(n)

@@ -2,9 +2,9 @@
 
 A star transposition moves the last symbol: (a n) for a < n.  The number of
 length-r sequences of stars multiplying to a fixed permutation depends only
-on its marked cycle type, and is a spectral sum over marked shapes weighted
-by powers of marked contents.  Three special shapes also admit closed forms
-as coefficients of hyperbolic generating functions.
+on its marked cycle type: a spectral sum over the marked shapes of n (one
+cached table in `genchar`) weighted by powers of marked contents.  Three
+special shapes also have closed forms from hyperbolic generating functions.
 """
 
 from __future__ import annotations
@@ -17,14 +17,9 @@ from operator import mul
 
 from .characters import _chi_column, _partition_counts, _shapes
 from .errors import DomainError, GuardExceeded, InconsistencyError
-from .genchar import COLUMN_MAX_N, _column
-from .partitions import (
-    Partition,
-    class_size,
-    decrement_part,
-    enumerate_marked_partitions,
-)
-from .tableaux import content_polynomial, dimension, marked_content
+from .genchar import COLUMN_MAX_N, _column, _marked_shapes
+from .partitions import Partition, class_size
+from .tableaux import content_polynomial, dimension
 
 __all__ = [
     "STAR_CLOSED_MAX",
@@ -43,10 +38,8 @@ __all__ = [
 STAR_CLOSED_MAX = 1000
 
 # largest n `star_count`, `star_count_class` and `star_count_by_cycle_count`
-# take: each sums over all p(n) shapes, or over every marked shape; at
-# n = 30 a cold class count takes about 0.2 s, a cold cycle count about 1 s
-# and a cold star count 0.75-1 s, (30)@30 and general classes alike; the
-# same limit as every gamma column's
+# take, the gamma columns' limit: at n = 30 a cold class count takes about
+# 0.25 s, a cold cycle count about 0.75 s and a cold star count 0.45-0.85 s
 STAR_COUNT_MAX_N = COLUMN_MAX_N
 
 
@@ -67,14 +60,11 @@ def _class_weights(n: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]]
     # as the corners of mu lie on distinct diagonals), so that
     # sum_mu f(mu) sum_j d_{j_-(mu)} c_{mu,j}^r is
     # sum_c c^r sum_a ws[a] f(mu_ks[a]) for any f on the shapes of n
+    table = _marked_shapes(n)
     weights: dict[int, dict[int, int]] = {}
-    for k, mu in enumerate(_shapes(n)):
-        for j in set(mu.parts):
-            c = marked_content(mu, j)
-            weights.setdefault(c, {})[k] = dimension(decrement_part(mu, j))
-    return tuple(
-        (c, tuple(weights[c]), tuple(weights[c].values())) for c in sorted(weights)
-    )
+    for k, c, dd in zip(table.shape, table.content, table.reduced):
+        weights.setdefault(c, {})[k] = dd
+    return tuple((c, tuple(w), tuple(w.values())) for c, w in sorted(weights.items()))
 
 
 def _weighted_power_sum(n: int, r: int, f: tuple[int, ...]) -> int:
@@ -97,23 +87,14 @@ def _cycle_columns(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @cache
-def _marked_terms(n: int) -> tuple[tuple[int, int], ...]:
-    # (d_mu, c_{mu,j}) for each marked shape (mu, j) of n, in the order of
-    # enumerate_marked_partitions(n), which is the order of a gamma column
-    return tuple(
-        (dimension(m.shape), marked_content(m.shape, m.mark))
-        for m in enumerate_marked_partitions(n)
-    )
-
-
-@cache
 def _star_spectrum(lam: Partition, i: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     # (den, ((c, w), ..)) in lowest terms: den times the sum of
     # d_mu gamma^{mu,j}_{lam,i} over the marked shapes (mu, j) with marked
     # content c is the integer w; the gammas are the integer column of (lam, i)
     den, weights = _column(lam, i)
+    table = _marked_shapes(lam.n)
     sums: dict[int, int] = {}
-    for (d, c), w in zip(_marked_terms(lam.n), weights):
+    for d, c, w in zip(table.dim, table.content, weights):
         sums[c] = sums.get(c, 0) + d * w
     common = math.gcd(den, *sums.values())
     return den // common, tuple((c, sums[c] // common) for c in sorted(sums))

@@ -144,6 +144,20 @@ def test_oracle_verify(capsys) -> None:
     assert doc["checks"] > 0
 
 
+def test_oracle_verify_guard(capsys, monkeypatch) -> None:
+    # n = 7 is refused before any n is verified; n = 6 gets through to the
+    # suite, which fails here on purpose
+    monkeypatch.setattr("nearcentral.oracle.enumerate_partitions", _refuse)
+    code, doc, _ = _invoke(capsys, ["oracle", "verify", "--max-n", "7"])
+    assert code == 2
+    assert doc["status"] == "error"
+    assert "the 5040 permutations of S_n at n=7" in doc["error"]
+    assert "exceeds the guard max_n=6" in doc["error"]
+    with pytest.raises(AssertionError):
+        run(["oracle", "verify", "--max-n", "6"])
+    capsys.readouterr()
+
+
 def test_usage_errors_exit_64(capsys) -> None:
     assert run(["nonsense"]) == 64
     capsys.readouterr()
@@ -293,7 +307,9 @@ def test_starfact_closed_guard_boundary(capsys, monkeypatch) -> None:
 )
 def test_starfact_length_guard_exceeded_exits_2(capsys, monkeypatch, argv, message) -> None:
     # refused before any spectrum or power is computed
-    for name in ("_star_spectrum", "_shapes", "_chi_column", "_class_weights"):
+    for name in (
+        "_star_spectrum", "_shapes", "_chi_column", "_class_weights", "_marked_shapes"
+    ):
         monkeypatch.setattr(f"nearcentral.starcount.{name}", _refuse)
     code, doc, _ = _invoke(capsys, argv)
     assert code == 2
@@ -325,7 +341,9 @@ def test_starfact_length_guard_boundary(capsys, monkeypatch) -> None:
 def test_starfact_size_guard(capsys, monkeypatch, command) -> None:
     # n = 31 is refused before any shape is listed; n = 30 gets through to
     # the computation, which fails here on purpose
-    for name in ("_star_spectrum", "_shapes", "_chi_column", "_class_weights"):
+    for name in (
+        "_star_spectrum", "_shapes", "_chi_column", "_class_weights", "_marked_shapes"
+    ):
         monkeypatch.setattr(f"nearcentral.starcount.{name}", _refuse)
     code, doc, _ = _invoke(capsys, [arg.format(n=31) for arg in command])
     assert code == 2

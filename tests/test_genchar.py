@@ -41,6 +41,7 @@ from nearcentral import (
     genchar_strahov,
     genchar_table2,
     marked_class_size,
+    marked_content,
     multi_product_coefficient,
     orthogonality_check,
     star_count,
@@ -663,7 +664,7 @@ def test_closed_columns_up_to_the_cap() -> None:
     # closed forms, up to n = 30
     for n in (13, 14, 21, 30):
         rng = random.Random(n)
-        index = genchar_module._marked_index(n)
+        index = genchar_module._marked_shapes(n).index
         for lam, i in sorted(genchar_module._closed_classes(n), key=str):
             den, weights = genchar_module._column(lam, i)
             for mu, j in rng.sample(list(index), 60):
@@ -682,6 +683,32 @@ def test_closed_columns_up_to_the_cap() -> None:
         # for exactly one a: the one next to n on the cycle, which it fixes
         star = Partition((2,) + (1,) * (n - 2))
         assert connection_coefficient(split, n - 1, star, 2, full, n) == 1
+
+
+def test_marked_shape_table() -> None:
+    # every field against the function that defines it for n <= 10, then
+    # three identities up to the column limit: the marked classes fill S_n,
+    # sum d_mu d_{j_-(mu)} = sum d_mu^2 = n!, and the branching rule
+    for n in range(11):
+        table = genchar_module._marked_shapes(n)
+        marked = enumerate_marked_partitions(n)
+        shapes = enumerate_partitions(n)
+        assert list(table.marked) == marked
+        assert table.index == {(m.shape, m.mark): t for t, m in enumerate(marked)}
+        assert [shapes[k] for k in table.shape] == [m.shape for m in marked]
+        assert list(table.dim) == [dimension(m.shape) for m in marked]
+        reduced = [dimension(decrement_part(m.shape, m.mark)) for m in marked]
+        assert list(table.reduced) == reduced
+        assert list(table.content) == [marked_content(m.shape, m.mark) for m in marked]
+        assert list(table.size) == [marked_class_size(m.shape, m.mark) for m in marked]
+    for n in range(1, COLUMN_MAX_N + 1):
+        table = genchar_module._marked_shapes(n)
+        assert sum(table.size) == math.factorial(n)
+        assert sum(map(math.prod, zip(table.dim, table.reduced))) == math.factorial(n)
+        branching: dict[int, int] = defaultdict(int)
+        for k, dd in zip(table.shape, table.reduced):
+            branching[k] += dd
+        assert [branching[k] for k in table.shape] == list(table.dim)
 
 
 # a marked class of 13 <= n <= 30, drawn deterministically

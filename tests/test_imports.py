@@ -133,6 +133,26 @@ def test_modules_use_every_name_they_import() -> None:
     assert not unused
 
 
+def test_marked_shapes_are_listed_in_three_places_only() -> None:
+    # a sum over the marked shapes of n reads genchar's cached table
+    # (`_marked_shapes`); besides the table, only the `partitions --marked`
+    # listing and the oracle, a verifier kept independent, may list them
+    allowed = {("genchar.py", "_marked_shapes"), ("cli.py", "_cmd_partitions")}
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = (path.name, getattr(top, "name", "<module>"))
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call) or where in allowed:
+                    continue
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called == "enumerate_marked_partitions":
+                    found.append(f"{path.name}:{node.lineno} in {where[1]}")
+    assert not found
+
+
 def test_modules_have_no_assert_statements() -> None:
     # `python -O` strips assert statements, so a check written as one vanishes
     found = [

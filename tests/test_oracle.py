@@ -357,6 +357,21 @@ def test_run_verify_small() -> None:
     assert all(isinstance(line, str) for line in checks)
 
 
+def test_run_verify_is_refused_past_n6(monkeypatch) -> None:
+    # refused before any n is verified; at the limit the suite starts, and
+    # fails here on purpose, since a real run at n = 6 takes about 20 s
+    def refuse(*args) -> None:
+        raise AssertionError(f"verified {args}")
+
+    monkeypatch.setattr(oracle, "enumerate_partitions", refuse)
+    with pytest.raises(GuardExceeded, match="5040 permutations of S_n at n=7 exceeds"):
+        run_verify(7)
+    with pytest.raises(GuardExceeded, match="more than 10.18 permutations of S_n"):
+        run_verify(10**6)
+    with pytest.raises(AssertionError, match="verified"):
+        run_verify(6)
+
+
 def test_guards_reject_oversized_inputs() -> None:
     with pytest.raises(GuardExceeded):
         class_sum(Partition((12,)), 12, 12, max_n=9)

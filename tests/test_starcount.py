@@ -121,7 +121,9 @@ def _refuse(*args) -> None:
 def test_star_counts_are_refused_past_the_length_limit(monkeypatch) -> None:
     limit = STAR_CLOSED_MAX
     lam = Partition((3, 2, 1))
-    for name in ("_star_spectrum", "_shapes", "_chi_column", "_class_weights"):
+    for name in (
+        "_star_spectrum", "_shapes", "_chi_column", "_class_weights", "_marked_shapes"
+    ):
         monkeypatch.setattr(f"nearcentral.starcount.{name}", _refuse)
     with pytest.raises(GuardExceeded, match=f"r = {limit + 1} sums powers c\\^r"):
         star_count(lam, 2, limit + 1)
@@ -141,7 +143,9 @@ def test_star_counts_are_refused_past_the_length_limit(monkeypatch) -> None:
 def test_star_counts_are_refused_past_the_size_limit(monkeypatch) -> None:
     limit = STAR_COUNT_MAX_N
     assert limit >= 18  # the benchmark and the tests count up to n = 18
-    for name in ("_star_spectrum", "_shapes", "_chi_column", "_class_weights"):
+    for name in (
+        "_star_spectrum", "_shapes", "_chi_column", "_class_weights", "_marked_shapes"
+    ):
         monkeypatch.setattr(f"nearcentral.starcount.{name}", _refuse)
     past = Partition((limit + 1,))
     shapes = re.escape(f"n = {limit + 1} sums over p({limit + 1}) = 6842 shapes")
