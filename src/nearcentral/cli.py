@@ -2,8 +2,8 @@
 
 Every invocation writes exactly one JSON document to standard output (the
 character table can be requested as CSV instead); diagnostics go to standard
-error.  Exit status: 0 success, 1 domain error or verification mismatch,
-2 guard exceeded, 64 usage error, 70 internal inconsistency (a library
+error.  Exit status: 0 success, 1 domain error, 2 guard exceeded, 64 usage
+error, 70 internal inconsistency or verification mismatch (a library
 defect, EX_SOFTWARE).
 """
 
@@ -299,7 +299,7 @@ def run(argv: list[str] | None = None) -> int:
                 "rhs": exc.rhs,
             }
         )
-        return 1
+        return INCONSISTENCY_EXIT
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         _emit({"status": "error", "error": str(exc)})

@@ -8,7 +8,7 @@ numbers three ways, plus the structure constants and orthogonality sums
 built from them:
 
 - closed forms (`genchar_table2`), chiefly the Jucys-Murphy polynomials of
-  Table 1 evaluated at contents;
+  Table 1 evaluated at contents, for n <= STAR_CLOSED_MAX;
 - the marked Murnaghan-Nakayama rule (`genchar`, `genchar_row`) for every
   other class at n <= GENCHAR_MAX_N: gamma^{mu,j}_{lam,i} is the sum over
   nu of chi^nu on lam less one part i, times a marked rim factor that one
@@ -16,10 +16,13 @@ built from them:
 - a trace in Young's seminormal form (`genchar_column`), a sum over the
   standard tableaux run as paths in Young's lattice, for every class at
   n <= COLUMN_MAX_N: one forward pass over the marked block's i cells,
-  started from chi on lam less one part i, gives a whole column.
+  started from chi on lam less one part i, gives a whole column
+  (`_lattice_pass`).
 
 The character sum over S_{n-1} (`oracle.genchar_strahov`) is their
-verifier.
+verifier.  Both passes, like the chi kernels of `characters`, hold a shape
+as its beta-number set in the bits of one int: the rim pass over len(mu)
+rows, the lattice pass over n rows.
 
 The dispatcher `genchar` takes the closed form when the class has one (a
 cached set per n), else the rule, whose rim pass is cached per superscript
@@ -47,7 +50,14 @@ from fractions import Fraction
 from functools import cache
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .characters import _beta_mask, _chi_column, _mn, _partition_counts, _shapes
+from .characters import (
+    _beta_mask,
+    _chi_column,
+    _mn,
+    _partition_counts,
+    _shape_masks,
+    _shapes,
+)
 from .errors import (
     DomainError,
     GuardExceeded,
@@ -71,6 +81,7 @@ __all__ = [
     "evaluate_asf",
     "COLUMN_MAX_N",
     "GENCHAR_MAX_N",
+    "STAR_CLOSED_MAX",
     "genchar_column",
     "genchar_table2",
     "genchar_hook_row",
@@ -294,9 +305,9 @@ def genchar_column(lam: Partition, i: int) -> dict[MarkedPartition, Fraction]:
 def _column(lam: Partition, i: int) -> tuple[int, tuple[int, ...]]:
     # (den, weights) in lowest terms: gamma^{mu,j}_{lam,i} is weights[t] / den
     # for the t-th marked shape (mu, j) of enumerate_marked_partitions(n).
-    # The summed weight of the paths that end on mu with n's cell in a row
-    # of length j is the value at (mu, j); a marked shape no path reaches
-    # has the value 0.
+    # The summed weight of the paths that end on mu with n's cell at content
+    # c_{mu,j} is the value at (mu, j); a marked shape no path reaches has
+    # the value 0.
     if i not in lam:
         raise DomainError(f"mark {i} is not a part of {lam}")
     n = lam.n
@@ -307,15 +318,13 @@ def _column(lam: Partition, i: int) -> tuple[int, tuple[int, ...]]:
             f"the limit is n <= {COLUMN_MAX_N}"
         )
     ends, den = _lattice_pass(lam, i)
-    by_mark = {(shape, shape[r]): weight for (shape, r), weight in ends.items()}
-    weights = [by_mark.get((mu.parts, j), 0) for mu, j in _marked_shapes(n).index]
+    table, masks = _marked_shapes(n), _shape_masks(n)
+    weights = [ends.get(masks[k], {}).get(c, 0) for k, c in zip(table.shape, table.content)]
     common = math.gcd(den, *weights)
     return den // common, tuple(w // common for w in weights)
 
 
-def _lattice_pass(
-    lam: Partition, i: int
-) -> tuple[dict[tuple[tuple[int, ...], int], int], int]:
+def _lattice_pass(lam: Partition, i: int) -> tuple[dict[int, dict[int, int]], int]:
     # K_{lam,i} commutes with S_{n-1}, so it acts by a scalar on the block of
     # V^mu that restricts to j_-(mu), and gamma^{mu,j}_{lam,i} is the trace
     # of rho^mu(pi) on that block for any pi in (lam, i).  A Young basis is
@@ -336,46 +345,47 @@ def _lattice_pass(
     # and rho^mu(pi)_{T,T} = prod_k 1 / r_k(T).
     #
     # The sum over tableaux runs as paths in Young's lattice: place the
-    # symbols one cell at a time and keep, per (shape so far, row of the
-    # last cell), the summed weight of the tableaux that reach it.  The
+    # symbols one cell at a time and keep, per shape so far and content of
+    # the last cell, the summed weight of the tableaux that reach it.  The
     # symbols 1 .. n-i carry pi's other cycles, so the paths up to there sum,
     # per shape nu of n-i, to the ordinary trace chi^nu_{lam minus i}: the
     # pass starts from that chi column.  s_{n-i} ends a block, so placing
     # n-i+1 is unlinked; each later step divides by r with 0 < |r| <= n - 1,
-    # i.e. multiplies by scale // r exactly, scale = lcm(1..n-1).  Returns
-    # the states after n cells, integers over scale^(i - 1), and that
-    # denominator.
-    n = lam.n
-    parts = lam.parts
+    # i.e. multiplies by scale // r exactly, scale = lcm(1..n-1).
+    #
+    # A shape is its beta-number set over n rows, held as the bits of one
+    # int, and the states are {mask: {content of the last cell: weight}}, so
+    # a mask's addable cells are found once for all of its contents.  Adding
+    # a cell to row k moves bead b = nu_k + n - 1 - k up onto a free b + 1,
+    # and the cell's content is b + 1 - n.  A step multiplies by step[r]: 1
+    # for the unlinked cell, then link[r] = scale // r.  The pair
+    # (mu, content) is the marked shape (mu, j), because the corners of mu
+    # lie on distinct diagonals.  Returns the states after n cells, keyed by
+    # the mask without zero rows as `_shape_masks` holds it, integers over
+    # scale^(i - 1), and that denominator.
+    n, parts = lam.n, lam.parts
     t = parts.index(i)
     scale = math.lcm(*range(1, n))
-    states: dict[tuple[tuple[int, ...], int], int] = {}
-    for nu, weight in zip(_shapes(n - i), _chi_column(parts[:t] + parts[t + 1 :])):
-        if weight:
-            for key, _ in _addable_cells(nu.parts):
-                states[key] = states.get(key, 0) + weight
-    for _ in range(i - 1):
-        grown: dict[tuple[tuple[int, ...], int], int] = {}
-        for (shape, last), weight in states.items():
-            last_content = shape[last] - 1 - last
-            for key, content in _addable_cells(shape):
-                step = weight * (scale // (content - last_content))
-                grown[key] = grown.get(key, 0) + step
+    link = {d: scale // d for d in range(1 - n, n) if d}
+    chis = zip(_shape_masks(n - i), _chi_column(parts[:t] + parts[t + 1 :]))
+    # one set bit per zero row; the start's content key meets only the
+    # unlinked step's 1s
+    states = {(m + 1 << n - m.bit_count()) - 1: {0: w} for m, w in chis if w}
+    for step in [dict.fromkeys(range(1 - n, n), 1)] + [link] * (i - 1):
+        grown: dict[int, dict[int, int]] = {}
+        for mask, lasts in states.items():
+            # a bead b with b + 1 free ends a row that can take a cell
+            addable = mask & ~(mask >> 1)
+            while addable:
+                bead = addable & -addable
+                addable ^= bead
+                content = bead.bit_length() - n
+                weight = 0
+                for c, w in lasts.items():
+                    weight += w * step[content - c]
+                grown.setdefault(mask ^ bead ^ bead << 1, {})[content] = weight
         states = grown
-    return states, scale ** (i - 1)
-
-
-@cache
-def _addable_cells(
-    shape: tuple[int, ...],
-) -> tuple[tuple[tuple[tuple[int, ...], int], int], ...]:
-    # ((shape plus the cell, its row), the cell's content) for each cell that
-    # can be added to `shape`; row len(shape) opens a new row
-    return tuple(
-        ((shape[:r] + (length + 1,) + shape[r + 1 :], r), length - r)
-        for r, length in enumerate(shape + (0,))
-        if r == 0 or shape[r - 1] > length
-    )
+    return {_without_zero_rows(m): w for m, w in states.items()}, scale ** (i - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +517,23 @@ def _closed_classes(n: int) -> frozenset[tuple[Partition, int]]:
 # ---------------------------------------------------------------------------
 # closed-form rows
 
+# largest n of a closed-form gamma and of `starcount.star_count_closed`, and
+# largest r every star count takes.  Every closed-form gamma tried at
+# n = 1000 takes at most 4 ms, but its dimensions of shapes of n grow like
+# sqrt(n!): (99997,2,1)@1 on (99999,1)@99999 took 8.7 s.  In `starcount`
+# the transposed-mark case needs O(n) near-hook dimensions, which cost about
+# n^3 (a cold n = 1000 takes about a second), and r sets the bit length of
+# every power c^r (`star_count_class` at n = 18 took 2.5 s at r = 10^5)
+STAR_CLOSED_MAX = 1000
+
+
+def _check_closed(n: int) -> None:
+    if n > STAR_CLOSED_MAX:
+        raise GuardExceeded(
+            f"closed-form gamma at n={n} works with dimensions of shapes of n; "
+            f"the limit is n <= {STAR_CLOSED_MAX}"
+        )
+
 
 def _common_order(mu: Partition, j: int, lam: Partition, i: int) -> int:
     if j not in mu:
@@ -541,9 +568,10 @@ def genchar_table2(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
     long cycle gives the hook row; any class with a Table 1 polynomial f
     gives f(contents of (mu, j)) d_{j_-(mu)} / |C_{lam,i}|, because K_{lam,i}
     acts on Gamma^{mu,j} by that scalar.  Other classes raise
-    `UnsupportedPattern`.
+    `UnsupportedPattern`, and n above STAR_CLOSED_MAX raises `GuardExceeded`.
     """
     n = _common_order(mu, j, lam, i)
+    _check_closed(n)
     if lam.parts == (1,) * n:
         return Fraction(dimension(decrement_part(mu, j)))
     # below n = 5 Table 1 already holds this class
@@ -556,12 +584,14 @@ def genchar_table2(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
 
 
 def genchar_hook_row(mu: Partition, j: int) -> Fraction:
-    """gamma^{mu,j}_{(n-1,1), n-1} in closed form, for n >= 3."""
+    """gamma^{mu,j}_{(n-1,1), n-1} in closed form, for 3 <= n <= STAR_CLOSED_MAX;
+    a larger n raises `GuardExceeded`."""
     n = mu.n
     if n < 3:
         raise DomainError("the near-fixed-point row needs n >= 3")
     if j not in mu:
         raise DomainError(f"mark {j} is not a part of {mu}")
+    _check_closed(n)
     parts = mu.parts
     if parts == (n,):
         return Fraction(1)
@@ -589,9 +619,9 @@ def genchar_hook_row(mu: Partition, j: int) -> Fraction:
 @cache
 def genchar(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
     """gamma^{mu,j}_{lam,i}: the closed form of `genchar_table2` when the
-    class has one, else the marked Murnaghan-Nakayama rule, for
-    n <= GENCHAR_MAX_N; a larger n raises `GuardExceeded` naming the rim
-    pass it would take."""
+    class has one (n <= STAR_CLOSED_MAX), else the marked Murnaghan-Nakayama
+    rule, for n <= GENCHAR_MAX_N; a larger n raises `GuardExceeded` naming
+    n and the limit, or the rim pass it would take."""
     n = _common_order(mu, j, lam, i)
     if (lam, i) in _closed_classes(n):
         return genchar_table2(mu, j, lam, i)

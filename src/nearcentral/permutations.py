@@ -1,8 +1,9 @@
 """Permutations of {1, .., n} in one-line notation.
 
 A permutation is a tuple of images, 1-indexed, composed right to left.  The
-character-sum formula in `genchar` works on raw tuples in its inner loop and
-counts them by `cycle_lengths`; the oracle works with `Permutation` objects.
+character-sum formula in `oracle` (`genchar_strahov`) works on raw tuples in
+its inner loop and counts them by `cycle_lengths`; the rest of the oracle
+works with `Permutation` objects.
 """
 
 from __future__ import annotations

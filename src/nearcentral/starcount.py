@@ -17,7 +17,7 @@ from operator import mul
 
 from .characters import _chi_column, _partition_counts, _shapes
 from .errors import DomainError, GuardExceeded, InconsistencyError
-from .genchar import COLUMN_MAX_N, _column, _marked_shapes
+from .genchar import COLUMN_MAX_N, STAR_CLOSED_MAX, _column, _marked_shapes
 from .partitions import Partition, class_size
 from .tableaux import content_polynomial, dimension
 
@@ -30,12 +30,6 @@ __all__ = [
     "star_count_class",
     "star_count_by_cycle_count",
 ]
-
-# largest n `star_count_closed` takes, and largest r every star count takes;
-# the transposed-mark case needs O(n) near-hook dimensions, which cost about
-# n^3 (a cold n = 1000 takes about a second), and r sets the bit length of
-# every power c^r (`star_count_class` at n = 18 took 2.5 s at r = 10^5)
-STAR_CLOSED_MAX = 1000
 
 # largest n `star_count`, `star_count_class` and `star_count_by_cycle_count`
 # take, the gamma columns' limit: at n = 30 a cold class count takes about

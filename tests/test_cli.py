@@ -4,7 +4,11 @@ import importlib
 import json
 import pytest
 
-from nearcentral import enumerate_marked_partitions, enumerate_partitions
+from nearcentral import (
+    VerificationError,
+    enumerate_marked_partitions,
+    enumerate_partitions,
+)
 from nearcentral.cli import run
 
 
@@ -144,6 +148,18 @@ def test_oracle_verify(capsys) -> None:
     assert doc["checks"] > 0
 
 
+def test_oracle_verify_mismatch_exits_70(capsys, monkeypatch) -> None:
+    # a failed identity in the suite is a library defect, not bad input
+    def mismatch(max_n: int) -> list[str]:
+        raise VerificationError("sum over j", 1, 2)
+
+    monkeypatch.setattr("nearcentral.cli.run_verify", mismatch)
+    code, doc, err = _invoke(capsys, ["oracle", "verify", "--max-n", "3"])
+    assert code == 70
+    assert doc == {"status": "mismatch", "check": "sum over j", "lhs": "1", "rhs": "2"}
+    assert "verification mismatch in sum over j" in err
+
+
 def test_oracle_verify_guard(capsys, monkeypatch) -> None:
     # n = 7 is refused before any n is verified; n = 6 gets through to the
     # suite, which fails here on purpose
@@ -206,6 +222,23 @@ def test_genchar_guard_exceeded_exits_2(capsys, monkeypatch) -> None:
         run(["genchar", "--n", "26", "--mu", "9,7,4,3,2,1", "--j", "4",
              "--lambda", "9,7,4,3,2,1", "--i", "4"])
     capsys.readouterr()
+
+
+def test_closed_form_genchar_guard(capsys) -> None:
+    # a class with a closed form: n = 1000 is answered, n = 1001 is refused
+    def argv(n: int, method: str) -> list[str]:
+        return ["genchar", "--n", str(n), "--mu", f"{n - 1},1", "--j", "1",
+                "--lambda", str(n), "--i", str(n), "--method", method]
+
+    for method in ("auto", "table"):
+        code, doc, _ = _invoke(capsys, argv(1000, method))
+        assert code == 0
+        assert doc["value"] == "-1/999"
+        code, doc, _ = _invoke(capsys, argv(1001, method))
+        assert code == 2
+        assert doc["status"] == "error"
+        assert "closed-form gamma at n=1001" in doc["error"]
+        assert "the limit is n <= 1000" in doc["error"]
 
 
 def test_connection_column_guard(capsys, monkeypatch) -> None:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from nearcentral import (
     COLUMN_MAX_N,
     GENCHAR_MAX_N,
+    STAR_CLOSED_MAX,
     STAR_COUNT_MAX_N,
     DomainError,
     GuardExceeded,
@@ -321,6 +322,30 @@ def test_hook_row_agrees_with_strahov() -> None:
                 mu.parts,
                 j,
             )
+
+
+def test_closed_forms_are_refused_past_n1000() -> None:
+    # every closed form works with dimensions of shapes of n: n = 1000 is
+    # answered (by the paper's formulas), n = 1001 is refused, also through
+    # the dispatcher
+    assert STAR_CLOSED_MAX == 1000
+    for n, answered in ((1000, True), (1001, False)):
+        hook, near = Partition((n - 3, 1, 1, 1)), Partition((n - 4, 2, 1, 1))
+        top, fixed = Partition((n,)), Partition((n - 1, 1))
+        cases = [
+            (lambda: genchar_table2(hook, 1, top, n), Fraction(-3, n - 1)),
+            (lambda: genchar(near, 2, fixed, 1), Fraction(-1)),
+            (lambda: genchar(hook, 1, fixed, n - 1), Fraction(-1, n - 1)),
+            (lambda: genchar_hook_row(hook, 1), Fraction(-1, n - 1)),
+            (lambda: genchar(hook, n - 3, Partition((1,) * n), 1), math.comb(n - 2, 3)),
+        ]
+        for value, expected in cases:
+            if answered:
+                assert value() == expected
+            else:
+                refusal = f"closed-form gamma at n={n} .*the limit is n <= 1000"
+                with pytest.raises(GuardExceeded, match=refusal):
+                    value()
 
 
 def test_dispatcher_examples() -> None:

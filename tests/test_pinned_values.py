@@ -1,9 +1,9 @@
-"""Every small value of the spectral layer, pinned by one digest.
+"""Every small value of the spectral layer, pinned by digests.
 
-The digest was computed once over the lines below and is checked on every
-run, so any change to a generalized character, a star count or a
-connection coefficient at these sizes fails here, whatever route produced
-it.
+Each digest was computed once over its lines below and is checked on every
+run, so any change to a generalized character, a gamma column, a star count
+or a connection coefficient at these sizes fails here, whatever route
+produced it.
 """
 
 from __future__ import annotations
@@ -14,13 +14,18 @@ from typing import Iterator
 
 from nearcentral import (
     MarkedPartition,
+    Partition,
     connection_coefficient,
     enumerate_marked_partitions,
     genchar,
+    genchar_column,
     star_count,
 )
 
 PINNED_SHA256 = "49b92f1ca05a5163b588f382eeb7f2696a8c1a39c5322f755dc5e71af3446079"
+PINNED_COLUMNS_SHA256 = (
+    "86cfca91c6aeeeb87924b1606a67117d90d88c3720ffcf0fd412f41d5db61839"
+)
 
 
 def _label(m: MarkedPartition) -> str:
@@ -49,8 +54,31 @@ def _lines() -> Iterator[str]:
             yield f"connection {_label(a)} {_label(b)} {_label(c)} {value}"
 
 
-def test_pinned_spectral_values() -> None:
+def _column_lines() -> Iterator[str]:
+    # every gamma column with n <= 12, then four deep marks at n = 16..30
+    classes = [m for n in range(1, 13) for m in enumerate_marked_partitions(n)]
+    for parts, mark in [
+        ((5, 4, 3, 2, 1, 1), 4),
+        ((6, 5, 4, 3, 2), 3),
+        ((7, 6, 5, 4, 3, 1), 5),
+        ((8, 7, 6, 5, 4), 4),
+    ]:
+        classes.append(MarkedPartition(Partition(parts), mark))
+    for sub in classes:
+        for sup, value in genchar_column(sub.shape, sub.mark).items():
+            yield f"column {_label(sub)} {_label(sup)} {value}"
+
+
+def _digest(lines: Iterator[str]) -> str:
     digest = hashlib.sha256()
-    for line in _lines():
+    for line in lines:
         digest.update(line.encode() + b"\n")
-    assert digest.hexdigest() == PINNED_SHA256
+    return digest.hexdigest()
+
+
+def test_pinned_spectral_values() -> None:
+    assert _digest(_lines()) == PINNED_SHA256
+
+
+def test_pinned_gamma_columns() -> None:
+    assert _digest(_column_lines()) == PINNED_COLUMNS_SHA256

@@ -32,6 +32,7 @@ from nearcentral import (
     star_count_by_cycle_count,
     star_count_class,
     star_count_closed,
+    star_walk,
 )
 
 
@@ -49,6 +50,16 @@ def test_star_count_matches_brute_force_tables() -> None:
             table = jm_power_coefficients(n, r)
             for m, v in table.items():
                 assert star_count(m.shape, m.mark, r) == v
+
+
+def test_star_counts_at_n14_equal_the_walk() -> None:
+    # every marked class of 14 and every r <= 16, 6,341 counts, against the
+    # integer walk over marked cycle types, which needs no gamma
+    walk = star_walk(14, 16)
+    for m in enumerate_marked_partitions(14):
+        size = marked_class_size(m.shape, m.mark)
+        for r, totals in enumerate(walk):
+            assert star_count(m.shape, m.mark, r) * size == totals.get(m, 0), (m, r)
 
 
 def test_star_count_parity_vanishing() -> None:
