@@ -13,7 +13,6 @@ from .errors import (
     GuardExceeded,
     InconsistencyError,
     UnsupportedPattern,
-    default_guard,
 )
 from .partitions import (
     MarkedPartition,
@@ -59,6 +58,7 @@ from .genchar import (
     weighted_sum,
 )
 from .oracle import (
+    ORACLE_MAX_N,
     GroupAlgebraElement,
     VerificationError,
     central_idempotent,

@@ -698,6 +698,16 @@ def weighted_sum(rho: Partition, ell: int, m: int) -> Fraction:
     return total / table.reduced[table.index[rho, ell]]
 
 
+def _as_count(total: int, denominator: int, what: str) -> int:
+    """total / denominator (denominator > 0), which must be a nonnegative
+    integer; one integer division, a Fraction only to word a failure."""
+    value, remainder = divmod(total, denominator)
+    if remainder or value < 0:
+        shown = Fraction(total, denominator)
+        raise InconsistencyError(f"{what} came out as {shown}, not a count")
+    return value
+
+
 def connection_coefficient(
     lam: Partition, i: int, mu: Partition, j: int, nu: Partition, k: int
 ) -> int:
@@ -733,12 +743,7 @@ def multi_product_coefficient(
     table = _marked_shapes(n)
     numerator = math.prod(table.size[table.index[lam, i]] for lam, i in factors) * total
     denominator = math.factorial(n) * scale * math.prod(den for den, _ in columns)
-    value, remainder = divmod(numerator, denominator)
-    if remainder or value < 0:
-        raise InconsistencyError(
-            f"product coefficient came out as {Fraction(numerator, denominator)}"
-        )
-    return value
+    return _as_count(numerator, denominator, "product coefficient")
 
 
 @cache

@@ -3,8 +3,9 @@
 Everything here is computed from first principles: permutations as tuples of
 images, algebra elements as literal dictionaries of rational coefficients,
 idempotents as explicit character sums over the whole group.  Factorial cost
-throughout, so the main entry points are guarded; the point is to be an
-independent ground truth for the closed-form code.
+throughout, so every entry point that lists S_n or S_{n-1} refuses n past
+the fixed `ORACLE_MAX_N` = 9; the point is to be an independent ground truth
+for the closed-form code.
 
 Beside the group algebra, `star_walk` recounts star factorizations as an
 integer walk over marked cycle types, cheap far past where S_n can be
@@ -30,7 +31,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .characters import chi
-from .errors import DomainError, GuardExceeded, check_guard
+from .errors import DomainError, GuardExceeded
 from .genchar import JMVariables, Row, _common_order, genchar, table1_rows
 from .partitions import (
     MarkedPartition,
@@ -44,6 +45,7 @@ from .permutations import Permutation, cycle_lengths
 from .tableaux import dimension, marked_content
 
 __all__ = [
+    "ORACLE_MAX_N",
     "Permutation",
     "GroupAlgebraElement",
     "ga_multiply",
@@ -61,6 +63,19 @@ __all__ = [
     "VerificationError",
     "run_verify",
 ]
+
+# largest n whose group the oracle lists: S_9 has 362,880 permutations,
+# about the most pure Python enumerates in reasonable time
+ORACLE_MAX_N = 9
+
+# most star sequences `enumerate_star_factorizations` walks one by one
+_STAR_SEQUENCES_MAX = 10**7
+
+
+def check_guard(n: int, limit: int, what: str) -> None:
+    """Raise GuardExceeded when n is past limit."""
+    if n > limit:
+        raise GuardExceeded(f"{what} at n={n} exceeds the guard max_n={limit}")
 
 
 class GroupAlgebraElement:
@@ -289,9 +304,7 @@ def _classified_pool(n: int) -> tuple[tuple[Permutation, Partition, int], ...]:
     )
 
 
-def class_sum(
-    lam: Partition, i: int, n: int | None = None, *, max_n: int | None = None
-) -> GroupAlgebraElement:
+def class_sum(lam: Partition, i: int, n: int | None = None) -> GroupAlgebraElement:
     """Sum of all permutations with cycle type lam and n on an i-cycle."""
     if n is None:
         n = lam.n
@@ -299,7 +312,7 @@ def class_sum(
         raise DomainError(f"{lam} is not a partition of {n}")
     if i not in lam:
         raise DomainError(f"mark {i} is not a part of {lam}")
-    check_guard(n, max_n, "marked class enumeration")
+    check_guard(n, ORACLE_MAX_N, "marked class enumeration")
     shape = lam.parts
     terms = {
         perm: Fraction(1)
@@ -319,12 +332,10 @@ def jm_element(k: int, n: int) -> GroupAlgebraElement:
     return GroupAlgebraElement._make(n, terms)
 
 
-def central_idempotent(
-    lam: Partition, *, max_n: int | None = None
-) -> GroupAlgebraElement:
+def central_idempotent(lam: Partition) -> GroupAlgebraElement:
     """The primitive central idempotent of C[S_n] attached to lam."""
     n = lam.n
-    check_guard(n, max_n, "central idempotent expansion")
+    check_guard(n, ORACLE_MAX_N, "central idempotent expansion")
     d = dimension(lam)
     nf = math.factorial(n)
     terms = {
@@ -344,9 +355,7 @@ def _embed(g: GroupAlgebraElement, n: int) -> GroupAlgebraElement:
     )
 
 
-def z1_idempotent(
-    lam: Partition, i: int, *, max_n: int | None = None
-) -> GroupAlgebraElement:
+def z1_idempotent(lam: Partition, i: int) -> GroupAlgebraElement:
     """Primitive idempotent of the marked-class algebra for (lam, i).
 
     The product of the central idempotent for lam with the embedded central
@@ -355,15 +364,15 @@ def z1_idempotent(
     n = lam.n
     if i not in lam:
         raise DomainError(f"mark {i} is not a part of {lam}")
-    check_guard(n, max_n, "marked idempotent expansion")
+    check_guard(n, ORACLE_MAX_N, "marked idempotent expansion")
     return _z1_idempotent_cached(lam, i)
 
 
 @cache
 def _z1_idempotent_cached(lam: Partition, i: int) -> GroupAlgebraElement:
     n = lam.n
-    top = central_idempotent(lam, max_n=n)
-    reduced = central_idempotent(decrement_part(lam, i), max_n=n)
+    top = central_idempotent(lam)
+    reduced = central_idempotent(decrement_part(lam, i))
     return ga_multiply(top, _embed(reduced, n))
 
 
@@ -421,15 +430,13 @@ def is_near_central(g: GroupAlgebraElement) -> bool:
     return True
 
 
-def jm_power_coefficients(
-    n: int, r: int, *, max_n: int | None = None
-) -> dict[MarkedPartition, Fraction]:
+def jm_power_coefficients(n: int, r: int) -> dict[MarkedPartition, Fraction]:
     """Full marked-class coefficient table of J_n to the power r."""
     if n < 1:
         raise DomainError("n must be positive")
     if r < 0:
         raise DomainError("power must be nonnegative")
-    check_guard(n, max_n, "Jucys-Murphy power expansion")
+    check_guard(n, ORACLE_MAX_N, "Jucys-Murphy power expansion")
     jm = jm_element(n, n) if n >= 2 else GroupAlgebraElement.zero(1)
     g = GroupAlgebraElement.one(n)
     for _ in range(r):
@@ -455,23 +462,22 @@ def _marked_decomposition(
     return out
 
 
-def enumerate_star_factorizations(
-    pi: Permutation, r: int, *, max_sequences: int = 10_000_000
-) -> int:
+def enumerate_star_factorizations(pi: Permutation, r: int) -> int:
     """Count length-r sequences of star transpositions multiplying to pi.
 
     Stars are the transpositions (a n) for a < n and the product is taken in
     sequence order.  Literal depth-first enumeration over all (n-1)^r
-    sequences, guarded by max_sequences.
+    sequences, refused past `_STAR_SEQUENCES_MAX` of them.
     """
     n = pi.n
     if r < 0:
         raise DomainError("length must be nonnegative")
     if n < 2:
         return 1 if r == 0 else 0
-    if (n - 1) ** r > max_sequences:
+    if (n - 1) ** r > _STAR_SEQUENCES_MAX:
         raise GuardExceeded(
-            f"{(n - 1) ** r} sequences exceed the enumeration budget {max_sequences}"
+            f"{(n - 1) ** r} sequences exceed the enumeration budget "
+            f"{_STAR_SEQUENCES_MAX}"
         )
     stars = [Permutation.transposition(a, n, n) for a in range(1, n)]
 
@@ -525,9 +531,7 @@ def star_walk(n: int, rmax: int) -> list[dict[MarkedPartition, int]]:
     ]
 
 
-def genchar_strahov(
-    mu: Partition, j: int, lam: Partition, i: int, max_n: int | None = None
-) -> Fraction:
+def genchar_strahov(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
     """gamma^{mu,j}_{lam,i} as a character sum over S_{n-1}.
 
     Averages chi^mu(pi sigma) chi^{j_-(mu)}(sigma) over sigma in S_{n-1},
@@ -539,7 +543,7 @@ def genchar_strahov(
     the counts are already cached.
     """
     n = _common_order(mu, j, lam, i)
-    check_guard(n, max_n, "character sum over S_{n-1}")
+    check_guard(n, ORACLE_MAX_N, "character sum over S_{n-1}")
     reduced = decrement_part(mu, j)
     total = sum(
         count * chi(mu, alpha) * chi(reduced, beta)
@@ -580,12 +584,12 @@ def _strahov_histogram(
     )
 
 
-def evaluate_asf_at_jm(f: Row, n: int, *, max_n: int | None = None) -> GroupAlgebraElement:
+def evaluate_asf_at_jm(f: Row, n: int) -> GroupAlgebraElement:
     """Call the Table 1 row `f` on the Jucys-Murphy elements of S_n: J_2 ..
     J_{n-1}, J_n and the identity; see `JMVariables`."""
     if n < 1:
         raise DomainError("n must be positive")
-    check_guard(n, max_n, "Jucys-Murphy substitution")
+    check_guard(n, ORACLE_MAX_N, "Jucys-Murphy substitution")
     inner = tuple(jm_element(k, n) for k in range(2, n))
     top = jm_element(n, n) if n >= 2 else GroupAlgebraElement.zero(1)
     return f(JMVariables(inner, top, GroupAlgebraElement.one(n)))
@@ -624,7 +628,7 @@ def run_verify(max_n: int = 4) -> list[str]:
         marked = list(enumerate_marked_partitions(n))
         nf = math.factorial(n)
 
-        centrals = {lam: central_idempotent(lam, max_n=n) for lam in shapes}
+        centrals = {lam: central_idempotent(lam) for lam in shapes}
         total = GroupAlgebraElement.zero(n)
         for lam in shapes:
             for mu in shapes:
@@ -642,7 +646,7 @@ def run_verify(max_n: int = 4) -> list[str]:
         )
 
         gammas = {
-            mp: z1_idempotent(mp.shape, mp.mark, max_n=n) for mp in marked
+            mp: z1_idempotent(mp.shape, mp.mark) for mp in marked
         }
         top_jm = jm_element(n, n) if n >= 2 else None
         total = GroupAlgebraElement.zero(n)
@@ -678,7 +682,7 @@ def run_verify(max_n: int = 4) -> list[str]:
                     f"extracted coefficients match the character sum @ n={n}",
                     Fraction(nf, dimension(mp.shape))
                     * extract_marked_coefficient(gammas[mp], mq.shape, mq.mark),
-                    genchar_strahov(mp.shape, mp.mark, mq.shape, mq.mark, max_n=n),
+                    genchar_strahov(mp.shape, mp.mark, mq.shape, mq.mark),
                 )
 
         for mq in marked:
@@ -692,25 +696,25 @@ def run_verify(max_n: int = 4) -> list[str]:
             expect(
                 f"idempotent expansion rebuilds the class sum @ n={n}",
                 rebuilt,
-                class_sum(mq.shape, mq.mark, max_n=n),
+                class_sum(mq.shape, mq.mark),
             )
 
         swap_tail = Partition((2,) + (1,) * (n - 2))
         expect(
             f"J_n is the marked single-swap class sum @ n={n}",
             jm_element(n, n),
-            class_sum(swap_tail, 2, max_n=n),
+            class_sum(swap_tail, 2),
         )
 
         for mp, poly in table1_rows(n):
             expect(
                 f"Jucys-Murphy template rebuilds K_{mp} @ n={n}",
-                evaluate_asf_at_jm(poly, n, max_n=n),
-                class_sum(mp.shape, mp.mark, max_n=n),
+                evaluate_asf_at_jm(poly, n),
+                class_sum(mp.shape, mp.mark),
             )
 
         for r in range(0, 5):
-            table = jm_power_coefficients(n, r, max_n=n)
+            table = jm_power_coefficients(n, r)
             mass = sum(
                 c * marked_class_size(mp.shape, mp.mark) for mp, c in table.items()
             )
@@ -739,7 +743,7 @@ def run_verify(max_n: int = 4) -> list[str]:
                     expect(
                         f"star counts match J_n^{r} coefficients @ n={n}",
                         Fraction(counts.pop()),
-                        jm_power_coefficients(n, r, max_n=n)[mp],
+                        jm_power_coefficients(n, r)[mp],
                     )
 
     return done

@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from functools import cache
 from operator import mul
 
 from .characters import _chi_column, _partition_counts, _shapes
-from .errors import DomainError, GuardExceeded, InconsistencyError
-from .genchar import COLUMN_MAX_N, STAR_CLOSED_MAX, _column, _marked_shapes
+from .errors import DomainError, GuardExceeded
+from .genchar import (
+    COLUMN_MAX_N,
+    STAR_CLOSED_MAX,
+    _as_count,
+    _column,
+    _marked_shapes,
+)
 from .partitions import Partition, class_size
 from .tableaux import content_polynomial, dimension
 
@@ -35,16 +40,6 @@ __all__ = [
 # take, the gamma columns' limit: at n = 30 a cold class count takes about
 # 0.25 s, a cold cycle count about 0.75 s and a cold star count 0.45-0.85 s
 STAR_COUNT_MAX_N = COLUMN_MAX_N
-
-
-def _as_count(total: int, denominator: int, what: str) -> int:
-    """total / denominator (denominator > 0), which must be a nonnegative
-    integer; one integer division, a Fraction only to word a failure."""
-    value, remainder = divmod(total, denominator)
-    if remainder or value < 0:
-        shown = Fraction(total, denominator)
-        raise InconsistencyError(f"{what} came out as {shown}, not a count")
-    return value
 
 
 @cache

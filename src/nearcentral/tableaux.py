@@ -18,7 +18,7 @@ import math
 from functools import cache
 
 from .errors import DomainError, InconsistencyError
-from .partitions import Partition
+from .partitions import Partition, decrement_part
 
 __all__ = [
     "StandardTableau",
@@ -152,15 +152,22 @@ def enumerate_syt(lam: Partition) -> list[StandardTableau]:
 
 
 def enumerate_syt_marked(lam: Partition, i: int) -> list[StandardTableau]:
-    """Standard tableaux of shape lam whose largest symbol ends a row of length i."""
-    if i not in lam:
-        raise DomainError(f"{lam} has no part {i}")
+    """Standard tableaux of shape lam whose largest symbol ends a row of length i.
+
+    n can only end the lowest row of length i, so each is a tableau of
+    i_-(lam) with n appended to that row (a new one-cell row when i = 1),
+    listed in `enumerate_syt`'s order.
+    """
     n = lam.n
-    # n ends its row, so the tableau is marked at i when a row of length i ends in n
-    return [
-        tab for tab in enumerate_syt(lam)
-        if any(row[-1] == n and len(row) == i for row in tab.rows)
-    ]
+    r = sum(1 for part in lam if part >= i) - 1  # the lowest row of length i
+    marked = []
+    for tab in enumerate_syt(decrement_part(lam, i)):
+        rows = list(tab.rows)
+        if r == len(rows):
+            rows.append(())
+        rows[r] += (n,)
+        marked.append(StandardTableau._unchecked(tuple(rows)))
+    return marked
 
 
 def _conjugate_lengths(lam: Partition) -> list[int]:

@@ -153,7 +153,7 @@ def test_criterion_03_generalized_character_triple_agreement() -> None:
     marked = _marked(7)
     for lam, i in marked:
         for mu, j in marked:
-            strahov = genchar_strahov(mu, j, lam, i, max_n=7)
+            strahov = genchar_strahov(mu, j, lam, i)
             assert rule(mu, j, lam, i) == strahov, (mu.parts, j, lam.parts, i)
             assert genchar_column(lam, i)[MarkedPartition(mu, j)] == strahov, (
                 mu.parts, j, lam.parts, i
@@ -167,7 +167,7 @@ def test_criterion_03_generalized_character_triple_agreement() -> None:
             general.append((lam, i))
     lam, i = random.Random(9).choice(general)
     for m, value in genchar_column(lam, i).items():
-        assert value == genchar_strahov(m.shape, m.mark, lam, i, max_n=9), (
+        assert value == genchar_strahov(m.shape, m.mark, lam, i), (
             m, lam.parts, i
         )
         assert rule(m.shape, m.mark, lam, i) == value, (m, lam.parts, i)

@@ -103,6 +103,23 @@ def test_tableaux_listing(capsys) -> None:
     assert doc["count"] == 1
 
 
+def test_marked_listing_enumerates_only_the_marked_tableaux(capsys, monkeypatch) -> None:
+    # 7,770 of the 220,779 tableaux of (35,2,1,1) end in 39 on the row of
+    # length 2: they are listed from the tableaux of (35,1,1,1) alone
+    tableaux = importlib.import_module("nearcentral.tableaux")
+    enumerate_syt, listed = tableaux.enumerate_syt, []
+
+    def spy(lam):
+        listed.append(lam.parts)
+        return enumerate_syt(lam)
+
+    monkeypatch.setattr(tableaux, "enumerate_syt", spy)
+    code, doc, _ = _invoke(capsys, ["tableaux", "--shape", "35,2,1,1", "--mark", "2"])
+    assert code == 0
+    assert doc["count"] == len(doc["tableaux"]) == 7770
+    assert listed == [(35, 1, 1, 1)]
+
+
 def test_tableaux_of_a_long_row(capsys) -> None:
     # one tableau, but more cells than Python's default recursion limit
     code, doc, _ = _invoke(capsys, ["tableaux", "--shape", "1200"])

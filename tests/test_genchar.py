@@ -221,18 +221,16 @@ def test_strahov_guard_holds_once_the_walk_is_cached(monkeypatch) -> None:
     lam, i = Partition((3, 2, 1, 1)), 2
     mu, j = Partition((4, 2, 1)), 1
     histogram = oracle_module._strahov_histogram
-    monkeypatch.delenv("NEARCENTRAL_MAX_N", raising=False)
     histogram.cache_clear()
-    value = genchar_strahov(mu, j, lam, i, max_n=7)
+    value = genchar_strahov(mu, j, lam, i)
     assert histogram.cache_info().currsize == 1
-    with pytest.raises(GuardExceeded, match="n=7 exceeds the guard max_n=6"):
-        genchar_strahov(mu, j, lam, i, max_n=6)
-    monkeypatch.setenv("NEARCENTRAL_MAX_N", "6")
+    monkeypatch.setattr(oracle_module, "ORACLE_MAX_N", 6)
     with pytest.raises(GuardExceeded, match="n=7 exceeds the guard max_n=6"):
         genchar_strahov(mu, j, lam, i)
-    # both refusals came before the cached walk was read
+    # the refusal came before the cached walk was read
     assert histogram.cache_info().hits == 0
-    assert genchar_strahov(mu, j, lam, i, max_n=7) == value
+    monkeypatch.undo()
+    assert genchar_strahov(mu, j, lam, i) == value
     assert histogram.cache_info().hits == 1
 
 

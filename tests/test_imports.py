@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -160,5 +161,37 @@ def test_modules_have_no_assert_statements() -> None:
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert not found
+
+
+def test_modules_read_no_environment() -> None:
+    # every limit is a constant in the module that uses it, so no module
+    # imports os or reads an environment variable
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = [getattr(node, "id", getattr(node, "attr", ""))]
+            else:
+                continue
+            if any(name.split(".")[0] == "os" or name == "environ" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
+def test_exported_callables_take_no_limit_override() -> None:
+    # run_verify's max_n is the largest n it verifies, not a limit
+    found = [
+        f"{name}({param})"
+        for name, value in vars(nearcentral).items()
+        if callable(value) and name != "run_verify"
+        and not (isinstance(value, type) and issubclass(value, Exception))
+        for param in inspect.signature(value).parameters
+        if param in ("max_n", "max_sequences")
     ]
     assert not found

@@ -328,7 +328,7 @@ def test_star_factorization_enumeration() -> None:
     assert enumerate_star_factorizations(Permutation.identity(3), 3) == 0
     assert enumerate_star_factorizations(Permutation.identity(4), 2) == 3
     with pytest.raises(GuardExceeded):
-        enumerate_star_factorizations(Permutation.identity(8), 10, max_sequences=1000)
+        enumerate_star_factorizations(Permutation.identity(8), 10)
 
 
 def test_star_enumeration_matches_jm_powers() -> None:
@@ -374,6 +374,6 @@ def test_run_verify_is_refused_past_n6(monkeypatch) -> None:
 
 def test_guards_reject_oversized_inputs() -> None:
     with pytest.raises(GuardExceeded):
-        class_sum(Partition((12,)), 12, 12, max_n=9)
+        class_sum(Partition((12,)), 12, 12)
     with pytest.raises(GuardExceeded):
-        jm_power_coefficients(12, 2, max_n=9)
+        jm_power_coefficients(12, 2)

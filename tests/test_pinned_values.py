@@ -1,4 +1,5 @@
-"""Every small value of the spectral layer, pinned by digests.
+"""Every small value of the spectral layer, and samples at its limits,
+pinned by digests.
 
 Each digest was computed once over its lines below and is checked on every
 run, so any change to a generalized character, a gamma column, a star count
@@ -15,16 +16,24 @@ from typing import Iterator
 from nearcentral import (
     MarkedPartition,
     Partition,
+    StarClosedCase,
     connection_coefficient,
     enumerate_marked_partitions,
     genchar,
     genchar_column,
+    genchar_row,
     star_count,
+    star_count_by_cycle_count,
+    star_count_class,
+    star_count_closed,
 )
 
 PINNED_SHA256 = "49b92f1ca05a5163b588f382eeb7f2696a8c1a39c5322f755dc5e71af3446079"
 PINNED_COLUMNS_SHA256 = (
     "86cfca91c6aeeeb87924b1606a67117d90d88c3720ffcf0fd412f41d5db61839"
+)
+PINNED_FRONTIER_SHA256 = (
+    "f7ec01d54f7d79ad5c21b9b995e42561489b91725504483d1e5ecd609fe4ac24"
 )
 
 
@@ -69,6 +78,46 @@ def _column_lines() -> Iterator[str]:
             yield f"column {_label(sub)} {_label(sup)} {value}"
 
 
+def _ones(n: int, *head: int) -> Partition:
+    return Partition(head + (1,) * (n - sum(head)))
+
+
+def _frontier_lines() -> Iterator[str]:
+    # every gamma row with n <= 9, then one row each at n = 20 and 26
+    supers = [m for n in range(1, 10) for m in enumerate_marked_partitions(n)]
+    supers += [
+        MarkedPartition(Partition((6, 5, 4, 3, 2)), 2),
+        MarkedPartition(Partition((24, 2)), 2),
+    ]
+    for sup in supers:
+        for sub, value in genchar_row(sup.shape, sup.mark).items():
+            yield f"row {_label(sup)} {_label(sub)} {value}"
+    # star counts at the column limit n = 30, up to r = 1000
+    for parts, mark in [((3, 2), 1), ((5, 4, 3, 2), 1)]:
+        lam = _ones(30, *parts)
+        label = _label(MarkedPartition(lam, mark))
+        for r in (0, 7, 29, 30, 1000):
+            yield f"star {label} {r} {star_count(lam, mark, r)}"
+    for lam in (_ones(30, 3, 2), _ones(30, 10, 10, 10), _ones(30, 6, 5, 4, 3, 2)):
+        label = ",".join(map(str, lam.parts))
+        for r in (7, 29, 1000):
+            yield f"class {label} {r} {star_count_class(lam, r)}"
+    for k in (1, 2, 15, 29, 30):
+        for r in (29, 1000):
+            yield f"cycles 30 {k} {r} {star_count_by_cycle_count(30, k, r)}"
+    # product coefficients at n = 20 and 30
+    for n in (20, 30):
+        for a, b, c in [
+            ((_ones(n, 3, 2), 1), (_ones(n, 2), 1), (_ones(n, 4, 2), 1)),
+            ((_ones(n, 3), 1), (_ones(n, 3), 1), (_ones(n), 1)),
+        ]:
+            labels = " ".join(_label(MarkedPartition(*m)) for m in (a, b, c))
+            yield f"connection {labels} {connection_coefficient(*a, *b, *c)}"
+    # each closed-form star count at its limit n = 1000
+    for case in StarClosedCase:
+        yield f"closed {case.value} 1000 1000 {star_count_closed(case, 1000, 1000)}"
+
+
 def _digest(lines: Iterator[str]) -> str:
     digest = hashlib.sha256()
     for line in lines:
@@ -82,3 +131,7 @@ def test_pinned_spectral_values() -> None:
 
 def test_pinned_gamma_columns() -> None:
     assert _digest(_column_lines()) == PINNED_COLUMNS_SHA256
+
+
+def test_pinned_frontier_values() -> None:
+    assert _digest(_frontier_lines()) == PINNED_FRONTIER_SHA256

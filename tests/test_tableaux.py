@@ -144,7 +144,11 @@ def test_enumerate_syt_marked_counts_match_reduced_dimension() -> None:
             for i in sorted(set(lam.parts)):
                 marked = enumerate_syt_marked(lam, i)
                 assert len(marked) == dimension(decrement_part(lam, i))
-                assert all(t in tableaux for t in marked)
+                # the same list, in the same order, as filtering every tableau
+                assert marked == [
+                    t for t in tableaux
+                    if any(row[-1] == n and len(row) == i for row in t.rows)
+                ], (lam.parts, i)
             assert sum(
                 len(enumerate_syt_marked(lam, i)) for i in set(lam.parts)
             ) == len(tableaux)
