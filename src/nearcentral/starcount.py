@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import cache
-from operator import mul
+from operator import add, mul
 
-from .characters import _chi_column, _partition_counts, _shapes
+from .characters import _chi_column, _partition_counts
 from .errors import DomainError, GuardExceeded
 from .genchar import (
     COLUMN_MAX_N,
@@ -23,8 +23,7 @@ from .genchar import (
     _column,
     _marked_shapes,
 )
-from .partitions import Partition, class_size
-from .tableaux import content_polynomial, dimension
+from .partitions import Partition, _descending_parts, class_size
 
 __all__ = [
     "STAR_CLOSED_MAX",
@@ -68,11 +67,25 @@ def _weighted_power_sum(n: int, r: int, f: tuple[int, ...]) -> int:
 @cache
 def _cycle_columns(n: int) -> tuple[tuple[int, ...], ...]:
     # _cycle_columns(n)[k][a] is d_mu times the coefficient of t^k in the
-    # content polynomial of the a-th shape mu of n
-    columns = [
-        tuple(map(dimension(mu).__mul__, content_polynomial(mu))) for mu in _shapes(n)
-    ]
-    return tuple(zip(*columns))
+    # content polynomial of the a-th shape mu of n.  The polynomials are
+    # built up Young's lattice a level at a time: a shape's is its parent's,
+    # the shape less the last cell of its last row, times (t + that cell's
+    # content), so only two levels of raw part tuples are held.  d_mu is
+    # read from the marked-shape table, which the weights read anyway.
+    level = {(): (1,)}
+    for m in range(1, n + 1):
+        below, level = level, {}
+        for parts in _descending_parts(m):
+            last = parts[-1]
+            poly = below[parts[:-1] + (last - 1,) if last > 1 else parts[:-1]]
+            c = last - len(parts)
+            # low degree first, and monic
+            level[parts] = (c * poly[0], *map(add, poly, map(c.__mul__, poly[1:])), 1)
+    dims = [1] * len(level)  # the empty shape has no mark
+    table = _marked_shapes(n)
+    for k, d in zip(table.shape, table.dim):
+        dims[k] = d
+    return tuple(zip(*[tuple(map(d.__mul__, poly)) for d, poly in zip(dims, level.values())]))
 
 
 @cache
@@ -148,12 +161,13 @@ def _closed_spectrum(case: StarClosedCase, n: int) -> list[tuple[int, int]]:
         return [(w * (n - 1), c) for w, c in hooks]
     if case is StarClosedCase.TRANSPOSED_MARK:
         spectrum = [(n, n - 1), ((-1) ** n * n, 1 - n)] + [(-w, c) for w, c in hooks]
-        for k in range(1, n - 3):
-            d = dimension(Partition((n - k - 2, 2) + (1,) * (k - 1)))
-            spectrum.append(((-1) ** k * n * d, n - k - 2))
-        for k in range(2, n - 2):
-            d = dimension(Partition((n - k - 1, 2) + (1,) * (k - 2)))
-            spectrum.append(((-1) ** k * n * d, -k))
+        for j in range(1, n - 3):
+            # d is the dimension of the near hook (n-j-2, 2, 1^(j-1)) of n-1
+            # cells, whose hook lengths are n-2, n-j-2, j+1, 1, 1..n-j-4 and
+            # 1..j-1
+            d = (n - 1) * (n - 3) * (n - 4) * math.comb(n - 5, j - 1) // ((n - j - 2) * (j + 1))
+            s = (-1) ** j * n * d
+            spectrum += [(s, n - j - 2), (-s, -j - 1)]
         return spectrum
     raise DomainError(f"unknown closed-form case {case!r}")
 

@@ -9,7 +9,10 @@ shape, which is why marked enumeration refines the usual branching rule.
 A tableau stores only its rows. The symbol-to-cell lookup behind
 `position` and `content` is built on the first call and kept. Tableaux from
 `enumerate_syt` are standard by construction and skip the constructor's
-checks; `StandardTableau(...)` checks every filling given to it.
+checks, stored through the slots' own setters; `StandardTableau(...)` checks
+every filling given to it. `enumerate_syt` is a depth-first search that
+places n, n-1, .. at corners on an explicit stack and stops where the free
+cells form one row or one column, whose filling is forced.
 """
 
 from __future__ import annotations
@@ -57,9 +60,9 @@ class StandardTableau:
     def _unchecked(cls, rows: tuple[tuple[int, ...], ...]) -> "StandardTableau":
         # The caller guarantees `rows` is a tuple of tuples forming a standard
         # filling of a partition shape.
-        self = object.__new__(cls)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_where", None)
+        self = _new(cls)
+        _set_rows(self, rows)
+        _set_where(self, None)
         return self
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -86,7 +89,7 @@ class StandardTableau:
                 for r, row in enumerate(self._rows, start=1)
                 for c, s in enumerate(row, start=1)
             }
-            object.__setattr__(self, "_where", where)
+            _set_where(self, where)
         try:
             return where[symbol]
         except KeyError:
@@ -108,6 +111,13 @@ class StandardTableau:
         return f"StandardTableau({self._rows!r})"
 
 
+# the slots' own setters, as in `partitions`: the lazy symbol lookup and
+# tableaux valid by construction skip object.__setattr__
+_new = object.__new__
+_set_rows = StandardTableau._rows.__set__
+_set_where = StandardTableau._where.__set__
+
+
 def enumerate_syt(lam: Partition) -> list[StandardTableau]:
     """All standard tableaux of shape lam.
 
@@ -116,22 +126,27 @@ def enumerate_syt(lam: Partition) -> list[StandardTableau]:
     backtracks through an explicit stack, so a shape of any number of cells
     stays within Python's recursion limit, and finds the next corner through
     the column lengths in one step, so a tall shape costs no more per cell
-    than a long row.
+    than a long row.  Once the cells left form one row or one column, the
+    symbols left fill them in order, so the search stops there.
     """
-    filling = [[0] * part for part in lam.parts]
+    parts = lam.parts
+    # a free cell (r, c) of row 0 or column 0 holds r + c + 1, its symbol
+    # when the free cells are one row or one column; the other free cells
+    # are overwritten before any tableau is read
+    filling = [list(range(r + 1, r + 1 + part)) for r, part in enumerate(parts)]
     results: list[StandardTableau] = []
-    lengths = list(lam.parts)
-    height = len(lengths)
-    # depth[c] is the number of rows longer than c, so among the rows of length
-    # L the lowest, the only removable corner, is row depth[L - 1] - 1
+    lengths = [*parts, 0]  # free cells per row; the 0 ends the corner search
+    # depth[c] is the number of rows with more than c free cells, so among the
+    # rows of L free cells the lowest, the only removable corner, is row
+    # depth[L - 1] - 1
     depth = _conjugate_lengths(lam)
     placed: list[int] = []  # the row of each symbol placed so far, n first
     symbol = lam.n  # the next symbol to place
     r = 0  # the first row to try it in
     while True:
-        if symbol == 0:
+        if lengths[0] == symbol or depth[0] == symbol:
             results.append(StandardTableau._unchecked(tuple(map(tuple, filling))))
-        elif r < height and lengths[r]:
+        elif lengths[r]:
             length = lengths[r]
             r = depth[length - 1] - 1
             filling[r][length - 1] = symbol
@@ -145,8 +160,10 @@ def enumerate_syt(lam: Partition) -> list[StandardTableau]:
         if not placed:
             return results
         r = placed.pop()
-        depth[lengths[r]] = r + 1
-        lengths[r] += 1
+        length = lengths[r]
+        depth[length] = r + 1
+        filling[r][length] = r + length + 1  # free again
+        lengths[r] = length + 1
         symbol += 1
         r += 1
 
@@ -216,11 +233,6 @@ def content_polynomial(lam: Partition) -> list[int]:
     Entry k is the coefficient of t^k, which equals the elementary
     symmetric polynomial of degree n - k in the contents of lam.
     """
-    return list(_content_coefficients(lam))
-
-
-@cache
-def _content_coefficients(lam: Partition) -> tuple[int, ...]:
     coeffs = [1]
     for c in shape_contents(lam):
         nxt = [0] * (len(coeffs) + 1)
@@ -228,4 +240,4 @@ def _content_coefficients(lam: Partition) -> tuple[int, ...]:
             nxt[k + 1] += a
             nxt[k] += c * a
         coeffs = nxt
-    return tuple(coeffs)
+    return coeffs

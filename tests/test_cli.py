@@ -358,7 +358,7 @@ def test_starfact_closed_guard_boundary(capsys, monkeypatch) -> None:
 def test_starfact_length_guard_exceeded_exits_2(capsys, monkeypatch, argv, message) -> None:
     # refused before any spectrum or power is computed
     for name in (
-        "_star_spectrum", "_shapes", "_chi_column", "_class_weights", "_marked_shapes"
+        "_star_spectrum", "_descending_parts", "_chi_column", "_class_weights", "_marked_shapes"
     ):
         monkeypatch.setattr(f"nearcentral.starcount.{name}", _refuse)
     code, doc, _ = _invoke(capsys, argv)
@@ -392,7 +392,7 @@ def test_starfact_size_guard(capsys, monkeypatch, command) -> None:
     # n = 31 is refused before any shape is listed; n = 30 gets through to
     # the computation, which fails here on purpose
     for name in (
-        "_star_spectrum", "_shapes", "_chi_column", "_class_weights", "_marked_shapes"
+        "_star_spectrum", "_descending_parts", "_chi_column", "_class_weights", "_marked_shapes"
     ):
         monkeypatch.setattr(f"nearcentral.starcount.{name}", _refuse)
     code, doc, _ = _invoke(capsys, [arg.format(n=31) for arg in command])

@@ -195,3 +195,34 @@ def test_exported_callables_take_no_limit_override() -> None:
         if param in ("max_n", "max_sequences")
     ]
     assert not found
+
+
+def _object_setattr_lines(tree: ast.AST) -> set[int]:
+    return {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    }
+
+
+def test_only_checked_constructors_store_through_object_setattr() -> None:
+    # object.__setattr__ looks the slot up by name on every call; objects
+    # built from data valid by construction store through the slots' own
+    # setters, so no unchecked path falls back to the slow store
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            line
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for method in cls.body
+            if isinstance(method, ast.FunctionDef) and method.name == "__init__"
+            for line in _object_setattr_lines(method)
+        }
+        found += [f"{path.name}:{line}" for line in sorted(_object_setattr_lines(tree) - allowed)]
+    assert not found

@@ -21,6 +21,7 @@ from nearcentral import (
     parse_marked_partition,
     parse_partition,
 )
+from nearcentral.characters import _partition_counts
 from nearcentral.permutations import Permutation, cycle_type
 
 part_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=8)
@@ -116,6 +117,18 @@ def test_enumerate_partitions_match_validated_construction() -> None:
             assert p == checked and hash(p) == hash(checked)
             assert p.parts == checked.parts
             assert p.n == checked.n == n
+
+
+def test_enumerate_partitions_at_the_bench_sizes() -> None:
+    # past the recursive reference: p(n) shapes, each a weakly decreasing
+    # tuple of positive ints summing to n, in strictly descending order
+    for n in (35, 36):
+        shapes = enumerate_partitions(n)
+        assert len(shapes) == _partition_counts(n)[n]
+        assert all(a.parts > b.parts for a, b in zip(shapes, shapes[1:]))
+        for p in shapes:
+            assert p.n == sum(p.parts) == n
+            assert all(a >= b >= 1 for a, b in zip(p.parts, p.parts[1:] + (1,)))
 
 
 def test_trusted_shapes_match_validated_construction() -> None:

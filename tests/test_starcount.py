@@ -20,6 +20,7 @@ from nearcentral import (
     StarClosedCase,
     chi,
     class_size,
+    content_polynomial,
     decrement_part,
     dimension,
     enumerate_marked_partitions,
@@ -133,7 +134,7 @@ def test_star_counts_are_refused_past_the_length_limit(monkeypatch) -> None:
     limit = STAR_CLOSED_MAX
     lam = Partition((3, 2, 1))
     for name in (
-        "_star_spectrum", "_shapes", "_chi_column", "_class_weights", "_marked_shapes"
+        "_star_spectrum", "_descending_parts", "_chi_column", "_class_weights", "_marked_shapes"
     ):
         monkeypatch.setattr(f"nearcentral.starcount.{name}", _refuse)
     with pytest.raises(GuardExceeded, match=f"r = {limit + 1} sums powers c\\^r"):
@@ -155,7 +156,7 @@ def test_star_counts_are_refused_past_the_size_limit(monkeypatch) -> None:
     limit = STAR_COUNT_MAX_N
     assert limit >= 18  # the benchmark and the tests count up to n = 18
     for name in (
-        "_star_spectrum", "_shapes", "_chi_column", "_class_weights", "_marked_shapes"
+        "_star_spectrum", "_descending_parts", "_chi_column", "_class_weights", "_marked_shapes"
     ):
         monkeypatch.setattr(f"nearcentral.starcount.{name}", _refuse)
     past = Partition((limit + 1,))
@@ -192,6 +193,22 @@ def test_closed_forms_are_refused_past_their_limit(monkeypatch) -> None:
             star_count_closed(case, 5, limit + 1)
         with pytest.raises(AssertionError):
             star_count_closed(case, limit, limit)
+
+
+def test_transposed_mark_near_hooks_have_their_hook_length_dimensions() -> None:
+    # the near-hook terms of the spectrum, after the two end terms and the
+    # 2n hook terms, are n times the hook-length dimension of each near hook
+    case = StarClosedCase.TRANSPOSED_MARK
+    for n in range(1, 41):
+        expected = []
+        for k in range(1, n - 3):
+            d = dimension(Partition((n - k - 2, 2) + (1,) * (k - 1)))
+            expected.append(((-1) ** k * n * d, n - k - 2))
+        for k in range(2, n - 2):
+            d = dimension(Partition((n - k - 1, 2) + (1,) * (k - 2)))
+            expected.append(((-1) ** k * n * d, -k))
+        near = starcount._closed_spectrum(case, n)[2 + 2 * n :]
+        assert sorted(near) == sorted(expected), n
 
 
 # frozen from literal J_n^r expansions in the group algebra
@@ -298,6 +315,19 @@ def test_star_count_by_cycle_count_aggregates_marked_counts() -> None:
                     if len(m.shape) == k
                 )
                 assert star_count_by_cycle_count(n, k, r) == total
+
+
+def test_cycle_columns_are_the_literal_products() -> None:
+    # column k holds d_mu times the coefficient of t^k in the product of
+    # (t + content) over the cells of mu, for every shape mu of n
+    for n in range(1, 21):
+        literal = [
+            [dimension(mu) * a for a in content_polynomial(mu)] for mu in enumerate_partitions(n)
+        ]
+        columns = starcount._cycle_columns(n)
+        assert len(columns) == n + 1
+        for k, column in enumerate(columns):
+            assert column == tuple(poly[k] for poly in literal), (n, k)
 
 
 def test_cycle_count_mass_conservation() -> None:

@@ -98,6 +98,24 @@ def test_enumerate_syt_of_a_tall_column_is_linear() -> None:
     assert elapsed < 1.0, elapsed
 
 
+def test_enumerate_syt_of_a_wide_row_is_linear() -> None:
+    n = 10_000
+    start = time.perf_counter()
+    (row,) = enumerate_syt(Partition((n,)))
+    elapsed = time.perf_counter() - start
+    assert row.rows == (tuple(range(1, n + 1)),)
+    assert elapsed < 1.0, elapsed
+
+
+def test_enumerate_syt_order_at_the_bench_size() -> None:
+    # the four shapes of 13 with 12,012 tableaux each, one of which the
+    # aggregates benchmark lists per batch
+    shapes = [lam for lam in enumerate_partitions(13) if dimension(lam) == 12012]
+    assert len(shapes) == 4
+    for lam in shapes:
+        assert [t.rows for t in enumerate_syt(lam)] == _syt_by_recursion(lam), lam
+
+
 def test_enumerated_tableaux_match_validated_construction() -> None:
     for n in range(9):
         for lam in enumerate_partitions(n):
