@@ -28,7 +28,8 @@ The dispatcher `genchar` takes the closed form when the class has one (a
 cached set per n), else the rule, whose rim pass is cached per superscript
 (mu, j) and deepened only as far as the mark i asks.  Rows, a fixed (mu, j)
 against every class, are cached too (`genchar_row`); the row sums
-`subscript_sum_chi`, `weighted_sum` and `orthogonality_check` read them.
+`weighted_sum` and `orthogonality_check` read them, while
+`subscript_sum_chi`, a sum over the parts of one lam, takes its own values.
 Sums over every marked shape (mu, j) for one class (lam, i) read its cached
 integer column instead (`_column`, the seminormal pass): `genchar_column`,
 the star-count spectra of `starcount` and `multi_product_coefficient`
@@ -67,6 +68,7 @@ from .errors import (
 from .partitions import (
     MarkedPartition,
     Partition,
+    _check_mark,
     _cycle_type_symmetry,
     decrement_part,
     class_size,
@@ -154,8 +156,6 @@ def _inner_contents(mu: Partition, j: int) -> list[int]:
 def evaluate_asf(f: Row, mu: Partition, j: int) -> Fraction:
     """Evaluate the row `f` under the content substitution attached to
     (mu, j); see `JMVariables`."""
-    if j not in mu:
-        raise DomainError(f"mark {j} is not a part of {mu}")
     values = JMVariables(tuple(_inner_contents(mu, j)), marked_content(mu, j), 1)
     return Fraction(f(values))
 
@@ -214,8 +214,6 @@ def table1_rows(n: int) -> list[tuple[MarkedPartition, Row]]:
 
 def table1_poly(lam: Partition, i: int) -> Row:
     """Polynomial in Jucys-Murphy elements equal to K_{lam,i}, when known."""
-    if i not in lam:
-        raise DomainError(f"mark {i} is not a part of {lam}")
     target = MarkedPartition(lam, i)
     try:
         return _table1_index(lam.n)[target]
@@ -238,7 +236,6 @@ def _table1_index(n: int) -> dict[MarkedPartition, Row]:
 
 class _MarkedShapes(NamedTuple):
     marked: tuple[MarkedPartition, ...]  # in `enumerate_marked_partitions` order
-    index: dict[tuple[Partition, int], int]  # (mu, j) -> position
     shape: tuple[int, ...]  # position of mu among the shapes of n
     dim: tuple[int, ...]  # d_mu
     reduced: tuple[int, ...]  # d_{j_-(mu)}
@@ -269,7 +266,6 @@ def _marked_shapes(n: int) -> _MarkedShapes:
         dim += [sum(reduced[first:])] * (len(marks) - first)
     return _MarkedShapes(
         tuple(map(MarkedPartition, mus, marks)),
-        dict(zip(zip(mus, marks), itertools.count())),
         *map(tuple, (shape, dim, reduced, content, size)),
     )
 
@@ -308,8 +304,7 @@ def _column(lam: Partition, i: int) -> tuple[int, tuple[int, ...]]:
     # The summed weight of the paths that end on mu with n's cell at content
     # c_{mu,j} is the value at (mu, j); a marked shape no path reaches has
     # the value 0.
-    if i not in lam:
-        raise DomainError(f"mark {i} is not a part of {lam}")
+    _check_mark(lam, i)
     n = lam.n
     if n > COLUMN_MAX_N:
         raise GuardExceeded(
@@ -506,7 +501,8 @@ def _rule_refusal(mu: Partition, j: int, what: str) -> GuardExceeded:
 @cache
 def _closed_classes(n: int) -> frozenset[tuple[Partition, int]]:
     # the classes (lam, i) of n that `genchar_table2` answers: the identity,
-    # (n-1, 1) marked on the long cycle, and every class of Table 1
+    # (n-1, 1) marked on the long cycle, and every class of Table 1; none has
+    # more than two parts above 1
     closed = {(m.shape, m.mark) for m in _table1_index(n)}
     closed.add((Partition.unchecked((1,) * n), 1))
     if n >= 5:
@@ -522,7 +518,7 @@ def _closed_classes(n: int) -> frozenset[tuple[Partition, int]]:
 # n = 1000 takes at most 4 ms, but its dimensions of shapes of n grow like
 # sqrt(n!): (99997,2,1)@1 on (99999,1)@99999 took 8.7 s.  In `starcount`
 # the transposed-mark case needs O(n) near-hook dimensions, which cost about
-# n^3 (a cold n = 1000 takes about a second), and r sets the bit length of
+# n^3 (a cold n = 1000 takes about 0.25 s), and r sets the bit length of
 # every power c^r (`star_count_class` at n = 18 took 2.5 s at r = 10^5)
 STAR_CLOSED_MAX = 1000
 
@@ -536,10 +532,8 @@ def _check_closed(n: int) -> None:
 
 
 def _common_order(mu: Partition, j: int, lam: Partition, i: int) -> int:
-    if j not in mu:
-        raise DomainError(f"mark {j} is not a part of {mu}")
-    if i not in lam:
-        raise DomainError(f"mark {i} is not a part of {lam}")
+    _check_mark(mu, j)
+    _check_mark(lam, i)
     if mu.n != lam.n:
         raise DomainError(f"{mu} and {lam} are partitions of different integers")
     return mu.n
@@ -589,8 +583,7 @@ def genchar_hook_row(mu: Partition, j: int) -> Fraction:
     n = mu.n
     if n < 3:
         raise DomainError("the near-fixed-point row needs n >= 3")
-    if j not in mu:
-        raise DomainError(f"mark {j} is not a part of {mu}")
+    _check_mark(mu, j)
     _check_closed(n)
     parts = mu.parts
     if parts == (n,):
@@ -623,8 +616,13 @@ def genchar(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
     rule, for n <= GENCHAR_MAX_N; a larger n raises `GuardExceeded` naming
     n and the limit, or the rim pass it would take."""
     n = _common_order(mu, j, lam, i)
-    if (lam, i) in _closed_classes(n):
-        return genchar_table2(mu, j, lam, i)
+    if lam.parts[2:3] <= (1,):
+        # at most two parts above 1, like every class with a closed form: past
+        # STAR_CLOSED_MAX it is refused as one before the closed classes of n,
+        # shapes of up to n parts, are built
+        _check_closed(n)
+        if (lam, i) in _closed_classes(n):
+            return genchar_table2(mu, j, lam, i)
     if n > GENCHAR_MAX_N:
         raise _rule_refusal(mu, j, "marked Murnaghan-Nakayama rule")
     return _rule_value(mu, j, lam, i)
@@ -644,8 +642,7 @@ def genchar_row(mu: Partition, j: int) -> dict[MarkedPartition, Fraction]:
 @cache
 def _row(mu: Partition, j: int) -> tuple[Fraction, ...]:
     # gamma^{mu,j} at the t-th marked class of enumerate_marked_partitions(n)
-    if j not in mu:
-        raise DomainError(f"mark {j} is not a part of {mu}")
+    _check_mark(mu, j)
     if mu.n > GENCHAR_MAX_N:
         raise _rule_refusal(
             mu, j, f"gamma row over the {_marked_count(mu.n)} marked classes"
@@ -667,19 +664,18 @@ def superscript_sum(mu: Partition, lam: Partition, i: int) -> int:
 
 
 def subscript_sum_chi(mu: Partition, j: int, lam: Partition) -> Fraction:
-    """Class-size-weighted sum of gamma^{mu,j}_{lam,i} over marks i of lam,
-    read from the row of (mu, j).
+    """Class-size-weighted sum of gamma^{mu,j}_{lam,i} over the distinct
+    parts i of lam, each value from `genchar`.
 
     Normalized by d_mu / (|C_lam| d_{j_-(mu)}), this again yields chi^mu_lam.
     """
-    n = mu.n
-    if lam.n != n:
+    # an empty lam has no part for `genchar` to check the sizes on
+    if lam.n != mu.n:
         raise DomainError(f"{mu} and {lam} are partitions of different integers")
-    row, table = _row(mu, j), _marked_shapes(n)
-    at = [table.index[lam, i] for i in sorted(set(lam.parts))]
-    total = sum((table.size[t] * row[t] for t in at), Fraction(0))
-    t = table.index[mu, j]
-    return Fraction(table.dim[t], class_size(lam) * table.reduced[t]) * total
+    values = [(i, genchar(mu, j, lam, i)) for i in sorted(set(lam.parts))]
+    total = sum((marked_class_size(lam, i) * value for i, value in values), Fraction(0))
+    norm = Fraction(dimension(mu), class_size(lam) * dimension(decrement_part(mu, j)))
+    return norm * total
 
 
 def weighted_sum(rho: Partition, ell: int, m: int) -> Fraction:
@@ -695,7 +691,7 @@ def weighted_sum(rho: Partition, ell: int, m: int) -> Fraction:
     for marked, size, value in zip(table.marked, table.size, row):
         if len(marked.shape) == m:
             total += size * value
-    return total / table.reduced[table.index[rho, ell]]
+    return total / dimension(decrement_part(rho, ell))
 
 
 def _as_count(total: int, denominator: int, what: str) -> int:
@@ -726,13 +722,11 @@ def multi_product_coefficient(
     if not factors:
         raise DomainError("need at least one factor")
     n = mu.n
-    if j not in mu:
-        raise DomainError(f"mark {j} is not a part of {mu}")
+    _check_mark(mu, j)
     for lam, i in factors:
         if lam.n != n:
             raise DomainError(f"{lam} is not a partition of {n}")
-        if i not in lam:
-            raise DomainError(f"mark {i} is not a part of {lam}")
+        _check_mark(lam, i)
     r = len(factors)
     # gamma^{rho,ell}_{mu,j} d_rho / d_{ell_-(rho)}^r times the factors'
     # gammas, summed over (rho, ell) in integers: every column is an integer
@@ -740,8 +734,7 @@ def multi_product_coefficient(
     columns = [_column(mu, j)] + [_column(lam, i) for lam, i in factors]
     scale, weights = _product_weights(n, r)
     total = sum(map(math.prod, zip(weights, *(w for _, w in columns))))
-    table = _marked_shapes(n)
-    numerator = math.prod(table.size[table.index[lam, i]] for lam, i in factors) * total
+    numerator = math.prod(marked_class_size(lam, i) for lam, i in factors) * total
     denominator = math.factorial(n) * scale * math.prod(den for den, _ in columns)
     return _as_count(numerator, denominator, "product coefficient")
 

@@ -36,6 +36,7 @@ from .genchar import JMVariables, Row, _common_order, genchar, table1_rows
 from .partitions import (
     MarkedPartition,
     Partition,
+    _check_mark,
     decrement_part,
     enumerate_marked_partitions,
     enumerate_partitions,
@@ -304,14 +305,10 @@ def _classified_pool(n: int) -> tuple[tuple[Permutation, Partition, int], ...]:
     )
 
 
-def class_sum(lam: Partition, i: int, n: int | None = None) -> GroupAlgebraElement:
+def class_sum(lam: Partition, i: int) -> GroupAlgebraElement:
     """Sum of all permutations with cycle type lam and n on an i-cycle."""
-    if n is None:
-        n = lam.n
-    elif n != lam.n:
-        raise DomainError(f"{lam} is not a partition of {n}")
-    if i not in lam:
-        raise DomainError(f"mark {i} is not a part of {lam}")
+    _check_mark(lam, i)
+    n = lam.n
     check_guard(n, ORACLE_MAX_N, "marked class enumeration")
     shape = lam.parts
     terms = {
@@ -361,9 +358,8 @@ def z1_idempotent(lam: Partition, i: int) -> GroupAlgebraElement:
     The product of the central idempotent for lam with the embedded central
     idempotent for the reduced shape i_-(lam) over S_{n-1}.
     """
+    _check_mark(lam, i)
     n = lam.n
-    if i not in lam:
-        raise DomainError(f"mark {i} is not a part of {lam}")
     check_guard(n, ORACLE_MAX_N, "marked idempotent expansion")
     return _z1_idempotent_cached(lam, i)
 
@@ -387,8 +383,7 @@ def extract_marked_coefficient(
     n = g.n
     if mu.n != n:
         raise DomainError(f"{mu} is not a partition of {n}")
-    if j not in mu:
-        raise DomainError(f"mark {j} is not a part of {mu}")
+    _check_mark(mu, j)
     shape = mu.parts
     value: Fraction | None = None
     for perm, ctype, through in _classified_perms(n):

@@ -122,8 +122,7 @@ class MarkedPartition:
     def __init__(self, shape: Partition, mark: int):
         if type(mark) is not int:
             raise DomainError(f"mark must be an integer, got {mark!r}")
-        if mark not in shape:
-            raise DomainError(f"mark {mark} is not a part of {shape}")
+        _check_mark(shape, mark)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "mark", mark)
 
@@ -159,6 +158,13 @@ class MarkedPartition:
 _new = object.__new__
 _set_parts = Partition._parts.__set__
 _set_n = Partition._n.__set__
+
+
+def _check_mark(lam: Partition, i: int) -> None:
+    # the one test that a mark names a part, for every function that takes
+    # a marked class (lam, i)
+    if i not in lam.parts:
+        raise DomainError(f"mark {i} is not a part of {lam}")
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -229,9 +235,8 @@ def decrement_part(lam: Partition, i: int) -> Partition:
     symbol from a tableau whose last symbol sits on a row of length i.
     The result is a partition of n - 1.
     """
+    _check_mark(lam, i)
     parts = lam.parts
-    if i not in parts:
-        raise DomainError(f"{lam} has no part {i}")
     if i == 1:
         return Partition.unchecked(parts[:-1])
     # lowering the last copy of i keeps the tuple weakly decreasing
@@ -260,8 +265,7 @@ def marked_class_size(lam: Partition, i: int) -> int:
     Equals (n-1)! * i * m_i(lam) / prod_j j^{m_j} m_j!. Summed over the
     distinct parts i this recovers class_size(lam).
     """
-    if i not in lam:
-        raise DomainError(f"{lam} has no part {i}")
+    _check_mark(lam, i)
     m_i = lam.parts.count(i)
     num = math.factorial(lam.n - 1) * i * m_i
     den = _cycle_type_symmetry(lam)

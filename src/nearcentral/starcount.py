@@ -23,7 +23,7 @@ from .genchar import (
     _column,
     _marked_shapes,
 )
-from .partitions import Partition, _descending_parts, class_size
+from .partitions import Partition, _check_mark, _descending_parts, class_size
 
 __all__ = [
     "STAR_CLOSED_MAX",
@@ -37,7 +37,7 @@ __all__ = [
 
 # largest n `star_count`, `star_count_class` and `star_count_by_cycle_count`
 # take, the gamma columns' limit: at n = 30 a cold class count takes about
-# 0.25 s, a cold cycle count about 0.75 s and a cold star count 0.45-0.85 s
+# 0.25 s, a cold cycle count about 0.55 s and a cold star count 0.45-0.85 s
 STAR_COUNT_MAX_N = COLUMN_MAX_N
 
 
@@ -129,8 +129,7 @@ def star_count(lam: Partition, i: int, r: int) -> int:
     n above STAR_COUNT_MAX_N (the column limit COLUMN_MAX_N) or r above
     STAR_CLOSED_MAX raises GuardExceeded.
     """
-    if i not in lam:
-        raise DomainError(f"mark {i} is not a part of {lam}")
+    _check_mark(lam, i)
     if r < 0:
         raise DomainError("length must be nonnegative")
     n = lam.n

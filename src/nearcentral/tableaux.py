@@ -21,7 +21,7 @@ import math
 from functools import cache
 
 from .errors import DomainError, InconsistencyError
-from .partitions import Partition, decrement_part
+from .partitions import Partition, _check_mark, decrement_part
 
 __all__ = [
     "StandardTableau",
@@ -217,8 +217,7 @@ def marked_content(lam: Partition, i: int) -> int:
     The cell is the last one of the lowest row of length i, so its content
     is i minus the number of rows of length at least i.
     """
-    if i not in lam:
-        raise DomainError(f"{lam} has no part {i}")
+    _check_mark(lam, i)
     return i - sum(1 for part in lam if part >= i)
 
 

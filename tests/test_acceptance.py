@@ -214,7 +214,7 @@ def test_criterion_06_jm_polynomial_identities() -> None:
         rows = table1_rows(n)
         assert len(rows) == expected_rows[n]
         for m, poly in rows:
-            assert evaluate_asf_at_jm(poly, n) == class_sum(m.shape, m.mark, n), (
+            assert evaluate_asf_at_jm(poly, n) == class_sum(m.shape, m.mark), (
                 n,
                 m,
             )
@@ -242,7 +242,7 @@ def test_criterion_08_connection_coefficients() -> None:
     assert connection_coefficient(swap, 2, swap, 2, Partition((3,)), 3) == 1
     for n in range(3, 6):
         marked = _marked(n)
-        sums = {(lam.parts, i): class_sum(lam, i, n) for lam, i in marked}
+        sums = {(lam.parts, i): class_sum(lam, i) for lam, i in marked}
         for (lam, i), (mu, j) in itertools.combinations_with_replacement(marked, 2):
             product = ga_multiply(sums[(lam.parts, i)], sums[(mu.parts, j)])
             for nu, k in marked:

@@ -208,6 +208,26 @@ def test_domain_error_exits_1(capsys) -> None:
     assert err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genchar", "--n", "4", "--mu", "3,1", "--j", "2", "--lambda", "4", "--i", "4"],
+        ["genchar", "--n", "4", "--mu", "4", "--j", "4", "--lambda", "3,1", "--i", "2"],
+        ["connection", "--n", "4", "--lambda", "3,1", "--i", "2",
+         "--mu", "4", "--j", "4", "--nu", "4", "--k", "4"],
+        ["starfact", "count", "--lambda", "3,1", "--i", "2", "--r", "3"],
+        ["tableaux", "--shape", "3,1", "--mark", "2"],
+    ],
+    ids=["genchar superscript", "genchar subscript", "connection", "starfact count",
+         "tableaux"],
+)
+def test_bad_mark_exits_1(capsys, argv) -> None:
+    code, doc, err = _invoke(capsys, argv)
+    assert code == 1
+    assert doc == {"status": "error", "error": "mark 2 is not a part of 3,1"}
+    assert err
+
+
 def test_guard_exceeded_exits_2(capsys) -> None:
     code, doc, _ = _invoke(
         capsys,

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import math
 import random
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 
@@ -158,7 +159,7 @@ def test_strahov_value_does_not_depend_on_class_representative() -> None:
             scale = Fraction(dimension(reduced), fact)
             for lam, i in _marked(n):
                 expected = genchar_strahov(mu, j, lam, i)
-                for pi in class_sum(lam, i, n).support():
+                for pi in class_sum(lam, i).support():
                     total = 0
                     for images in itertools.permutations(range(1, n)):
                         tau = Permutation(images + (n,))
@@ -344,6 +345,27 @@ def test_closed_forms_are_refused_past_n1000() -> None:
                 refusal = f"closed-form gamma at n={n} .*the limit is n <= 1000"
                 with pytest.raises(GuardExceeded, match=refusal):
                     value()
+
+
+def test_dispatcher_refuses_a_huge_class_before_building_the_closed_classes() -> None:
+    # every closed class has at most two parts above 1, so past n = 1000 a
+    # class with more is refused by the rule's limit and any other by the
+    # closed-form limit, without the closed classes of n, whose shapes have
+    # up to n parts
+    for n in range(1, 13):
+        assert all(lam.parts[2:3] <= (1,) for lam, _ in genchar_module._closed_classes(n))
+    n = 10**6
+    full, wide = Partition((n,)), Partition((n - 6, 2, 2, 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded, match=f"closed-form gamma at n={n} "):
+            genchar(full, n, full, n)
+        with pytest.raises(GuardExceeded, match=f"rule at n={n} takes a rim pass"):
+            genchar(wide, 2, wide, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_dispatcher_examples() -> None:
@@ -687,12 +709,13 @@ def test_closed_columns_up_to_the_cap() -> None:
     # closed forms, up to n = 30
     for n in (13, 14, 21, 30):
         rng = random.Random(n)
-        index = genchar_module._marked_shapes(n).index
+        marked = genchar_module._marked_shapes(n).marked
         for lam, i in sorted(genchar_module._closed_classes(n), key=str):
             den, weights = genchar_module._column(lam, i)
-            for mu, j in rng.sample(list(index), 60):
+            for t in rng.sample(range(len(marked)), 60):
+                mu, j = marked[t].shape, marked[t].mark
                 expected = genchar_table2(mu, j, lam, i)
-                assert Fraction(weights[index[mu, j]], den) == expected, (mu, j, lam, i)
+                assert Fraction(weights[t], den) == expected, (mu, j, lam, i)
         full, split = Partition((n,)), Partition((n - 1, 1))
         for r in (n - 1, n, n + 3):
             assert star_count(full, n, r) == star_count_closed(StarClosedCase.FULL_CYCLE, n, r)
@@ -717,7 +740,6 @@ def test_marked_shape_table() -> None:
         marked = enumerate_marked_partitions(n)
         shapes = enumerate_partitions(n)
         assert list(table.marked) == marked
-        assert table.index == {(m.shape, m.mark): t for t, m in enumerate(marked)}
         assert [shapes[k] for k in table.shape] == [m.shape for m in marked]
         assert list(table.dim) == [dimension(m.shape) for m in marked]
         reduced = [dimension(decrement_part(m.shape, m.mark)) for m in marked]
@@ -795,6 +817,20 @@ def test_subscript_sum_is_chi_for_every_free_mark() -> None:
         for mu, j in _marked(n):
             for lam in enumerate_partitions(n):
                 assert subscript_sum_chi(mu, j, lam) == chi(mu, lam)
+
+
+def test_subscript_sum_reads_its_own_values() -> None:
+    # one value per part of lam, no row: past the rule's limit a lam whose
+    # marks all have closed forms is answered, and at the limit a cold sum
+    # leaves the row cache as it was
+    rows = genchar_module._row.cache_info().currsize
+    mu, lam = Partition((9, 7, 4, 3, 2, 1)), Partition((10, 6, 4, 3, 3))
+    assert subscript_sum_chi(mu, 4, lam) == chi(mu, lam)
+    lam = Partition((39, 1))
+    for mu in (Partition((20, 10, 5, 5)), Partition((38, 1, 1)), lam):
+        for j in set(mu.parts):
+            assert subscript_sum_chi(mu, j, lam) == chi(mu, lam), (mu, j)
+    assert genchar_module._row.cache_info().currsize == rows
 
 
 def test_weighted_sum_examples() -> None:

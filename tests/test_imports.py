@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import json
 import os
@@ -226,3 +227,22 @@ def test_only_checked_constructors_store_through_object_setattr() -> None:
         }
         found += [f"{path.name}:{line}" for line in sorted(_object_setattr_lines(tree) - allowed)]
     assert not found
+
+
+def test_one_function_checks_a_mark() -> None:
+    # only partitions._check_mark raises the not-a-part error, and the
+    # marked-shape table answers sums over every marked shape, not lookups
+    # of one: it holds no position index
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for top in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(top, ast.FunctionDef) or (path.name, top.name) == (
+                "partitions.py", "_check_mark"
+            ):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise) and "is not a part of" in ast.unparse(node):
+                    found.append(f"{path.name}:{node.lineno} in {top.name}")
+    assert not found
+    genchar_module = importlib.import_module("nearcentral.genchar")
+    assert "index" not in genchar_module._MarkedShapes._fields

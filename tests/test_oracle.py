@@ -140,15 +140,27 @@ def test_composition_table_cells() -> None:
 
 def test_class_sum_small() -> None:
     for n in range(1, 6):
-        ident = class_sum(Partition((1,) * n), 1, n)
+        ident = class_sum(Partition((1,) * n), 1)
         assert ident == GroupAlgebraElement.one(n)
-    swap = class_sum(Partition((2, 1)), 2, 3)
+    swap = class_sum(Partition((2, 1)), 2)
     assert sorted(p.images for p in swap.support()) == [(1, 3, 2), (3, 2, 1)]
-    cycles = class_sum(Partition((3,)), 3, 3)
+    cycles = class_sum(Partition((3,)), 3)
     assert sorted(p.images for p in cycles.support()) == [(2, 3, 1), (3, 1, 2)]
     for n in range(1, 6):
         for lam, i in _marked(n):
-            assert len(class_sum(lam, i, n)) == marked_class_size(lam, i)
+            assert len(class_sum(lam, i)) == marked_class_size(lam, i)
+
+
+def test_classes_past_the_pool_stream_their_permutations() -> None:
+    # past _POOL_MAX_N the oracle classifies S_n as it walks it, keeping no
+    # pool: a class sum and a coefficient read back at n = 8
+    n = 8
+    assert n > oracle._POOL_MAX_N
+    marked = Partition((3, 2, 2, 1)), 2
+    g = class_sum(*marked).scale(2)
+    assert len(g) == marked_class_size(*marked)
+    assert extract_marked_coefficient(g, *marked) == 2
+    assert extract_marked_coefficient(g, Partition((n,)), n) == 0
 
 
 def test_jm_elements() -> None:
@@ -156,7 +168,7 @@ def test_jm_elements() -> None:
     j3 = jm_element(3, 3)
     assert sorted(p.images for p in j3.support()) == [(1, 3, 2), (3, 2, 1)]
     for n in range(2, 8):
-        assert jm_element(n, n) == class_sum(Partition((2,) + (1,) * (n - 2)), 2, n)
+        assert jm_element(n, n) == class_sum(Partition((2,) + (1,) * (n - 2)), 2)
     with pytest.raises(DomainError):
         jm_element(1, 3)
 
@@ -242,7 +254,7 @@ def test_z1_idempotent_structure() -> None:
 
 
 def test_extract_marked_coefficient() -> None:
-    k = class_sum(Partition((2, 1)), 2, 3)
+    k = class_sum(Partition((2, 1)), 2)
     assert extract_marked_coefficient(k, Partition((2, 1)), 2) == 1
     assert extract_marked_coefficient(k, Partition((2, 1)), 1) == 0
     j3sq = ga_multiply(jm_element(3, 3), jm_element(3, 3))
@@ -268,14 +280,14 @@ def test_extraction_matches_generalized_characters() -> None:
 
 def test_is_near_central() -> None:
     for lam, i in _marked(4):
-        assert is_near_central(class_sum(lam, i, 4))
+        assert is_near_central(class_sum(lam, i))
     # (1,2) alone IS invariant here: it is the whole class C_{(2,1),1} of S_3
     assert is_near_central(GroupAlgebraElement.from_permutation(_perm(2, 1, 3)))
     assert not is_near_central(
         GroupAlgebraElement.from_permutation(_perm(3, 2, 1))
     )
-    a = class_sum(Partition((2, 1, 1)), 2, 4)
-    b = class_sum(Partition((3, 1)), 3, 4)
+    a = class_sum(Partition((2, 1, 1)), 2)
+    b = class_sum(Partition((3, 1)), 3)
     assert is_near_central(ga_multiply(a, b))
     # equal coefficients on (1 3) and its conjugate (2 3) by (1 2), unequal ones
     t13 = Permutation.transposition(1, 3, 3)
@@ -336,7 +348,7 @@ def test_star_enumeration_matches_jm_powers() -> None:
         for r in range(4):
             table = jm_power_coefficients(n, r)
             for m, v in table.items():
-                sample = next(iter(class_sum(m.shape, m.mark, n).support()))
+                sample = next(iter(class_sum(m.shape, m.mark).support()))
                 assert enumerate_star_factorizations(sample, r) == v
 
 
@@ -348,7 +360,7 @@ def test_jm_evaluation_of_closed_form_rows_at_n4() -> None:
     ]
     for lam, i in cases:
         f = table1_poly(lam, i)
-        assert evaluate_asf_at_jm(f, 4) == class_sum(lam, i, 4)
+        assert evaluate_asf_at_jm(f, 4) == class_sum(lam, i)
 
 
 def test_run_verify_small() -> None:
@@ -374,6 +386,6 @@ def test_run_verify_is_refused_past_n6(monkeypatch) -> None:
 
 def test_guards_reject_oversized_inputs() -> None:
     with pytest.raises(GuardExceeded):
-        class_sum(Partition((12,)), 12, 12)
+        class_sum(Partition((12,)), 12)
     with pytest.raises(GuardExceeded):
         jm_power_coefficients(12, 2)
