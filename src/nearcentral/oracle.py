@@ -13,22 +13,25 @@ listed, so the spectral counts have a check above n = 7; and
 `genchar_strahov` recomputes generalized characters as a character sum over
 S_{n-1}, with no idempotent built.
 
-Products come in two speed tiers with the same values.  Dense products at
-n <= 6 look every p * q up in a composition table of S_n, built once per
-process with one C-level gather per row.  Every other product composes image
-tuples directly, with one `operator.itemgetter` per right-hand permutation.
+For n <= 7 one cached index lists the marked classes of S_n (the
+S_{n-1}-conjugacy classes), each image tuple's class and each permutation's
+inverse.  Class sums, idempotents and coefficient reads take whole classes
+from it.  A product of two elements that commute with S_{n-1} commutes with
+it too, so `ga_multiply` sums such a product at one member per marked class
+and gives the rest of the class the same value.  Every other product
+composes image tuples term by term, with one `operator.itemgetter` per
+right-hand permutation; the tests compare the class path with it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .characters import chi
 from .errors import DomainError, GuardExceeded
@@ -193,91 +196,124 @@ class GroupAlgebraElement:
         return f"<group algebra element over S_{self._n}, {len(self._terms)} terms>"
 
 
-# a product takes the table tier when n <= _TABLE_MAX_N and it has more than
-# _DIRECT_LIMIT term pairs: rows[p][q] is the pool index of p * q, a lookup
-# per pair into an accumulator over the whole group.  The direct tier builds
-# each image tuple of p * q with an itemgetter and sums in a dict, which wins
-# for sparse products.  'H' is enough because the table is only ever built
-# for n! <= 720
-_TABLE_MAX_N = 6
-_DIRECT_LIMIT = 20000
+# largest n whose marked classes `_marked_index` lists: S_7 has 5,040
+# permutations; past it `_classified_perms` streams S_n instead
 _POOL_MAX_N = 7
 
 
+class _MarkedIndex(NamedTuple):
+    # (cycle type, length of the cycle through n, members) for each marked
+    # class of S_n, in the order its first member comes in the lexicographic
+    # listing of S_n
+    classes: tuple[tuple[Partition, int, tuple[Permutation, ...]], ...]
+    # the position in `classes` of each image tuple's class
+    class_of: dict[tuple[int, ...], int]
+    # the images of each permutation's inverse, by the images of the permutation
+    inverse: dict[tuple[int, ...], tuple[int, ...]]
+
+
 @cache
-def _perm_pool(n: int) -> tuple[Permutation, ...]:
-    return tuple(
-        Permutation.unchecked(t) for t in itertools.permutations(range(1, n + 1))
+def _marked_index(n: int) -> _MarkedIndex:
+    grouped: dict[tuple[tuple[int, ...], int], list[Permutation]] = {}
+    inverse = {}
+    for images in itertools.permutations(range(1, n + 1)):
+        perm = Permutation.unchecked(images)
+        # S_0 holds only the empty permutation, with no cycle through n
+        through = perm.cycle_length_through(n) if n else 0
+        grouped.setdefault((cycle_lengths(images), through), []).append(perm)
+        inverse[images] = perm.inverse().images
+    classes = tuple(
+        (Partition.unchecked(parts), through, tuple(members))
+        for (parts, through), members in grouped.items()
     )
+    class_of = {
+        p.images: k for k, (_, _, members) in enumerate(classes) for p in members
+    }
+    return _MarkedIndex(classes, class_of, inverse)
 
 
-@cache
-def _compose_table(n: int):
-    pool = _perm_pool(n)
-    images = [p.images for p in pool]
-    index = {t: k for k, t in enumerate(images)}
-    # one list per adjacent transposition s = (k k+1): left[j] is the pool
-    # index of s * pool[j], whose images are those of pool[j] with the values
-    # k and k+1 swapped
-    lefts = []
-    for k in range(1, n):
-        swap = list(range(n + 1))
-        swap[k], swap[k + 1] = k + 1, k
-        lefts.append([index[tuple([swap[x] for x in t])] for t in images])
-    # pool[0] is the identity; row(s * p) is row(p) pushed through left_s,
-    # one gather per row, filled breadth-first over the generators
-    rows: list = [None] * len(pool)
-    rows[0] = array("H", range(len(pool)))
-    frontier = [0]
-    while frontier:
-        reached = []
-        for p in frontier:
-            gather = itemgetter(*rows[p])
-            for left in lefts:
-                target = left[p]
-                if rows[target] is None:
-                    rows[target] = array("H", gather(left))
-                    reached.append(target)
-        frontier = reached
-    return pool, index, rows
-
-
-def _integerized(g: GroupAlgebraElement) -> tuple[dict[Permutation, int], int]:
+def _integerized(
+    g: GroupAlgebraElement,
+) -> tuple[dict[tuple[int, ...], int], int]:
+    # the numerators over one common denominator, keyed by image tuples
     den = math.lcm(*(c.denominator for c in g._terms.values())) if g else 1
     return (
-        {p: c.numerator * (den // c.denominator) for p, c in g._terms.items()},
+        {p.images: c.numerator * (den // c.denominator) for p, c in g._terms.items()},
         den,
     )
 
 
+def _on_whole_classes(terms: dict[tuple[int, ...], int], index: _MarkedIndex) -> bool:
+    # whether `terms` is constant on every marked class and holds every class
+    # it touches whole, that is, whether it commutes with S_{n-1}
+    seen: dict[int, int] = {}
+    class_of = index.class_of
+    for images, c in terms.items():
+        if seen.setdefault(class_of[images], c) != c:
+            return False
+    return sum(len(index.classes[k][2]) for k in seen) == len(terms)
+
+
+def _class_product(
+    ta: dict[tuple[int, ...], int],
+    tb: dict[tuple[int, ...], int],
+    den: int,
+    index: _MarkedIndex,
+) -> dict[Permutation, Fraction]:
+    # a product of elements that commute with S_{n-1} commutes with it too,
+    # so it is constant on each marked class: c(k) is summed at one member k
+    # per class, over the smaller support
+    inverse = index.inverse
+    sums = []
+    if len(ta) <= len(tb):
+        # c(k) = sum_p a(p) b(p^-1 k), where p^-1 k gathers p^-1 at k(1)-1, ..
+        left = [(inverse[p], ca) for p, ca in ta.items()]
+        for _, _, members in index.classes:
+            at = itemgetter(*[x - 1 for x in members[0].images])
+            sums.append(sum(ca * tb.get(at(p_inv), 0) for p_inv, ca in left))
+    else:
+        # c(k) = sum_q a(k q^-1) b(q), where k q^-1 gathers k at q^-1(1)-1, ..
+        right = [(itemgetter(*[x - 1 for x in inverse[q]]), cb) for q, cb in tb.items()]
+        for _, _, members in index.classes:
+            k = members[0].images
+            sums.append(sum(ta.get(at(k), 0) * cb for at, cb in right))
+    terms: dict[Permutation, Fraction] = {}
+    for (_, _, members), v in zip(index.classes, sums):
+        if v:
+            terms.update(dict.fromkeys(members, Fraction(v, den)))
+    return terms
+
+
 def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Product in the group algebra, expanded term by term."""
+    """Product in the group algebra.
+
+    For 2 <= n <= 7, when both factors commute with S_{n-1} (each is
+    constant on every marked class and holds every class it touches whole),
+    the product is summed at one member of each marked class and shared by
+    the rest of the class.  Every other product is expanded term by term.
+    """
     if a.n != b.n:
         raise DomainError("cannot multiply elements of different group algebras")
     n = a.n
     ta, da = _integerized(a)
     tb, db = _integerized(b)
     den = da * db
-    if n <= _TABLE_MAX_N and len(ta) * len(tb) > _DIRECT_LIMIT:
-        pool, index, rows = _compose_table(n)
-        acc = [0] * len(pool)
-        cols = [(index[q.images], cb) for q, cb in tb.items()]
-        for p, ca in ta.items():
-            row = rows[index[p.images]]
-            for col, cb in cols:
-                acc[row[col]] += ca * cb
-        terms = {pool[k]: Fraction(v, den) for k, v in enumerate(acc) if v}
-    elif n <= 1:
+    if n <= 1:
         # S_0 and S_1 hold only the identity, where itemgetter cannot compose:
         # it raises for no index and returns a bare int for one
         v = sum(ta.values()) * sum(tb.values())
         terms = {Permutation.identity(n): Fraction(v, den)} if v else {}
+    elif (
+        n <= _POOL_MAX_N
+        and _on_whole_classes(ta, index := _marked_index(n))
+        and _on_whole_classes(tb, index)
+    ):
+        terms = _class_product(ta, tb, den, index)
     else:
         raw: dict[tuple[int, ...], int] = {}
         # itemgetter(q(1)-1, .., q(n)-1) maps the images of p to those of p * q
-        right = [(itemgetter(*[x - 1 for x in q.images]), cb) for q, cb in tb.items()]
-        for p, ca in ta.items():
-            mine = p.images
+        right = [(itemgetter(*[x - 1 for x in q]), cb) for q, cb in tb.items()]
+        for mine, ca in ta.items():
             for compose, cb in right:
                 key = compose(mine)
                 raw[key] = raw.get(key, 0) + ca * cb
@@ -287,21 +323,15 @@ def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraE
     return GroupAlgebraElement._make(n, terms)
 
 
-def _classified_perms(n: int) -> Iterable[tuple[Permutation, Partition, int]]:
+def _classified_perms(n: int) -> Iterable[tuple[Partition, int, Sequence[Permutation]]]:
+    # (cycle type, length of the cycle through n, permutations) covering S_n:
+    # whole marked classes from the index up to _POOL_MAX_N, past it one
+    # permutation at a time, so that no list of S_n is kept
     if n <= _POOL_MAX_N:
-        return _classified_pool(n)
+        return _marked_index(n).classes
     return (
-        (p, p.cycle_type(), p.cycle_length_through(n))
+        (p.cycle_type(), p.cycle_length_through(n), (p,))
         for p in map(Permutation.unchecked, itertools.permutations(range(1, n + 1)))
-    )
-
-
-@cache
-def _classified_pool(n: int) -> tuple[tuple[Permutation, Partition, int], ...]:
-    if n == 0:
-        return ((Permutation.unchecked(()), Partition(()), 0),)
-    return tuple(
-        (p, p.cycle_type(), p.cycle_length_through(n)) for p in _perm_pool(n)
     )
 
 
@@ -310,11 +340,12 @@ def class_sum(lam: Partition, i: int) -> GroupAlgebraElement:
     _check_mark(lam, i)
     n = lam.n
     check_guard(n, ORACLE_MAX_N, "marked class enumeration")
-    shape = lam.parts
+    one = Fraction(1)
     terms = {
-        perm: Fraction(1)
-        for perm, ctype, through in _classified_perms(n)
-        if ctype.parts == shape and through == i
+        perm: one
+        for ctype, through, members in _classified_perms(n)
+        if through == i and ctype == lam
+        for perm in members
     }
     return GroupAlgebraElement._make(n, terms)
 
@@ -335,11 +366,12 @@ def central_idempotent(lam: Partition) -> GroupAlgebraElement:
     check_guard(n, ORACLE_MAX_N, "central idempotent expansion")
     d = dimension(lam)
     nf = math.factorial(n)
-    terms = {
-        perm: Fraction(d * chi(lam, ctype), nf)
-        for perm, ctype, _ in _classified_perms(n)
-    }
-    return GroupAlgebraElement._make(n, {p: c for p, c in terms.items() if c})
+    terms: dict[Permutation, Fraction] = {}
+    for ctype, _, members in _classified_perms(n):
+        c = Fraction(d * chi(lam, ctype), nf)
+        if c:
+            terms.update(dict.fromkeys(members, c))
+    return GroupAlgebraElement._make(n, terms)
 
 
 def _embed(g: GroupAlgebraElement, n: int) -> GroupAlgebraElement:
@@ -384,18 +416,19 @@ def extract_marked_coefficient(
     if mu.n != n:
         raise DomainError(f"{mu} is not a partition of {n}")
     _check_mark(mu, j)
-    shape = mu.parts
+    terms, zero = g._terms, Fraction(0)
     value: Fraction | None = None
-    for perm, ctype, through in _classified_perms(n):
-        if ctype.parts != shape or through != j:
+    for ctype, through, members in _classified_perms(n):
+        if through != j or ctype != mu:
             continue
-        c = g.coefficient(perm)
-        if value is None:
-            value = c
-        elif value != c:
-            raise DomainError(
-                f"coefficient is not constant on the marked class ({mu}, {j})"
-            )
+        for perm in members:
+            c = terms.get(perm, zero)
+            if value is None:
+                value = c
+            elif value != c:
+                raise DomainError(
+                    f"coefficient is not constant on the marked class ({mu}, {j})"
+                )
     if value is None:
         raise DomainError(f"the marked class ({mu}, {j}) is empty")
     return value
@@ -409,7 +442,7 @@ def is_near_central(g: GroupAlgebraElement) -> bool:
     """
     n = g.n
     # integer coefficients compare in C, where Fractions would not
-    coeffs = {p.images: c for p, c in _integerized(g)[0].items()}
+    coeffs = _integerized(g)[0]
     for k in range(1, n - 1):
         # s p s for s = (k k+1): swap the positions k, k+1 of p's images, then
         # the values k, k+1
@@ -442,18 +475,16 @@ def jm_power_coefficients(n: int, r: int) -> dict[MarkedPartition, Fraction]:
 def _marked_decomposition(
     g: GroupAlgebraElement,
 ) -> dict[MarkedPartition, Fraction]:
-    n = g.n
+    terms, zero = g._terms, Fraction(0)
     out: dict[MarkedPartition, Fraction] = {}
-    for perm, ctype, through in _classified_perms(n):
+    for ctype, through, members in _classified_perms(g.n):
         marked = MarkedPartition(ctype, through)
-        c = g.coefficient(perm)
-        if marked in out:
-            if out[marked] != c:
+        for perm in members:
+            c = terms.get(perm, zero)
+            if out.setdefault(marked, c) != c:
                 raise DomainError(
                     f"coefficient is not constant on the marked class {marked}"
                 )
-        else:
-            out[marked] = c
     return out
 
 
@@ -605,7 +636,8 @@ def run_verify(max_n: int = 4) -> list[str]:
 
     Returns the labels of the checks that ran; raises VerificationError with
     both sides on the first failure.  Each n costs about 17 times the one
-    before (about 20 s at n = 6), so max_n above 6 raises GuardExceeded.
+    before (about 3.5 s at n = 6 on a 2-vCPU host), so max_n above 6 raises
+    GuardExceeded.
     """
     if max_n < 2:
         raise DomainError("verification needs max_n >= 2")
@@ -720,12 +752,8 @@ def run_verify(max_n: int = 4) -> list[str]:
             )
 
         if n <= 4:
-            for mp in marked:
-                members = [
-                    perm
-                    for perm, ctype, through in _classified_perms(n)
-                    if ctype == mp.shape and through == mp.mark
-                ]
+            for ctype, through, members in _classified_perms(n):
+                mp = MarkedPartition(ctype, through)
                 for r in range(0, 4):
                     counts = {
                         enumerate_star_factorizations(perm, r) for perm in members

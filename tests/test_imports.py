@@ -155,6 +155,28 @@ def test_marked_shapes_are_listed_in_three_places_only() -> None:
     assert not found
 
 
+def test_symmetric_groups_are_listed_in_three_places_only() -> None:
+    # S_n is listed by the oracle's marked-class index up to n = 7, streamed
+    # past it, and walked once per subscript class by the character sum;
+    # everything else reads the index, so no second list of S_n is kept
+    allowed = {
+        ("oracle.py", "_marked_index"),
+        ("oracle.py", "_classified_perms"),
+        ("oracle.py", "_strahov_histogram"),
+    }
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = (path.name, getattr(top, "name", "<module>"))
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call) or where in allowed:
+                    continue
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called == "permutations":
+                    found.append(f"{path.name}:{node.lineno} in {where[1]}")
+    assert not found
+
+
 def test_modules_have_no_assert_statements() -> None:
     # `python -O` strips assert statements, so a check written as one vanishes
     found = [

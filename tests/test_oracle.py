@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -109,33 +110,109 @@ def _random_element(rng: random.Random, n: int, size: int) -> GroupAlgebraElemen
     return GroupAlgebraElement(n, terms)
 
 
-def test_product_tiers_agree(monkeypatch) -> None:
+@functools.cache
+def _marked_members(n: int) -> tuple[tuple[Permutation, ...], ...]:
+    # the marked classes of S_n, listed here apart from the oracle's index
+    classes: dict[tuple[Partition, int], list[Permutation]] = {}
+    for images in itertools.permutations(range(1, n + 1)):
+        p = Permutation(images)
+        classes.setdefault((p.cycle_type(), p.cycle_length_through(n)), []).append(p)
+    return tuple(map(tuple, classes.values()))
+
+
+def _near_central_element(
+    rng: random.Random, n: int, budget: int
+) -> GroupAlgebraElement:
+    # a signed Fraction on each of a seeded choice of marked classes, with at
+    # most `budget` terms; the classes left out are absent
+    terms = {}
+    for members in _marked_members(n):
+        if rng.random() < 0.3 or len(terms) + len(members) > budget:
+            continue
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+        terms.update(dict.fromkeys(members, c))
+    return GroupAlgebraElement(n, terms)
+
+
+def _broken(
+    rng: random.Random, g: GroupAlgebraElement
+) -> list[GroupAlgebraElement]:
+    # g with one coefficient perturbed and g with one member of a class
+    # missing, each on a class of two or more members, so neither commutes
+    # with S_{n-1}; empty when g touches no such class
+    shared = {p for ms in _marked_members(g.n) if len(ms) > 1 for p in ms}
+    candidates = [p for p in g.support() if p in shared]
+    if not candidates:
+        return []
+    p = rng.choice(candidates)
+    bump = GroupAlgebraElement(g.n, {p: 1})
+    drop = GroupAlgebraElement(g.n, {p: g.coefficient(p)})
+    return [g + bump, g - drop]
+
+
+def test_class_product_matches_the_literal_product(monkeypatch) -> None:
+    taken = []
+    class_product = oracle._class_product
+
+    def spy(*args):
+        taken.append(args)
+        return class_product(*args)
+
+    monkeypatch.setattr(oracle, "_class_product", spy)
+
+    def check(a: GroupAlgebraElement, b: GroupAlgebraElement, by_class: bool):
+        taken.clear()
+        got = ga_multiply(a, b)
+        assert bool(taken) == by_class
+        with monkeypatch.context() as literal:
+            literal.setattr(oracle, "_POOL_MAX_N", 1)
+            want = ga_multiply(a, b)
+        assert got == want
+        return got
+
     rng = random.Random(20111)
-    for n, sizes in ((5, (120, 100)), (6, (200, 150))):
-        a = _random_element(rng, n, sizes[0])
-        b = _random_element(rng, n, sizes[1])
-        monkeypatch.setattr(oracle, "_DIRECT_LIMIT", 0)
-        table = ga_multiply(a, b)
-        monkeypatch.setattr(oracle, "_DIRECT_LIMIT", math.factorial(n) ** 2)
-        direct = ga_multiply(a, b)
-        assert table == direct and len(table) > 0
+    for n in range(2, 8):
+        for _ in range(3):
+            a = _near_central_element(rng, n, 150)
+            b = _near_central_element(rng, n, 150)
+            check(a, b, True)
+            check(b, a, True)
+            zero = GroupAlgebraElement.zero(n)
+            assert check(a, zero, True) == zero == check(zero, b, True)
+            for bad in _broken(rng, a):
+                check(bad, b, False)
+            for bad in _broken(rng, b):
+                check(a, bad, False)
+
+    # the two idempotents of 6 with the fewest terms, 340 and 450
+    marked = [(Partition((3, 2, 1)), 2), (Partition((4, 2)), 2)]
+    gamma, other = (z1_idempotent(*m) for m in marked)
+    assert check(gamma, gamma, True) == gamma
+    assert not check(gamma, other, True)
+
+    jm = jm_element(7, 7)
+    power = GroupAlgebraElement.one(7)
+    for _ in range(4):
+        power = check(power, jm, True)
+    assert extract_marked_coefficient(power, Partition((1,) * 7), 1) == (
+        enumerate_star_factorizations(Permutation.identity(7), 4)
+    )
 
 
-def test_composition_table_cells() -> None:
-    def literal(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(p[x - 1] for x in q)
-
-    for n in range(6):
-        pool, _, rows = oracle._compose_table(n)
-        assert len(rows) == len(pool) == math.factorial(n)
-        for p, row in zip(pool, rows):
-            assert [pool[k].images for k in row] == [
-                literal(p.images, q.images) for q in pool
-            ]
-    pool, _, rows = oracle._compose_table(6)
-    for k in random.Random(6).sample(range(720), 24):
-        p = pool[k].images
-        assert [pool[c].images for c in rows[k]] == [literal(p, q.images) for q in pool]
+def test_class_check_agrees_with_is_near_central() -> None:
+    rng = random.Random(6)
+    seen = set()
+    for n in range(1, 7):
+        index = oracle._marked_index(n)
+        for _ in range(4):
+            g = _near_central_element(rng, n, 10**4)
+            size = rng.randint(1, min(8, math.factorial(n)))
+            for h in [g, _random_element(rng, n, size), *_broken(rng, g)]:
+                near = is_near_central(h)
+                terms = oracle._integerized(h)[0]
+                assert oracle._on_whole_classes(terms, index) == near
+                seen.add(near)
+    assert seen == {True, False}
 
 
 def test_class_sum_small() -> None:
@@ -371,7 +448,7 @@ def test_run_verify_small() -> None:
 
 def test_run_verify_is_refused_past_n6(monkeypatch) -> None:
     # refused before any n is verified; at the limit the suite starts, and
-    # fails here on purpose, since a real run at n = 6 takes about 20 s
+    # fails here on purpose, since a real run at n = 6 takes seconds
     def refuse(*args) -> None:
         raise AssertionError(f"verified {args}")
 
