@@ -655,6 +655,8 @@ def superscript_sum(mu: Partition, lam: Partition, i: int) -> int:
 
     Equals the ordinary character chi^mu_lam, hence an integer.
     """
+    # genchar checks the mark only on a cache miss
+    _check_mark(lam, i)
     total = sum(
         (genchar(mu, j, lam, i) for j in sorted(set(mu.parts))), Fraction(0)
     )

@@ -14,13 +14,14 @@ listed, so the spectral counts have a check above n = 7; and
 S_{n-1}, with no idempotent built.
 
 For n <= 7 one cached index lists the marked classes of S_n (the
-S_{n-1}-conjugacy classes), each image tuple's class and each permutation's
-inverse.  Class sums, idempotents and coefficient reads take whole classes
-from it.  A product of two elements that commute with S_{n-1} commutes with
-it too, so `ga_multiply` sums such a product at one member per marked class
-and gives the rest of the class the same value.  Every other product
-composes image tuples term by term, with one `operator.itemgetter` per
-right-hand permutation; the tests compare the class path with it.
+S_{n-1}-conjugacy classes) and nothing else.  Class sums, idempotents and
+coefficient reads take whole classes from it.  A product of two elements
+that commute with S_{n-1} commutes with it too, so `ga_multiply` sums such
+a product at one member per marked class and gives the rest of the class
+the same value; as such elements commute with each other and a marked
+class holds the inverse of each member, no inverse is formed.  Every other
+product composes image tuples term by term, with one `operator.itemgetter`
+per right-hand permutation; the tests compare the class path with it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .characters import chi
 from .errors import DomainError, GuardExceeded
@@ -201,35 +202,21 @@ class GroupAlgebraElement:
 _POOL_MAX_N = 7
 
 
-class _MarkedIndex(NamedTuple):
+@cache
+def _marked_index(n: int) -> tuple[tuple[Partition, int, tuple[Permutation, ...]], ...]:
     # (cycle type, length of the cycle through n, members) for each marked
     # class of S_n, in the order its first member comes in the lexicographic
     # listing of S_n
-    classes: tuple[tuple[Partition, int, tuple[Permutation, ...]], ...]
-    # the position in `classes` of each image tuple's class
-    class_of: dict[tuple[int, ...], int]
-    # the images of each permutation's inverse, by the images of the permutation
-    inverse: dict[tuple[int, ...], tuple[int, ...]]
-
-
-@cache
-def _marked_index(n: int) -> _MarkedIndex:
     grouped: dict[tuple[tuple[int, ...], int], list[Permutation]] = {}
-    inverse = {}
     for images in itertools.permutations(range(1, n + 1)):
         perm = Permutation.unchecked(images)
         # S_0 holds only the empty permutation, with no cycle through n
         through = perm.cycle_length_through(n) if n else 0
         grouped.setdefault((cycle_lengths(images), through), []).append(perm)
-        inverse[images] = perm.inverse().images
-    classes = tuple(
+    return tuple(
         (Partition.unchecked(parts), through, tuple(members))
         for (parts, through), members in grouped.items()
     )
-    class_of = {
-        p.images: k for k, (_, _, members) in enumerate(classes) for p in members
-    }
-    return _MarkedIndex(classes, class_of, inverse)
 
 
 def _integerized(
@@ -243,42 +230,44 @@ def _integerized(
     )
 
 
-def _on_whole_classes(terms: dict[tuple[int, ...], int], index: _MarkedIndex) -> bool:
+def _on_whole_classes(
+    terms: dict[tuple[int, ...], int],
+    classes: Iterable[tuple[Partition, int, Sequence[Permutation]]],
+) -> bool:
     # whether `terms` is constant on every marked class and holds every class
-    # it touches whole, that is, whether it commutes with S_{n-1}
-    seen: dict[int, int] = {}
-    class_of = index.class_of
-    for images, c in terms.items():
-        if seen.setdefault(class_of[images], c) != c:
+    # it touches whole, that is, whether it commutes with S_{n-1}: a class is
+    # touched when its first member is present, and the touched classes must
+    # hold every term
+    held = 0
+    for _, _, members in classes:
+        c = terms.get(members[0].images)
+        if c is None:
+            continue
+        if any(terms.get(p.images) != c for p in members):
             return False
-    return sum(len(index.classes[k][2]) for k in seen) == len(terms)
+        held += len(members)
+    return held == len(terms)
 
 
 def _class_product(
     ta: dict[tuple[int, ...], int],
     tb: dict[tuple[int, ...], int],
     den: int,
-    index: _MarkedIndex,
+    classes: Iterable[tuple[Partition, int, Sequence[Permutation]]],
 ) -> dict[Permutation, Fraction]:
     # a product of elements that commute with S_{n-1} commutes with it too,
     # so it is constant on each marked class: c(k) is summed at one member k
-    # per class, over the smaller support
-    inverse = index.inverse
-    sums = []
-    if len(ta) <= len(tb):
-        # c(k) = sum_p a(p) b(p^-1 k), where p^-1 k gathers p^-1 at k(1)-1, ..
-        left = [(inverse[p], ca) for p, ca in ta.items()]
-        for _, _, members in index.classes:
-            at = itemgetter(*[x - 1 for x in members[0].images])
-            sums.append(sum(ca * tb.get(at(p_inv), 0) for p_inv, ca in left))
-    else:
-        # c(k) = sum_q a(k q^-1) b(q), where k q^-1 gathers k at q^-1(1)-1, ..
-        right = [(itemgetter(*[x - 1 for x in inverse[q]]), cb) for q, cb in tb.items()]
-        for _, _, members in index.classes:
-            k = members[0].images
-            sums.append(sum(ta.get(at(k), 0) * cb for at, cb in right))
+    # per class.  c(k) = sum_p a(p) b(p^-1 k) = sum_p a(p) b(p k) by
+    # p -> p^-1, as a marked class holds the inverse of each member and a
+    # takes one value on it; and such elements commute with each other, so
+    # the factors are swapped to let p run over the smaller support
+    if len(tb) < len(ta):
+        ta, tb = tb, ta
     terms: dict[Permutation, Fraction] = {}
-    for (_, _, members), v in zip(index.classes, sums):
+    for _, _, members in classes:
+        # itemgetter(k(1)-1, .., k(n)-1) maps the images of p to those of p k
+        at = itemgetter(*[x - 1 for x in members[0].images])
+        v = sum(ca * tb.get(at(p), 0) for p, ca in ta.items())
         if v:
             terms.update(dict.fromkeys(members, Fraction(v, den)))
     return terms
@@ -290,7 +279,10 @@ def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraE
     For 2 <= n <= 7, when both factors commute with S_{n-1} (each is
     constant on every marked class and holds every class it touches whole),
     the product is summed at one member of each marked class and shared by
-    the rest of the class.  Every other product is expanded term by term.
+    the rest of the class.  That sum uses two facts of the algebra of such
+    elements: it is commutative, so the smaller support is walked, and each
+    marked class is closed under inversion, so c(k) = sum_p a(p) b(p k).
+    Every other product is expanded term by term.
     """
     if a.n != b.n:
         raise DomainError("cannot multiply elements of different group algebras")
@@ -305,10 +297,10 @@ def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraE
         terms = {Permutation.identity(n): Fraction(v, den)} if v else {}
     elif (
         n <= _POOL_MAX_N
-        and _on_whole_classes(ta, index := _marked_index(n))
-        and _on_whole_classes(tb, index)
+        and _on_whole_classes(ta, classes := _marked_index(n))
+        and _on_whole_classes(tb, classes)
     ):
-        terms = _class_product(ta, tb, den, index)
+        terms = _class_product(ta, tb, den, classes)
     else:
         raw: dict[tuple[int, ...], int] = {}
         # itemgetter(q(1)-1, .., q(n)-1) maps the images of p to those of p * q
@@ -328,7 +320,7 @@ def _classified_perms(n: int) -> Iterable[tuple[Partition, int, Sequence[Permuta
     # whole marked classes from the index up to _POOL_MAX_N, past it one
     # permutation at a time, so that no list of S_n is kept
     if n <= _POOL_MAX_N:
-        return _marked_index(n).classes
+        return _marked_index(n)
     return (
         (p.cycle_type(), p.cycle_length_through(n), (p,))
         for p in map(Permutation.unchecked, itertools.permutations(range(1, n + 1)))
@@ -635,8 +627,8 @@ def run_verify(max_n: int = 4) -> list[str]:
     """Run the whole invariant suite for each n up to max_n.
 
     Returns the labels of the checks that ran; raises VerificationError with
-    both sides on the first failure.  Each n costs about 17 times the one
-    before (about 3.5 s at n = 6 on a 2-vCPU host), so max_n above 6 raises
+    both sides on the first failure.  Each n costs about 10 times the one
+    before (about 3 s at n = 6 on a 2-vCPU host), so max_n above 6 raises
     GuardExceeded.
     """
     if max_n < 2:

@@ -120,8 +120,6 @@ class MarkedPartition:
     mark: int
 
     def __init__(self, shape: Partition, mark: int):
-        if type(mark) is not int:
-            raise DomainError(f"mark must be an integer, got {mark!r}")
         _check_mark(shape, mark)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "mark", mark)
@@ -162,7 +160,10 @@ _set_n = Partition._n.__set__
 
 def _check_mark(lam: Partition, i: int) -> None:
     # the one test that a mark names a part, for every function that takes
-    # a marked class (lam, i)
+    # a marked class (lam, i); bool is an int subclass, and True would pass
+    # as the mark 1, as 2.0 would as the mark 2
+    if type(i) is not int:
+        raise DomainError(f"mark must be an integer, got {i!r}")
     if i not in lam.parts:
         raise DomainError(f"mark {i} is not a part of {lam}")
 

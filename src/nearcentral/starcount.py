@@ -219,9 +219,13 @@ def star_count_class(lam: Partition, r: int) -> int:
 
     n above STAR_COUNT_MAX_N or r above STAR_CLOSED_MAX raises GuardExceeded.
     """
-    if r < 1:
-        raise DomainError("length must be positive")
     n = lam.n
+    # S_0 has no star, and the sum over marked shapes would read 0 at r = 0
+    # where the empty sequence gives the empty permutation
+    if n < 1:
+        raise DomainError("n must be positive")
+    if r < 0:
+        raise DomainError("length must be nonnegative")
     _check_size(n, r)
     total = _weighted_power_sum(n, r, _chi_column(lam.parts))
     return _as_count(class_size(lam) * total, math.factorial(n), "class star count")

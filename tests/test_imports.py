@@ -177,6 +177,19 @@ def test_symmetric_groups_are_listed_in_three_places_only() -> None:
     assert not found
 
 
+def test_oracle_inverts_no_permutation() -> None:
+    # a marked class holds the inverse of each member, so the class product
+    # needs no table of inverses
+    tree = ast.parse((PACKAGE_DIR / "oracle.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "inverse"
+    ]
+    assert not found
+
+
 def test_modules_have_no_assert_statements() -> None:
     # `python -O` strips assert statements, so a check written as one vanishes
     found = [

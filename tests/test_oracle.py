@@ -199,10 +199,31 @@ def test_class_product_matches_the_literal_product(monkeypatch) -> None:
     )
 
 
+def test_marked_classes_hold_the_inverse_of_each_member() -> None:
+    # the class product reads a(p) for a(p^-1): p^-1 is in the class of p
+    for n in range(0, 8):
+        for _, _, members in oracle._marked_index(n):
+            assert {p.inverse() for p in members} == set(members)
+
+
+def test_near_central_elements_commute(monkeypatch) -> None:
+    # the class product swaps its factors so that p runs over the smaller
+    # support; checked here on the literal product
+    monkeypatch.setattr(oracle, "_POOL_MAX_N", 1)
+    rng = random.Random(21)
+    for n in range(1, 7):
+        for _ in range(3):
+            a = _near_central_element(rng, n, 150)
+            b = _near_central_element(rng, n, 150)
+            assert ga_multiply(a, b) == ga_multiply(b, a)
+    s, t = (GroupAlgebraElement.from_permutation(_perm(*p)) for p in [(2, 1, 3), (1, 3, 2)])
+    assert ga_multiply(s, t) != ga_multiply(t, s)
+
+
 def test_class_check_agrees_with_is_near_central() -> None:
     rng = random.Random(6)
     seen = set()
-    for n in range(1, 7):
+    for n in range(1, 8):
         index = oracle._marked_index(n)
         for _ in range(4):
             g = _near_central_element(rng, n, 10**4)

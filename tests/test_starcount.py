@@ -265,6 +265,12 @@ def test_star_count_class_examples() -> None:
     assert star_count_class(Partition((3, 1)), 2) == 6
     assert star_count_class(Partition((2, 2)), 4) == 12
     assert star_count_class(Partition((3, 1)), 4) == 54
+    # the empty sequence gives the identity; S_0 has no stars
+    assert star_count_class(Partition((1, 1, 1)), 0) == 1
+    assert star_count_class(Partition((3,)), 0) == 0
+    for bad in [(Partition((2, 1)), -1), (Partition(), 0), (Partition(), 1)]:
+        with pytest.raises(DomainError):
+            star_count_class(*bad)
 
 
 def test_star_count_class_is_the_literal_character_sum() -> None:
@@ -273,7 +279,7 @@ def test_star_count_class_is_the_literal_character_sum() -> None:
     for n in range(1, 11):
         shapes = enumerate_partitions(n)
         for lam in shapes:
-            for r in range(1, 13):
+            for r in range(0, 13):
                 total = sum(
                     chi(mu, lam) * dimension(decrement_part(mu, j)) * marked_content(mu, j) ** r
                     for mu in shapes
@@ -285,7 +291,7 @@ def test_star_count_class_is_the_literal_character_sum() -> None:
 
 def test_star_count_class_aggregates_marked_counts() -> None:
     for n in (2, 3, 4, 5):
-        for r in range(1, 6):
+        for r in range(0, 6):
             for lam in enumerate_partitions(n):
                 total = sum(
                     marked_class_size(lam, i) * star_count(lam, i, r)
@@ -369,7 +375,7 @@ def test_star_count_is_the_jm_power_coefficient(marked, r) -> None:
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
-@given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=8))
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=8))
 def test_class_counts_add_up_to_every_sequence(n, r) -> None:
     # each of the (n-1)^r star sequences has its product in exactly one class
     assert sum(star_count_class(lam, r) for lam in enumerate_partitions(n)) == (n - 1) ** r
