@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .characters import (
@@ -293,6 +293,7 @@ def genchar_column(lam: Partition, i: int) -> dict[MarkedPartition, Fraction]:
     `_column`: one lattice pass of the seminormal trace over the marked
     block, for every class up to COLUMN_MAX_N.  A larger n raises
     `GuardExceeded` naming the marked shapes of n."""
+    _check_mark(lam, i)  # before the cache, which answers 2.0 under 2
     den, weights = _column(lam, i)
     return dict(zip(_marked_shapes(lam.n).marked, (Fraction(w, den) for w in weights)))
 
@@ -609,7 +610,9 @@ def genchar_hook_row(mu: Partition, j: int) -> Fraction:
     return Fraction(0)
 
 
-@cache
+# typed, so that a mark of another type equal to an int mark (2.0, True)
+# misses the cache and is refused instead of answered
+@lru_cache(maxsize=None, typed=True)
 def genchar(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
     """gamma^{mu,j}_{lam,i}: the closed form of `genchar_table2` when the
     class has one (n <= STAR_CLOSED_MAX), else the marked Murnaghan-Nakayama
@@ -635,6 +638,7 @@ def genchar_row(mu: Partition, j: int) -> dict[MarkedPartition, Fraction]:
     Classes with a closed form take it; the rest read levels of one cached
     rim pass from (mu, j), as `genchar` does.  n above GENCHAR_MAX_N raises
     `GuardExceeded` naming that pass."""
+    _check_mark(mu, j)  # before the cache, which answers 2.0 under 2
     row = _row(mu, j)  # refuses a large n before the table of n is built
     return dict(zip(_marked_shapes(mu.n).marked, row))
 
@@ -655,7 +659,7 @@ def superscript_sum(mu: Partition, lam: Partition, i: int) -> int:
 
     Equals the ordinary character chi^mu_lam, hence an integer.
     """
-    # genchar checks the mark only on a cache miss
+    # an empty mu calls no genchar, which would check the mark
     _check_mark(lam, i)
     total = sum(
         (genchar(mu, j, lam, i) for j in sorted(set(mu.parts))), Fraction(0)

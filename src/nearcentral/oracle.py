@@ -1,11 +1,12 @@
 """Brute-force verifier working directly in the group algebra of S_n.
 
 Everything here is computed from first principles: permutations as tuples of
-images, algebra elements as literal dictionaries of rational coefficients,
-idempotents as explicit character sums over the whole group.  Factorial cost
-throughout, so every entry point that lists S_n or S_{n-1} refuses n past
-the fixed `ORACLE_MAX_N` = 9; the point is to be an independent ground truth
-for the closed-form code.
+images, algebra elements as literal dictionaries of integer numerators keyed
+by those tuples over one common denominator, idempotents as explicit
+character sums over the whole group.  Factorial cost throughout, so every
+entry point that lists S_n or S_{n-1} refuses n past the fixed
+`ORACLE_MAX_N` = 9; the point is to be an independent ground truth for the
+closed-form code.
 
 Beside the group algebra, `star_walk` recounts star factorizations as an
 integer walk over marked cycle types, cheap far past where S_n can be
@@ -14,12 +15,13 @@ listed, so the spectral counts have a check above n = 7; and
 S_{n-1}, with no idempotent built.
 
 For n <= 7 one cached index lists the marked classes of S_n (the
-S_{n-1}-conjugacy classes) and nothing else.  Class sums, idempotents and
-coefficient reads take whole classes from it.  A product of two elements
-that commute with S_{n-1} commutes with it too, so `ga_multiply` sums such
-a product at one member per marked class and gives the rest of the class
-the same value; as such elements commute with each other and a marked
-class holds the inverse of each member, no inverse is formed.  Every other
+S_{n-1}-conjugacy classes) as image tuples and nothing else.  Class sums,
+idempotents and coefficient reads take whole classes from it.  A product of
+two elements that commute with S_{n-1} commutes with it too, so
+`ga_multiply` sums such a product at one member per marked class and gives
+the rest of the class the same value; as such elements commute with each
+other and a marked class holds the inverse of each member, no inverse is
+formed.  Every other
 product composes image tuples term by term, with one `operator.itemgetter`
 per right-hand permutation; the tests compare the class path with it.
 """
@@ -46,7 +48,7 @@ from .partitions import (
     enumerate_partitions,
     marked_class_size,
 )
-from .permutations import Permutation, cycle_lengths
+from .permutations import Permutation, cycle_length_through, cycle_lengths, cycle_type
 from .tableaux import dimension, marked_content
 
 __all__ = [
@@ -86,27 +88,37 @@ def check_guard(n: int, limit: int, what: str) -> None:
 class GroupAlgebraElement:
     """A formal rational linear combination of permutations of fixed degree.
 
-    Zero coefficients are never stored, so equality is dictionary equality.
+    Stored as integer numerators keyed by image tuples over one positive
+    denominator, in lowest terms: the denominator and the numerators have
+    gcd 1 and no zero numerator is kept, so equality compares the parts.
+    A coefficient becomes a Fraction only when it is read.
     """
 
-    __slots__ = ("_n", "_terms")
+    __slots__ = ("_n", "_terms", "_den")
 
     def __init__(self, n: int, terms: Mapping[Permutation, Fraction | int] = ()):
-        clean: dict[Permutation, Fraction] = {}
+        coeffs: dict[tuple[int, ...], Fraction] = {}
         for perm, coeff in dict(terms).items():
             if perm.n != n:
                 raise DomainError(f"{perm!r} does not live in S_{n}")
-            c = Fraction(coeff)
-            if c:
-                clean[perm] = c
+            coeffs[perm.images] = Fraction(coeff)
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        numerators = {p: c.numerator * (den // c.denominator) for p, c in coeffs.items()}
+        self._set(n, numerators, den)
+
+    def _set(self, n: int, terms: dict[tuple[int, ...], int], den: int) -> None:
+        # the numerators `terms` over den > 0, brought to lowest terms
+        common = math.gcd(den, *terms.values())
         self._n = n
-        self._terms = clean
+        self._terms = {p: v // common for p, v in terms.items() if v}
+        self._den = den // common
 
     @classmethod
-    def _make(cls, n: int, terms: dict[Permutation, Fraction]) -> "GroupAlgebraElement":
+    def _make(
+        cls, n: int, terms: dict[tuple[int, ...], int], den: int = 1
+    ) -> "GroupAlgebraElement":
         self = object.__new__(cls)
-        self._n = n
-        self._terms = terms
+        self._set(n, terms, den)
         return self
 
     @classmethod
@@ -115,7 +127,7 @@ class GroupAlgebraElement:
 
     @classmethod
     def one(cls, n: int) -> "GroupAlgebraElement":
-        return cls._make(n, {Permutation.identity(n): Fraction(1)})
+        return cls._make(n, {tuple(range(1, n + 1)): 1})
 
     @classmethod
     def from_permutation(
@@ -128,13 +140,14 @@ class GroupAlgebraElement:
         return self._n
 
     def coefficient(self, perm: Permutation) -> Fraction:
-        return self._terms.get(perm, Fraction(0))
+        return Fraction(self._terms.get(perm.images, 0), self._den)
 
     def items(self) -> Iterator[tuple[Permutation, Fraction]]:
-        return iter(self._terms.items())
+        den, perm = self._den, Permutation.unchecked
+        return ((perm(p), Fraction(v, den)) for p, v in self._terms.items())
 
     def support(self) -> Iterator[Permutation]:
-        return iter(self._terms)
+        return map(Permutation.unchecked, self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -146,6 +159,7 @@ class GroupAlgebraElement:
         return (
             isinstance(other, GroupAlgebraElement)
             and self._n == other._n
+            and self._den == other._den
             and self._terms == other._terms
         )
 
@@ -154,19 +168,15 @@ class GroupAlgebraElement:
             return NotImplemented
         if self._n != other._n:
             raise DomainError("cannot add elements of different group algebras")
-        out = dict(self._terms)
-        for perm, c in other._terms.items():
-            s = out.get(perm, Fraction(0)) + c
-            if s:
-                out[perm] = s
-            else:
-                out.pop(perm, None)
-        return GroupAlgebraElement._make(self._n, out)
+        den = math.lcm(self._den, other._den)
+        mine, theirs = den // self._den, den // other._den
+        out = {p: v * mine for p, v in self._terms.items()}
+        for p, v in other._terms.items():
+            out[p] = out.get(p, 0) + v * theirs
+        return GroupAlgebraElement._make(self._n, out, den)
 
     def __neg__(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement._make(
-            self._n, {perm: -c for perm, c in self._terms.items()}
-        )
+        return self.scale(-1)
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         if not isinstance(other, GroupAlgebraElement):
@@ -187,10 +197,9 @@ class GroupAlgebraElement:
 
     def scale(self, scalar: Fraction | int) -> "GroupAlgebraElement":
         c = Fraction(scalar)
-        if not c:
-            return GroupAlgebraElement.zero(self._n)
+        num, den = c.numerator, self._den * c.denominator
         return GroupAlgebraElement._make(
-            self._n, {perm: c * v for perm, v in self._terms.items()}
+            self._n, {p: num * v for p, v in self._terms.items()}, den
         )
 
     def __repr__(self) -> str:
@@ -203,36 +212,24 @@ _POOL_MAX_N = 7
 
 
 @cache
-def _marked_index(n: int) -> tuple[tuple[Partition, int, tuple[Permutation, ...]], ...]:
-    # (cycle type, length of the cycle through n, members) for each marked
-    # class of S_n, in the order its first member comes in the lexicographic
-    # listing of S_n
-    grouped: dict[tuple[tuple[int, ...], int], list[Permutation]] = {}
+def _marked_index(n: int) -> tuple[tuple[Partition, int, tuple[tuple[int, ...], ...]], ...]:
+    # (cycle type, length of the cycle through n, members as image tuples)
+    # for each marked class of S_n, in the order its first member comes in
+    # the lexicographic listing of S_n
+    grouped: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
     for images in itertools.permutations(range(1, n + 1)):
-        perm = Permutation.unchecked(images)
         # S_0 holds only the empty permutation, with no cycle through n
-        through = perm.cycle_length_through(n) if n else 0
-        grouped.setdefault((cycle_lengths(images), through), []).append(perm)
+        through = cycle_length_through(images, n) if n else 0
+        grouped.setdefault((cycle_lengths(images), through), []).append(images)
     return tuple(
         (Partition.unchecked(parts), through, tuple(members))
         for (parts, through), members in grouped.items()
     )
 
 
-def _integerized(
-    g: GroupAlgebraElement,
-) -> tuple[dict[tuple[int, ...], int], int]:
-    # the numerators over one common denominator, keyed by image tuples
-    den = math.lcm(*(c.denominator for c in g._terms.values())) if g else 1
-    return (
-        {p.images: c.numerator * (den // c.denominator) for p, c in g._terms.items()},
-        den,
-    )
-
-
 def _on_whole_classes(
     terms: dict[tuple[int, ...], int],
-    classes: Iterable[tuple[Partition, int, Sequence[Permutation]]],
+    classes: Iterable[tuple[Partition, int, Sequence[tuple[int, ...]]]],
 ) -> bool:
     # whether `terms` is constant on every marked class and holds every class
     # it touches whole, that is, whether it commutes with S_{n-1}: a class is
@@ -240,10 +237,10 @@ def _on_whole_classes(
     # hold every term
     held = 0
     for _, _, members in classes:
-        c = terms.get(members[0].images)
+        c = terms.get(members[0])
         if c is None:
             continue
-        if any(terms.get(p.images) != c for p in members):
+        if any(terms.get(p) != c for p in members):
             return False
         held += len(members)
     return held == len(terms)
@@ -252,9 +249,8 @@ def _on_whole_classes(
 def _class_product(
     ta: dict[tuple[int, ...], int],
     tb: dict[tuple[int, ...], int],
-    den: int,
-    classes: Iterable[tuple[Partition, int, Sequence[Permutation]]],
-) -> dict[Permutation, Fraction]:
+    classes: Iterable[tuple[Partition, int, Sequence[tuple[int, ...]]]],
+) -> dict[tuple[int, ...], int]:
     # a product of elements that commute with S_{n-1} commutes with it too,
     # so it is constant on each marked class: c(k) is summed at one member k
     # per class.  c(k) = sum_p a(p) b(p^-1 k) = sum_p a(p) b(p k) by
@@ -263,13 +259,13 @@ def _class_product(
     # the factors are swapped to let p run over the smaller support
     if len(tb) < len(ta):
         ta, tb = tb, ta
-    terms: dict[Permutation, Fraction] = {}
+    terms: dict[tuple[int, ...], int] = {}
     for _, _, members in classes:
         # itemgetter(k(1)-1, .., k(n)-1) maps the images of p to those of p k
-        at = itemgetter(*[x - 1 for x in members[0].images])
+        at = itemgetter(*[x - 1 for x in members[0]])
         v = sum(ca * tb.get(at(p), 0) for p, ca in ta.items())
         if v:
-            terms.update(dict.fromkeys(members, Fraction(v, den)))
+            terms.update(dict.fromkeys(members, v))
     return terms
 
 
@@ -282,48 +278,44 @@ def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraE
     the rest of the class.  That sum uses two facts of the algebra of such
     elements: it is commutative, so the smaller support is walked, and each
     marked class is closed under inversion, so c(k) = sum_p a(p) b(p k).
-    Every other product is expanded term by term.
+    Every other product is expanded term by term.  Either way the integer
+    numerators are multiplied over the product of the two denominators.
     """
     if a.n != b.n:
         raise DomainError("cannot multiply elements of different group algebras")
-    n = a.n
-    ta, da = _integerized(a)
-    tb, db = _integerized(b)
-    den = da * db
+    n, ta, tb = a.n, a._terms, b._terms
     if n <= 1:
         # S_0 and S_1 hold only the identity, where itemgetter cannot compose:
         # it raises for no index and returns a bare int for one
-        v = sum(ta.values()) * sum(tb.values())
-        terms = {Permutation.identity(n): Fraction(v, den)} if v else {}
+        terms = {tuple(range(1, n + 1)): sum(ta.values()) * sum(tb.values())}
     elif (
         n <= _POOL_MAX_N
         and _on_whole_classes(ta, classes := _marked_index(n))
         and _on_whole_classes(tb, classes)
     ):
-        terms = _class_product(ta, tb, den, classes)
+        terms = _class_product(ta, tb, classes)
     else:
-        raw: dict[tuple[int, ...], int] = {}
+        terms = {}
         # itemgetter(q(1)-1, .., q(n)-1) maps the images of p to those of p * q
         right = [(itemgetter(*[x - 1 for x in q]), cb) for q, cb in tb.items()]
         for mine, ca in ta.items():
             for compose, cb in right:
                 key = compose(mine)
-                raw[key] = raw.get(key, 0) + ca * cb
-        terms = {
-            Permutation.unchecked(k): Fraction(v, den) for k, v in raw.items() if v
-        }
-    return GroupAlgebraElement._make(n, terms)
+                terms[key] = terms.get(key, 0) + ca * cb
+    return GroupAlgebraElement._make(n, terms, a._den * b._den)
 
 
-def _classified_perms(n: int) -> Iterable[tuple[Partition, int, Sequence[Permutation]]]:
-    # (cycle type, length of the cycle through n, permutations) covering S_n:
+def _classified_perms(
+    n: int,
+) -> Iterable[tuple[Partition, int, Sequence[tuple[int, ...]]]]:
+    # (cycle type, length of the cycle through n, image tuples) covering S_n:
     # whole marked classes from the index up to _POOL_MAX_N, past it one
     # permutation at a time, so that no list of S_n is kept
     if n <= _POOL_MAX_N:
         return _marked_index(n)
     return (
-        (p.cycle_type(), p.cycle_length_through(n), (p,))
-        for p in map(Permutation.unchecked, itertools.permutations(range(1, n + 1)))
+        (cycle_type(images), cycle_length_through(images, n), (images,))
+        for images in itertools.permutations(range(1, n + 1))
     )
 
 
@@ -332,12 +324,11 @@ def class_sum(lam: Partition, i: int) -> GroupAlgebraElement:
     _check_mark(lam, i)
     n = lam.n
     check_guard(n, ORACLE_MAX_N, "marked class enumeration")
-    one = Fraction(1)
     terms = {
-        perm: one
+        images: 1
         for ctype, through, members in _classified_perms(n)
         if through == i and ctype == lam
-        for perm in members
+        for images in members
     }
     return GroupAlgebraElement._make(n, terms)
 
@@ -346,9 +337,7 @@ def jm_element(k: int, n: int) -> GroupAlgebraElement:
     """The Jucys-Murphy element J_k: the sum of (i k) for i < k."""
     if not 2 <= k <= n:
         raise DomainError(f"Jucys-Murphy index {k} is outside 2..{n}")
-    terms = {
-        Permutation.transposition(i, k, n): Fraction(1) for i in range(1, k)
-    }
+    terms = {Permutation.transposition(i, k, n).images: 1 for i in range(1, k)}
     return GroupAlgebraElement._make(n, terms)
 
 
@@ -357,13 +346,12 @@ def central_idempotent(lam: Partition) -> GroupAlgebraElement:
     n = lam.n
     check_guard(n, ORACLE_MAX_N, "central idempotent expansion")
     d = dimension(lam)
-    nf = math.factorial(n)
-    terms: dict[Permutation, Fraction] = {}
+    terms: dict[tuple[int, ...], int] = {}
     for ctype, _, members in _classified_perms(n):
-        c = Fraction(d * chi(lam, ctype), nf)
+        c = d * chi(lam, ctype)
         if c:
             terms.update(dict.fromkeys(members, c))
-    return GroupAlgebraElement._make(n, terms)
+    return GroupAlgebraElement._make(n, terms, math.factorial(n))
 
 
 def _embed(g: GroupAlgebraElement, n: int) -> GroupAlgebraElement:
@@ -372,7 +360,7 @@ def _embed(g: GroupAlgebraElement, n: int) -> GroupAlgebraElement:
         raise DomainError("cannot embed into a smaller group")
     tail = tuple(range(g.n + 1, n + 1))
     return GroupAlgebraElement._make(
-        n, {Permutation.unchecked(p.images + tail): c for p, c in g._terms.items()}
+        n, {p + tail: v for p, v in g._terms.items()}, g._den
     )
 
 
@@ -408,13 +396,13 @@ def extract_marked_coefficient(
     if mu.n != n:
         raise DomainError(f"{mu} is not a partition of {n}")
     _check_mark(mu, j)
-    terms, zero = g._terms, Fraction(0)
-    value: Fraction | None = None
+    terms = g._terms
+    value: int | None = None
     for ctype, through, members in _classified_perms(n):
         if through != j or ctype != mu:
             continue
-        for perm in members:
-            c = terms.get(perm, zero)
+        for images in members:
+            c = terms.get(images, 0)
             if value is None:
                 value = c
             elif value != c:
@@ -423,7 +411,7 @@ def extract_marked_coefficient(
                 )
     if value is None:
         raise DomainError(f"the marked class ({mu}, {j}) is empty")
-    return value
+    return Fraction(value, g._den)
 
 
 def is_near_central(g: GroupAlgebraElement) -> bool:
@@ -432,9 +420,7 @@ def is_near_central(g: GroupAlgebraElement) -> bool:
     Checked against the adjacent transpositions (k k+1) for k < n-1, which
     generate that subgroup.
     """
-    n = g.n
-    # integer coefficients compare in C, where Fractions would not
-    coeffs = _integerized(g)[0]
+    n, coeffs = g.n, g._terms
     for k in range(1, n - 1):
         # s p s for s = (k k+1): swap the positions k, k+1 of p's images, then
         # the values k, k+1
@@ -467,17 +453,17 @@ def jm_power_coefficients(n: int, r: int) -> dict[MarkedPartition, Fraction]:
 def _marked_decomposition(
     g: GroupAlgebraElement,
 ) -> dict[MarkedPartition, Fraction]:
-    terms, zero = g._terms, Fraction(0)
-    out: dict[MarkedPartition, Fraction] = {}
+    terms = g._terms
+    out: dict[MarkedPartition, int] = {}
     for ctype, through, members in _classified_perms(g.n):
         marked = MarkedPartition(ctype, through)
-        for perm in members:
-            c = terms.get(perm, zero)
+        for images in members:
+            c = terms.get(images, 0)
             if out.setdefault(marked, c) != c:
                 raise DomainError(
                     f"coefficient is not constant on the marked class {marked}"
                 )
-    return out
+    return {marked: Fraction(c, g._den) for marked, c in out.items()}
 
 
 def enumerate_star_factorizations(pi: Permutation, r: int) -> int:
@@ -628,7 +614,7 @@ def run_verify(max_n: int = 4) -> list[str]:
 
     Returns the labels of the checks that ran; raises VerificationError with
     both sides on the first failure.  Each n costs about 10 times the one
-    before (about 3 s at n = 6 on a 2-vCPU host), so max_n above 6 raises
+    before (about 1.5 s at n = 6 on a 2-vCPU host), so max_n above 6 raises
     GuardExceeded.
     """
     if max_n < 2:
@@ -748,7 +734,8 @@ def run_verify(max_n: int = 4) -> list[str]:
                 mp = MarkedPartition(ctype, through)
                 for r in range(0, 4):
                     counts = {
-                        enumerate_star_factorizations(perm, r) for perm in members
+                        enumerate_star_factorizations(Permutation.unchecked(p), r)
+                        for p in members
                     }
                     expect(
                         f"star counts are constant on marked classes @ n={n}",

@@ -1,9 +1,10 @@
 """Permutations of {1, .., n} in one-line notation.
 
 A permutation is a tuple of images, 1-indexed, composed right to left.  The
-character-sum formula in `oracle` (`genchar_strahov`) works on raw tuples in
-its inner loop and counts them by `cycle_lengths`; the rest of the oracle
-works with `Permutation` objects.
+oracle works on raw tuples inside: its group-algebra elements are keyed by
+them, and the character sum (`genchar_strahov`) counts them by
+`cycle_lengths`.  `Permutation` wraps a tuple where a caller names or reads
+one permutation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterable, Sequence
 from .errors import DomainError
 from .partitions import Partition
 
-__all__ = ["Permutation", "cycle_lengths", "cycle_type"]
+__all__ = ["Permutation", "cycle_length_through", "cycle_lengths", "cycle_type"]
 
 
 def cycle_lengths(images: Sequence[int]) -> tuple[int, ...]:
@@ -33,6 +34,16 @@ def cycle_lengths(images: Sequence[int]) -> tuple[int, ...]:
         lengths.append(length)
     lengths.sort(reverse=True)
     return tuple(lengths)
+
+
+def cycle_length_through(images: Sequence[int], x: int) -> int:
+    """Length of the cycle through x, one of 1 .. len(images), of the
+    permutation with one-line notation `images`."""
+    length, y = 1, images[x - 1]
+    while y != x:
+        y = images[y - 1]
+        length += 1
+    return length
 
 
 def cycle_type(images: Sequence[int]) -> Partition:
@@ -142,12 +153,7 @@ class Permutation:
     def cycle_length_through(self, x: int) -> int:
         if not 1 <= x <= len(self._images):
             raise DomainError(f"{x} is outside 1..{len(self._images)}")
-        length = 1
-        y = self._images[x - 1]
-        while y != x:
-            y = self._images[y - 1]
-            length += 1
-        return length
+        return cycle_length_through(self._images, x)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self._images == other._images

@@ -190,6 +190,23 @@ def test_oracle_inverts_no_permutation() -> None:
     assert not found
 
 
+def test_oracle_products_stay_in_integers() -> None:
+    # group-algebra elements hold integer numerators keyed by image tuples,
+    # so a product builds no Fraction and no Permutation per term
+    tree = ast.parse((PACKAGE_DIR / "oracle.py").read_text(encoding="utf-8"))
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_integerized" not in defined
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("ga_multiply", "_class_product", "_on_whole_classes")
+        for node in ast.walk(defined[name])
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and getattr(node, "id", getattr(node, "attr", None))
+        in ("Fraction", "Permutation", "unchecked")
+    ]
+    assert not found
+
+
 def test_modules_have_no_assert_statements() -> None:
     # `python -O` strips assert statements, so a check written as one vanishes
     found = [

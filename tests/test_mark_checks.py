@@ -77,20 +77,8 @@ def _calls(bad):
 
 NOT_A_PART = _calls(BAD)
 
-# genchar and the row, column and weighted sums check the mark inside a
-# cache, where the equal int key answers a hit; they are left out here
-CACHED = {
-    "genchar superscript",
-    "genchar subscript",
-    "genchar_column",
-    "genchar_row",
-    "weighted_sum",
-}
-
 # marks of another type, each equal to a part of GOOD's shape
-WRONG_TYPE = [
-    (name, mark) for mark in (2.0, True) for name in NOT_A_PART if name not in CACHED
-]
+WRONG_TYPE = [(name, mark) for mark in (2.0, True) for name in NOT_A_PART]
 
 MISMATCHED = {
     "genchar": lambda: genchar(*GOOD, *OTHER),

@@ -150,6 +150,35 @@ def _broken(
     return [g + bump, g - drop]
 
 
+def _assert_lowest_terms(g: GroupAlgebraElement) -> None:
+    # one positive denominator, coprime to the numerators, and no zero stored
+    assert g._den > 0
+    assert math.gcd(g._den, *g._terms.values()) == 1
+    assert 0 not in g._terms.values()
+
+
+def test_elements_stay_in_lowest_terms(monkeypatch) -> None:
+    rng = random.Random(2022)
+    for n in range(1, 7):
+        for _ in range(3):
+            a = _near_central_element(rng, n, 150)
+            b = _near_central_element(rng, n, 150)
+            c = _random_element(rng, n, rng.randint(1, min(8, math.factorial(n))))
+            zero = GroupAlgebraElement.zero(n)
+            made = [a, b, c, a + b, a - b, b + c, c - c, -a, a + (-a)]
+            made += [a.scale(s) for s in (0, 2, -3, Fraction(-5, 6), Fraction(7, 4))]
+            made += [ga_multiply(a, b), ga_multiply(b, c), ga_multiply(c, c)]
+            with monkeypatch.context() as literal:
+                literal.setattr(oracle, "_POOL_MAX_N", 1)
+                made += [ga_multiply(a, b), ga_multiply(a, zero)]
+            for g in made:
+                _assert_lowest_terms(g)
+            assert a.scale(Fraction(1, 3)).scale(3) == a
+            assert (a + b) - b == a
+            assert (c + a) - a == c
+            assert a - a == zero == c.scale(0)
+
+
 def test_class_product_matches_the_literal_product(monkeypatch) -> None:
     taken = []
     class_product = oracle._class_product
@@ -203,7 +232,7 @@ def test_marked_classes_hold_the_inverse_of_each_member() -> None:
     # the class product reads a(p) for a(p^-1): p^-1 is in the class of p
     for n in range(0, 8):
         for _, _, members in oracle._marked_index(n):
-            assert {p.inverse() for p in members} == set(members)
+            assert {Permutation(p).inverse().images for p in members} == set(members)
 
 
 def test_near_central_elements_commute(monkeypatch) -> None:
@@ -230,8 +259,7 @@ def test_class_check_agrees_with_is_near_central() -> None:
             size = rng.randint(1, min(8, math.factorial(n)))
             for h in [g, _random_element(rng, n, size), *_broken(rng, g)]:
                 near = is_near_central(h)
-                terms = oracle._integerized(h)[0]
-                assert oracle._on_whole_classes(terms, index) == near
+                assert oracle._on_whole_classes(h._terms, index) == near
                 seen.add(near)
     assert seen == {True, False}
 
