@@ -659,8 +659,10 @@ def superscript_sum(mu: Partition, lam: Partition, i: int) -> int:
 
     Equals the ordinary character chi^mu_lam, hence an integer.
     """
-    # an empty mu calls no genchar, which would check the mark
+    # an empty mu calls no genchar, which would check the mark and the sizes
     _check_mark(lam, i)
+    if mu.n != lam.n:
+        raise DomainError(f"{mu} and {lam} are partitions of different integers")
     total = sum(
         (genchar(mu, j, lam, i) for j in sorted(set(mu.parts))), Fraction(0)
     )

@@ -14,16 +14,16 @@ listed, so the spectral counts have a check above n = 7; and
 `genchar_strahov` recomputes generalized characters as a character sum over
 S_{n-1}, with no idempotent built.
 
-For n <= 7 one cached index lists the marked classes of S_n (the
-S_{n-1}-conjugacy classes) as image tuples and nothing else.  Class sums,
-idempotents and coefficient reads take whole classes from it.  A product of
-two elements that commute with S_{n-1} commutes with it too, so
-`ga_multiply` sums such a product at one member per marked class and gives
-the rest of the class the same value; as such elements commute with each
-other and a marked class holds the inverse of each member, no inverse is
-formed.  Every other
-product composes image tuples term by term, with one `operator.itemgetter`
-per right-hand permutation; the tests compare the class path with it.
+One cached index lists the marked classes of S_n (the S_{n-1}-conjugacy
+classes) as image tuples and nothing else, for every n up to
+`ORACLE_MAX_N`.  Class sums, idempotents and coefficient reads take whole
+classes from it.  A product of two elements that commute with S_{n-1}
+commutes with it too, so `ga_multiply` sums such a product at one member per
+marked class and gives the rest of the class the same value; as such
+elements commute with each other and a marked class holds the inverse of
+each member, no inverse is formed.  Every other product composes image
+tuples term by term, with one `operator.itemgetter` per right-hand
+permutation; the tests compare the class path with it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .partitions import (
     enumerate_partitions,
     marked_class_size,
 )
-from .permutations import Permutation, cycle_length_through, cycle_lengths, cycle_type
+from .permutations import Permutation, cycle_length_through, cycle_lengths
 from .tableaux import dimension, marked_content
 
 __all__ = [
@@ -82,7 +82,7 @@ _STAR_SEQUENCES_MAX = 10**7
 def check_guard(n: int, limit: int, what: str) -> None:
     """Raise GuardExceeded when n is past limit."""
     if n > limit:
-        raise GuardExceeded(f"{what} at n={n} exceeds the guard max_n={limit}")
+        raise GuardExceeded(f"{what} at n={n} exceeds the limit n <= {limit}")
 
 
 class GroupAlgebraElement:
@@ -206,16 +206,13 @@ class GroupAlgebraElement:
         return f"<group algebra element over S_{self._n}, {len(self._terms)} terms>"
 
 
-# largest n whose marked classes `_marked_index` lists: S_7 has 5,040
-# permutations; past it `_classified_perms` streams S_n instead
-_POOL_MAX_N = 7
-
-
 @cache
 def _marked_index(n: int) -> tuple[tuple[Partition, int, tuple[tuple[int, ...], ...]], ...]:
     # (cycle type, length of the cycle through n, members as image tuples)
     # for each marked class of S_n, in the order its first member comes in
-    # the lexicographic listing of S_n
+    # the lexicographic listing of S_n; kept for the life of the process, so
+    # at n = ORACLE_MAX_N = 9 it holds all 362,880 permutations (about a
+    # second and 44 MB to build)
     grouped: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
     for images in itertools.permutations(range(1, n + 1)):
         # S_0 holds only the empty permutation, with no cycle through n
@@ -272,7 +269,7 @@ def _class_product(
 def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
     """Product in the group algebra.
 
-    For 2 <= n <= 7, when both factors commute with S_{n-1} (each is
+    For 2 <= n <= ORACLE_MAX_N, when both factors commute with S_{n-1} (each is
     constant on every marked class and holds every class it touches whole),
     the product is summed at one member of each marked class and shared by
     the rest of the class.  That sum uses two facts of the algebra of such
@@ -289,7 +286,7 @@ def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraE
         # it raises for no index and returns a bare int for one
         terms = {tuple(range(1, n + 1)): sum(ta.values()) * sum(tb.values())}
     elif (
-        n <= _POOL_MAX_N
+        n <= ORACLE_MAX_N
         and _on_whole_classes(ta, classes := _marked_index(n))
         and _on_whole_classes(tb, classes)
     ):
@@ -305,20 +302,6 @@ def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraE
     return GroupAlgebraElement._make(n, terms, a._den * b._den)
 
 
-def _classified_perms(
-    n: int,
-) -> Iterable[tuple[Partition, int, Sequence[tuple[int, ...]]]]:
-    # (cycle type, length of the cycle through n, image tuples) covering S_n:
-    # whole marked classes from the index up to _POOL_MAX_N, past it one
-    # permutation at a time, so that no list of S_n is kept
-    if n <= _POOL_MAX_N:
-        return _marked_index(n)
-    return (
-        (cycle_type(images), cycle_length_through(images, n), (images,))
-        for images in itertools.permutations(range(1, n + 1))
-    )
-
-
 def class_sum(lam: Partition, i: int) -> GroupAlgebraElement:
     """Sum of all permutations with cycle type lam and n on an i-cycle."""
     _check_mark(lam, i)
@@ -326,7 +309,7 @@ def class_sum(lam: Partition, i: int) -> GroupAlgebraElement:
     check_guard(n, ORACLE_MAX_N, "marked class enumeration")
     terms = {
         images: 1
-        for ctype, through, members in _classified_perms(n)
+        for ctype, through, members in _marked_index(n)
         if through == i and ctype == lam
         for images in members
     }
@@ -347,7 +330,7 @@ def central_idempotent(lam: Partition) -> GroupAlgebraElement:
     check_guard(n, ORACLE_MAX_N, "central idempotent expansion")
     d = dimension(lam)
     terms: dict[tuple[int, ...], int] = {}
-    for ctype, _, members in _classified_perms(n):
+    for ctype, _, members in _marked_index(n):
         c = d * chi(lam, ctype)
         if c:
             terms.update(dict.fromkeys(members, c))
@@ -396,21 +379,18 @@ def extract_marked_coefficient(
     if mu.n != n:
         raise DomainError(f"{mu} is not a partition of {n}")
     _check_mark(mu, j)
+    check_guard(n, ORACLE_MAX_N, "marked coefficient read")
     terms = g._terms
-    value: int | None = None
-    for ctype, through, members in _classified_perms(n):
-        if through != j or ctype != mu:
-            continue
-        for images in members:
-            c = terms.get(images, 0)
-            if value is None:
-                value = c
-            elif value != c:
-                raise DomainError(
-                    f"coefficient is not constant on the marked class ({mu}, {j})"
-                )
-    if value is None:
-        raise DomainError(f"the marked class ({mu}, {j}) is empty")
+    members = next(
+        members
+        for ctype, through, members in _marked_index(n)
+        if through == j and ctype == mu
+    )
+    value = terms.get(members[0], 0)
+    if any(terms.get(p, 0) != value for p in members):
+        raise DomainError(
+            f"coefficient is not constant on the marked class ({mu}, {j})"
+        )
     return Fraction(value, g._den)
 
 
@@ -455,7 +435,7 @@ def _marked_decomposition(
 ) -> dict[MarkedPartition, Fraction]:
     terms = g._terms
     out: dict[MarkedPartition, int] = {}
-    for ctype, through, members in _classified_perms(g.n):
+    for ctype, through, members in _marked_index(g.n):
         marked = MarkedPartition(ctype, through)
         for images in members:
             c = terms.get(images, 0)
@@ -730,7 +710,7 @@ def run_verify(max_n: int = 4) -> list[str]:
             )
 
         if n <= 4:
-            for ctype, through, members in _classified_perms(n):
+            for ctype, through, members in _marked_index(n):
                 mp = MarkedPartition(ctype, through)
                 for r in range(0, 4):
                     counts = {

@@ -185,7 +185,7 @@ def test_oracle_verify_guard(capsys, monkeypatch) -> None:
     assert code == 2
     assert doc["status"] == "error"
     assert "the 5040 permutations of S_n at n=7" in doc["error"]
-    assert "exceeds the guard max_n=6" in doc["error"]
+    assert "exceeds the limit n <= 6" in doc["error"]
     with pytest.raises(AssertionError):
         run(["oracle", "verify", "--max-n", "6"])
     capsys.readouterr()

@@ -226,7 +226,7 @@ def test_strahov_guard_holds_once_the_walk_is_cached(monkeypatch) -> None:
     value = genchar_strahov(mu, j, lam, i)
     assert histogram.cache_info().currsize == 1
     monkeypatch.setattr(oracle_module, "ORACLE_MAX_N", 6)
-    with pytest.raises(GuardExceeded, match="n=7 exceeds the guard max_n=6"):
+    with pytest.raises(GuardExceeded, match="n=7 exceeds the limit n <= 6"):
         genchar_strahov(mu, j, lam, i)
     # the refusal came before the cached walk was read
     assert histogram.cache_info().hits == 0

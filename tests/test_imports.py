@@ -155,13 +155,12 @@ def test_marked_shapes_are_listed_in_three_places_only() -> None:
     assert not found
 
 
-def test_symmetric_groups_are_listed_in_three_places_only() -> None:
-    # S_n is listed by the oracle's marked-class index up to n = 7, streamed
-    # past it, and walked once per subscript class by the character sum;
-    # everything else reads the index, so no second list of S_n is kept
+def test_symmetric_groups_are_listed_in_two_places_only() -> None:
+    # S_n is listed by the oracle's marked-class index and walked once per
+    # subscript class by the character sum; everything else reads the index,
+    # so no second list of S_n is kept
     allowed = {
         ("oracle.py", "_marked_index"),
-        ("oracle.py", "_classified_perms"),
         ("oracle.py", "_strahov_histogram"),
     }
     found = []

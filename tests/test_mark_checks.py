@@ -85,6 +85,7 @@ MISMATCHED = {
     "genchar_table2": lambda: genchar_table2(*GOOD, *OTHER),
     "genchar_strahov": lambda: genchar_strahov(*GOOD, *OTHER),
     "superscript_sum": lambda: superscript_sum(GOOD[0], *OTHER),
+    "superscript_sum empty": lambda: superscript_sum(Partition(), *GOOD),
     "subscript_sum_chi": lambda: subscript_sum_chi(*GOOD, OTHER[0]),
     "subscript_sum_chi empty": lambda: subscript_sum_chi(*GOOD, Partition()),
     "connection_coefficient": lambda: connection_coefficient(*GOOD, *OTHER, *GOOD),

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from nearcentral import (
     extract_marked_coefficient,
     ga_multiply,
     genchar,
+    genchar_row,
     is_near_central,
     jm_element,
     jm_power_coefficients,
@@ -169,7 +171,7 @@ def test_elements_stay_in_lowest_terms(monkeypatch) -> None:
             made += [a.scale(s) for s in (0, 2, -3, Fraction(-5, 6), Fraction(7, 4))]
             made += [ga_multiply(a, b), ga_multiply(b, c), ga_multiply(c, c)]
             with monkeypatch.context() as literal:
-                literal.setattr(oracle, "_POOL_MAX_N", 1)
+                literal.setattr(oracle, "_on_whole_classes", lambda *_: False)
                 made += [ga_multiply(a, b), ga_multiply(a, zero)]
             for g in made:
                 _assert_lowest_terms(g)
@@ -194,7 +196,7 @@ def test_class_product_matches_the_literal_product(monkeypatch) -> None:
         got = ga_multiply(a, b)
         assert bool(taken) == by_class
         with monkeypatch.context() as literal:
-            literal.setattr(oracle, "_POOL_MAX_N", 1)
+            literal.setattr(oracle, "_on_whole_classes", lambda *_: False)
             want = ga_multiply(a, b)
         assert got == want
         return got
@@ -238,7 +240,7 @@ def test_marked_classes_hold_the_inverse_of_each_member() -> None:
 def test_near_central_elements_commute(monkeypatch) -> None:
     # the class product swaps its factors so that p runs over the smaller
     # support; checked here on the literal product
-    monkeypatch.setattr(oracle, "_POOL_MAX_N", 1)
+    monkeypatch.setattr(oracle, "_on_whole_classes", lambda *_: False)
     rng = random.Random(21)
     for n in range(1, 7):
         for _ in range(3):
@@ -277,16 +279,63 @@ def test_class_sum_small() -> None:
             assert len(class_sum(lam, i)) == marked_class_size(lam, i)
 
 
-def test_classes_past_the_pool_stream_their_permutations() -> None:
-    # past _POOL_MAX_N the oracle classifies S_n as it walks it, keeping no
-    # pool: a class sum and a coefficient read back at n = 8
+def test_class_sums_and_reads_at_n_8() -> None:
+    # the marked-class index lists S_8 too: a class sum and a coefficient
+    # read back
     n = 8
-    assert n > oracle._POOL_MAX_N
     marked = Partition((3, 2, 2, 1)), 2
     g = class_sum(*marked).scale(2)
     assert len(g) == marked_class_size(*marked)
     assert extract_marked_coefficient(g, *marked) == 2
     assert extract_marked_coefficient(g, Partition((n,)), n) == 0
+
+
+def test_idempotents_at_n_8_take_the_class_product(monkeypatch) -> None:
+    taken = []
+    class_product = oracle._class_product
+
+    def spy(*args):
+        taken.append(args)
+        return class_product(*args)
+
+    monkeypatch.setattr(oracle, "_class_product", spy)
+    n = 8
+    mu, j = random.Random(2023).choice(_marked(n))
+    oracle._z1_idempotent_cached.cache_clear()
+    gamma = z1_idempotent(mu, j)
+    assert len(taken) == 1
+    scale = Fraction(math.factorial(n), dimension(mu))
+    row = {
+        MarkedPartition(lam, i): scale * extract_marked_coefficient(gamma, lam, i)
+        for lam, i in _marked(n)
+    }
+    assert row == genchar_row(mu, j)
+
+
+def test_products_past_the_oracle_limit_list_no_group(monkeypatch) -> None:
+    # J_12 and J_11 are built without a guard, so their product must be the
+    # literal one: an index of S_12 would hold 479,001,600 permutations
+    listed = []
+
+    def spy(n):
+        # lists no classes, so that a wrong path fails without building S_12
+        listed.append(n)
+        return ()
+
+    monkeypatch.setattr(oracle, "_marked_index", spy)
+    n = 12
+    got = ga_multiply(jm_element(n, n), jm_element(n - 1, n))
+    assert listed == []
+    want = Counter(
+        Permutation.transposition(a, n, n) * Permutation.transposition(b, n - 1, n)
+        for a in range(1, n)
+        for b in range(1, n - 1)
+    )
+    assert got == GroupAlgebraElement(n, want)
+    # nor is S_12 listed to read a coefficient back
+    with pytest.raises(GuardExceeded, match="at n=12 exceeds the limit n <= 9"):
+        extract_marked_coefficient(got, Partition((3,) + (1,) * 9), 3)
+    assert listed == []
 
 
 def test_jm_elements() -> None:
