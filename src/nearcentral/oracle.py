@@ -16,14 +16,14 @@ S_{n-1}, with no idempotent built.
 
 One cached index lists the marked classes of S_n (the S_{n-1}-conjugacy
 classes) as image tuples and nothing else, for every n up to
-`ORACLE_MAX_N`.  Class sums, idempotents and coefficient reads take whole
-classes from it.  A product of two elements that commute with S_{n-1}
-commutes with it too, so `ga_multiply` sums such a product at one member per
-marked class and gives the rest of the class the same value; as such
-elements commute with each other and a marked class holds the inverse of
-each member, no inverse is formed.  Every other product composes image
-tuples term by term, with one `operator.itemgetter` per right-hand
-permutation; the tests compare the class path with it.
+`ORACLE_MAX_N`.  Their class sums are a basis of Z1(n), the elements that
+commute with S_{n-1}: `_class_values` reads such an element's numerator on
+each class, and `_from_class_values` writes the element back from them.
+Z1(n) is closed under products, so `ga_multiply` sums a product in it at
+one member per marked class; as Z1(n) is commutative and a marked class
+holds the inverse of each member, no inverse is formed.  Every other
+product composes image tuples term by term, with one `operator.itemgetter`
+per right-hand permutation; the tests compare the class path with it.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .characters import chi
 from .errors import DomainError, GuardExceeded
-from .genchar import JMVariables, Row, _common_order, genchar, table1_rows
+from .genchar import JMVariables, Row, _common_order, _marked_count, genchar, table1_rows
 from .partitions import (
     MarkedPartition,
     Partition,
@@ -85,13 +85,27 @@ def check_guard(n: int, limit: int, what: str) -> None:
         raise GuardExceeded(f"{what} at n={n} exceeds the limit n <= {limit}")
 
 
+def _exact(c: Fraction | int) -> Fraction:
+    # coefficients are exact: a float would store its binary expansion
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction")
+    return Fraction(c)
+
+
+def _images_in(perm: Permutation, n: int) -> tuple[int, ...]:
+    if perm.n != n:
+        raise DomainError(f"{perm!r} does not live in S_{n}")
+    return perm.images
+
+
 class GroupAlgebraElement:
     """A formal rational linear combination of permutations of fixed degree.
 
     Stored as integer numerators keyed by image tuples over one positive
     denominator, in lowest terms: the denominator and the numerators have
     gcd 1 and no zero numerator is kept, so equality compares the parts.
-    A coefficient becomes a Fraction only when it is read.
+    A coefficient becomes a Fraction only when it is read.  Coefficients and
+    scalars must be ints or Fractions: a float raises TypeError.
     """
 
     __slots__ = ("_n", "_terms", "_den")
@@ -99,9 +113,7 @@ class GroupAlgebraElement:
     def __init__(self, n: int, terms: Mapping[Permutation, Fraction | int] = ()):
         coeffs: dict[tuple[int, ...], Fraction] = {}
         for perm, coeff in dict(terms).items():
-            if perm.n != n:
-                raise DomainError(f"{perm!r} does not live in S_{n}")
-            coeffs[perm.images] = Fraction(coeff)
+            coeffs[_images_in(perm, n)] = _exact(coeff)
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         numerators = {p: c.numerator * (den // c.denominator) for p, c in coeffs.items()}
         self._set(n, numerators, den)
@@ -140,7 +152,7 @@ class GroupAlgebraElement:
         return self._n
 
     def coefficient(self, perm: Permutation) -> Fraction:
-        return Fraction(self._terms.get(perm.images, 0), self._den)
+        return Fraction(self._terms.get(_images_in(perm, self._n), 0), self._den)
 
     def items(self) -> Iterator[tuple[Permutation, Fraction]]:
         den, perm = self._den, Permutation.unchecked
@@ -196,7 +208,7 @@ class GroupAlgebraElement:
         return NotImplemented
 
     def scale(self, scalar: Fraction | int) -> "GroupAlgebraElement":
-        c = Fraction(scalar)
+        c = _exact(scalar)
         num, den = c.numerator, self._den * c.denominator
         return GroupAlgebraElement._make(
             self._n, {p: num * v for p, v in self._terms.items()}, den
@@ -206,8 +218,11 @@ class GroupAlgebraElement:
         return f"<group algebra element over S_{self._n}, {len(self._terms)} terms>"
 
 
+_Classes = tuple[tuple[Partition, int, tuple[tuple[int, ...], ...]], ...]
+
+
 @cache
-def _marked_index(n: int) -> tuple[tuple[Partition, int, tuple[tuple[int, ...], ...]], ...]:
+def _marked_index(n: int) -> _Classes:
     # (cycle type, length of the cycle through n, members as image tuples)
     # for each marked class of S_n, in the order its first member comes in
     # the lexicographic listing of S_n; kept for the life of the process, so
@@ -224,30 +239,37 @@ def _marked_index(n: int) -> tuple[tuple[Partition, int, tuple[tuple[int, ...], 
     )
 
 
-def _on_whole_classes(
-    terms: dict[tuple[int, ...], int],
-    classes: Iterable[tuple[Partition, int, Sequence[tuple[int, ...]]]],
-) -> bool:
-    # whether `terms` is constant on every marked class and holds every class
-    # it touches whole, that is, whether it commutes with S_{n-1}: a class is
-    # touched when its first member is present, and the touched classes must
-    # hold every term
-    held = 0
+def _class_values(terms: dict[tuple[int, ...], int], classes: _Classes) -> list[int] | None:
+    # the numerator of `terms` on each marked class, in the order of
+    # `classes`, or None when `terms` is not constant on every class, that
+    # is, when it does not commute with S_{n-1}: a class is touched when its
+    # first member is present, and the touched classes must hold every term
+    values, held = [], 0
     for _, _, members in classes:
-        c = terms.get(members[0])
-        if c is None:
-            continue
-        if any(terms.get(p) != c for p in members):
-            return False
-        held += len(members)
-    return held == len(terms)
+        c = terms.get(members[0], 0)
+        if c:
+            if any(terms.get(p) != c for p in members):
+                return None
+            held += len(members)
+        values.append(c)
+    return values if held == len(terms) else None
+
+
+def _from_class_values(
+    n: int, classes: _Classes, values: Iterable[int], den: int
+) -> GroupAlgebraElement:
+    # the element taking the numerator values[k] over den on every member of
+    # the k-th marked class
+    terms: dict[tuple[int, ...], int] = {}
+    for (_, _, members), v in zip(classes, values):
+        if v:
+            terms.update(dict.fromkeys(members, v))
+    return GroupAlgebraElement._make(n, terms, den)
 
 
 def _class_product(
-    ta: dict[tuple[int, ...], int],
-    tb: dict[tuple[int, ...], int],
-    classes: Iterable[tuple[Partition, int, Sequence[tuple[int, ...]]]],
-) -> dict[tuple[int, ...], int]:
+    ta: dict[tuple[int, ...], int], tb: dict[tuple[int, ...], int], classes: _Classes
+) -> list[int]:
     # a product of elements that commute with S_{n-1} commutes with it too,
     # so it is constant on each marked class: c(k) is summed at one member k
     # per class.  c(k) = sum_p a(p) b(p^-1 k) = sum_p a(p) b(p k) by
@@ -256,50 +278,53 @@ def _class_product(
     # the factors are swapped to let p run over the smaller support
     if len(tb) < len(ta):
         ta, tb = tb, ta
-    terms: dict[tuple[int, ...], int] = {}
+    values = []
     for _, _, members in classes:
         # itemgetter(k(1)-1, .., k(n)-1) maps the images of p to those of p k
         at = itemgetter(*[x - 1 for x in members[0]])
-        v = sum(ca * tb.get(at(p), 0) for p, ca in ta.items())
-        if v:
-            terms.update(dict.fromkeys(members, v))
-    return terms
+        values.append(sum(ca * tb.get(at(p), 0) for p, ca in ta.items()))
+    return values
 
 
 def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
     """Product in the group algebra.
 
-    For 2 <= n <= ORACLE_MAX_N, when both factors commute with S_{n-1} (each is
-    constant on every marked class and holds every class it touches whole),
-    the product is summed at one member of each marked class and shared by
-    the rest of the class.  That sum uses two facts of the algebra of such
-    elements: it is commutative, so the smaller support is walked, and each
-    marked class is closed under inversion, so c(k) = sum_p a(p) b(p k).
-    Every other product is expanded term by term.  Either way the integer
-    numerators are multiplied over the product of the two denominators.
+    For 2 <= n <= ORACLE_MAX_N, when the larger factor has more terms than
+    S_n has marked classes and both commute with S_{n-1} (each is constant
+    on every marked class), the product is summed at one member of each
+    marked class and shared by the rest of the class: fewer term pairs than
+    the literal len(a) * len(b).  That sum uses two facts of the algebra of
+    such elements: it is commutative, so the smaller support is walked, and
+    each marked class is closed under inversion, so c(k) = sum_p a(p) b(p k).
+    Every other product is expanded term by term, and lists no class when
+    neither factor has more terms than S_n has marked classes.  Either way
+    the integer numerators are multiplied over the product of the two
+    denominators.
     """
     if a.n != b.n:
         raise DomainError("cannot multiply elements of different group algebras")
     n, ta, tb = a.n, a._terms, b._terms
+    den = a._den * b._den
     if n <= 1:
         # S_0 and S_1 hold only the identity, where itemgetter cannot compose:
         # it raises for no index and returns a bare int for one
         terms = {tuple(range(1, n + 1)): sum(ta.values()) * sum(tb.values())}
-    elif (
+        return GroupAlgebraElement._make(n, terms, den)
+    if (
         n <= ORACLE_MAX_N
-        and _on_whole_classes(ta, classes := _marked_index(n))
-        and _on_whole_classes(tb, classes)
+        and max(len(ta), len(tb)) > _marked_count(n)
+        and _class_values(ta, classes := _marked_index(n)) is not None
+        and _class_values(tb, classes) is not None
     ):
-        terms = _class_product(ta, tb, classes)
-    else:
-        terms = {}
-        # itemgetter(q(1)-1, .., q(n)-1) maps the images of p to those of p * q
-        right = [(itemgetter(*[x - 1 for x in q]), cb) for q, cb in tb.items()]
-        for mine, ca in ta.items():
-            for compose, cb in right:
-                key = compose(mine)
-                terms[key] = terms.get(key, 0) + ca * cb
-    return GroupAlgebraElement._make(n, terms, a._den * b._den)
+        return _from_class_values(n, classes, _class_product(ta, tb, classes), den)
+    terms = {}
+    # itemgetter(q(1)-1, .., q(n)-1) maps the images of p to those of p * q
+    right = [(itemgetter(*[x - 1 for x in q]), cb) for q, cb in tb.items()]
+    for mine, ca in ta.items():
+        for compose, cb in right:
+            key = compose(mine)
+            terms[key] = terms.get(key, 0) + ca * cb
+    return GroupAlgebraElement._make(n, terms, den)
 
 
 def class_sum(lam: Partition, i: int) -> GroupAlgebraElement:
@@ -307,13 +332,9 @@ def class_sum(lam: Partition, i: int) -> GroupAlgebraElement:
     _check_mark(lam, i)
     n = lam.n
     check_guard(n, ORACLE_MAX_N, "marked class enumeration")
-    terms = {
-        images: 1
-        for ctype, through, members in _marked_index(n)
-        if through == i and ctype == lam
-        for images in members
-    }
-    return GroupAlgebraElement._make(n, terms)
+    classes = _marked_index(n)
+    values = [int(through == i and ctype == lam) for ctype, through, _ in classes]
+    return _from_class_values(n, classes, values, 1)
 
 
 def jm_element(k: int, n: int) -> GroupAlgebraElement:
@@ -329,29 +350,16 @@ def central_idempotent(lam: Partition) -> GroupAlgebraElement:
     n = lam.n
     check_guard(n, ORACLE_MAX_N, "central idempotent expansion")
     d = dimension(lam)
-    terms: dict[tuple[int, ...], int] = {}
-    for ctype, _, members in _marked_index(n):
-        c = d * chi(lam, ctype)
-        if c:
-            terms.update(dict.fromkeys(members, c))
-    return GroupAlgebraElement._make(n, terms, math.factorial(n))
-
-
-def _embed(g: GroupAlgebraElement, n: int) -> GroupAlgebraElement:
-    # extend each permutation by fixed points up to degree n
-    if g.n > n:
-        raise DomainError("cannot embed into a smaller group")
-    tail = tuple(range(g.n + 1, n + 1))
-    return GroupAlgebraElement._make(
-        n, {p + tail: v for p, v in g._terms.items()}, g._den
-    )
+    classes = _marked_index(n)
+    values = [d * chi(lam, ctype) for ctype, _, _ in classes]
+    return _from_class_values(n, classes, values, math.factorial(n))
 
 
 def z1_idempotent(lam: Partition, i: int) -> GroupAlgebraElement:
     """Primitive idempotent of the marked-class algebra for (lam, i).
 
-    The product of the central idempotent for lam with the embedded central
-    idempotent for the reduced shape i_-(lam) over S_{n-1}.
+    The product of the central idempotent for lam with the central
+    idempotent for the reduced shape i_-(lam) of S_{n-1}, taken in S_n.
     """
     _check_mark(lam, i)
     n = lam.n
@@ -362,36 +370,31 @@ def z1_idempotent(lam: Partition, i: int) -> GroupAlgebraElement:
 @cache
 def _z1_idempotent_cached(lam: Partition, i: int) -> GroupAlgebraElement:
     n = lam.n
-    top = central_idempotent(lam)
-    reduced = central_idempotent(decrement_part(lam, i))
-    return ga_multiply(top, _embed(reduced, n))
+    reduced, classes = decrement_part(lam, i), _marked_index(n)
+    # S_{n-1} fixes n: its class ctype less one 1 is the class (ctype, 1)
+    d = dimension(reduced)
+    values = [
+        d * chi(reduced, decrement_part(ctype, 1)) if through == 1 else 0
+        for ctype, through, _ in classes
+    ]
+    embedded = _from_class_values(n, classes, values, math.factorial(n - 1))
+    return ga_multiply(central_idempotent(lam), embedded)
 
 
 def extract_marked_coefficient(
     g: GroupAlgebraElement, mu: Partition, j: int
 ) -> Fraction:
-    """The common coefficient of g on the marked class (mu, j).
+    """The coefficient of g on the marked class (mu, j).
 
-    Raises if the coefficient is not constant across the class, which is the
-    symptom of g lying outside the marked-class algebra.
+    Raises DomainError when g is not constant on every marked class, even
+    if it is on (mu, j): g then lies outside the marked-class algebra.
     """
     n = g.n
     if mu.n != n:
         raise DomainError(f"{mu} is not a partition of {n}")
     _check_mark(mu, j)
     check_guard(n, ORACLE_MAX_N, "marked coefficient read")
-    terms = g._terms
-    members = next(
-        members
-        for ctype, through, members in _marked_index(n)
-        if through == j and ctype == mu
-    )
-    value = terms.get(members[0], 0)
-    if any(terms.get(p, 0) != value for p in members):
-        raise DomainError(
-            f"coefficient is not constant on the marked class ({mu}, {j})"
-        )
-    return Fraction(value, g._den)
+    return _marked_decomposition(g)[MarkedPartition(mu, j)]
 
 
 def is_near_central(g: GroupAlgebraElement) -> bool:
@@ -433,17 +436,14 @@ def jm_power_coefficients(n: int, r: int) -> dict[MarkedPartition, Fraction]:
 def _marked_decomposition(
     g: GroupAlgebraElement,
 ) -> dict[MarkedPartition, Fraction]:
-    terms = g._terms
-    out: dict[MarkedPartition, int] = {}
-    for ctype, through, members in _marked_index(g.n):
-        marked = MarkedPartition(ctype, through)
-        for images in members:
-            c = terms.get(images, 0)
-            if out.setdefault(marked, c) != c:
-                raise DomainError(
-                    f"coefficient is not constant on the marked class {marked}"
-                )
-    return {marked: Fraction(c, g._den) for marked, c in out.items()}
+    classes = _marked_index(g.n)
+    values = _class_values(g._terms, classes)
+    if values is None:
+        raise DomainError(f"{g!r} is not constant on every marked class")
+    return {
+        MarkedPartition(ctype, through): Fraction(v, g._den)
+        for (ctype, through, _), v in zip(classes, values)
+    }
 
 
 def enumerate_star_factorizations(pi: Permutation, r: int) -> int:
@@ -630,10 +630,8 @@ def run_verify(max_n: int = 4) -> list[str]:
             GroupAlgebraElement.one(n),
         )
 
-        gammas = {
-            mp: z1_idempotent(mp.shape, mp.mark) for mp in marked
-        }
-        top_jm = jm_element(n, n) if n >= 2 else None
+        gammas = {mp: z1_idempotent(mp.shape, mp.mark) for mp in marked}
+        top_jm = jm_element(n, n)
         total = GroupAlgebraElement.zero(n)
         for mp in marked:
             for mq in marked:
@@ -648,12 +646,11 @@ def run_verify(max_n: int = 4) -> list[str]:
                 is_near_central(gammas[mp]),
                 True,
             )
-            if top_jm is not None:
-                expect(
-                    f"marked idempotents diagonalize J_n @ n={n}",
-                    ga_multiply(top_jm, gammas[mp]),
-                    gammas[mp].scale(marked_content(mp.shape, mp.mark)),
-                )
+            expect(
+                f"marked idempotents diagonalize J_n @ n={n}",
+                ga_multiply(top_jm, gammas[mp]),
+                gammas[mp].scale(marked_content(mp.shape, mp.mark)),
+            )
             total = total + gammas[mp]
         expect(
             f"marked idempotents resolve the identity @ n={n}",

@@ -171,7 +171,7 @@ def test_elements_stay_in_lowest_terms(monkeypatch) -> None:
             made += [a.scale(s) for s in (0, 2, -3, Fraction(-5, 6), Fraction(7, 4))]
             made += [ga_multiply(a, b), ga_multiply(b, c), ga_multiply(c, c)]
             with monkeypatch.context() as literal:
-                literal.setattr(oracle, "_on_whole_classes", lambda *_: False)
+                literal.setattr(oracle, "_class_values", lambda *_: None)
                 made += [ga_multiply(a, b), ga_multiply(a, zero)]
             for g in made:
                 _assert_lowest_terms(g)
@@ -181,7 +181,9 @@ def test_elements_stay_in_lowest_terms(monkeypatch) -> None:
             assert a - a == zero == c.scale(0)
 
 
-def test_class_product_matches_the_literal_product(monkeypatch) -> None:
+@pytest.fixture
+def class_products(monkeypatch) -> list:
+    # the arguments of every call of the class product, in order
     taken = []
     class_product = oracle._class_product
 
@@ -190,13 +192,23 @@ def test_class_product_matches_the_literal_product(monkeypatch) -> None:
         return class_product(*args)
 
     monkeypatch.setattr(oracle, "_class_product", spy)
+    return taken
 
-    def check(a: GroupAlgebraElement, b: GroupAlgebraElement, by_class: bool):
+
+def test_class_product_matches_the_literal_product(monkeypatch, class_products) -> None:
+    taken = class_products
+    by_class_at: Counter[int] = Counter()
+
+    def check(a: GroupAlgebraElement, b: GroupAlgebraElement, near: bool):
+        # the class path is taken when both factors are near-central and the
+        # larger has more terms than S_n has marked classes
+        by_class = near and max(len(a), len(b)) > len(oracle._marked_index(a.n))
+        by_class_at[a.n] += by_class
         taken.clear()
         got = ga_multiply(a, b)
         assert bool(taken) == by_class
         with monkeypatch.context() as literal:
-            literal.setattr(oracle, "_on_whole_classes", lambda *_: False)
+            literal.setattr(oracle, "_class_values", lambda *_: None)
             want = ga_multiply(a, b)
         assert got == want
         return got
@@ -214,6 +226,10 @@ def test_class_product_matches_the_literal_product(monkeypatch) -> None:
                 check(bad, b, False)
             for bad in _broken(rng, b):
                 check(a, bad, False)
+    # S_2 has two marked classes and two permutations, so no product of it
+    # has more terms than classes
+    assert by_class_at[2] == 0
+    assert all(by_class_at[n] >= 6 for n in range(3, 8))
 
     # the two idempotents of 6 with the fewest terms, 340 and 450
     marked = [(Partition((3, 2, 1)), 2), (Partition((4, 2)), 2)]
@@ -221,13 +237,64 @@ def test_class_product_matches_the_literal_product(monkeypatch) -> None:
     assert check(gamma, gamma, True) == gamma
     assert not check(gamma, other, True)
 
+    # J_7 has 6 terms and S_7 30 marked classes: 1 * J_7 and J_7 * J_7 are
+    # literal, and J_7^2 has 31 terms
     jm = jm_element(7, 7)
     power = GroupAlgebraElement.one(7)
-    for _ in range(4):
+    for r in range(4):
         power = check(power, jm, True)
+        assert bool(taken) == (r > 1)
     assert extract_marked_coefficient(power, Partition((1,) * 7), 1) == (
         enumerate_star_factorizations(Permutation.identity(7), 4)
     )
+
+
+@pytest.fixture
+def listed_groups(monkeypatch) -> list:
+    # every n whose marked-class index is asked for; the index lists no
+    # classes, so that a wrong path fails without building a large S_n
+    listed = []
+
+    def spy(n):
+        listed.append(n)
+        return ()
+
+    monkeypatch.setattr(oracle, "_marked_index", spy)
+    return listed
+
+
+def _literal_product(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
+    # the product from Permutation products, apart from ga_multiply
+    terms: Counter = Counter()
+    for p, ca in a.items():
+        for q, cb in b.items():
+            terms[p * q] += ca * cb
+    return GroupAlgebraElement(a.n, terms)
+
+
+def test_class_path_starts_past_the_marked_class_count(class_products) -> None:
+    # S_3 has 4 marked classes: (1 1 1)@1, (2 1)@1, (2 1)@2 and (3)@3
+    taken = class_products
+    assert oracle._marked_count(3) == len(oracle._marked_index(3)) == 4
+    four = class_sum(Partition((2, 1)), 2) + class_sum(Partition((3,)), 3)
+    five = four + GroupAlgebraElement.one(3)
+    assert (len(four), len(five)) == (4, 5)
+    swap = class_sum(Partition((2, 1)), 2)
+    for a, b, by_class in [(four, swap, False), (swap, four, False), (five, swap, True)]:
+        taken.clear()
+        got = ga_multiply(a, b)
+        assert bool(taken) == by_class
+        assert got == _literal_product(a, b)
+
+
+def test_sparse_products_list_no_group(listed_groups) -> None:
+    # J_8 and J_7 of S_9 have 7 and 6 terms, fewer than the 67 marked classes
+    # of 9, so their product is the literal one and S_9 is not listed
+    assert oracle._marked_count(9) == 67
+    a, b = jm_element(8, 9), jm_element(7, 9)
+    got = ga_multiply(a, b)
+    assert listed_groups == []
+    assert got == _literal_product(a, b)
 
 
 def test_marked_classes_hold_the_inverse_of_each_member() -> None:
@@ -240,7 +307,7 @@ def test_marked_classes_hold_the_inverse_of_each_member() -> None:
 def test_near_central_elements_commute(monkeypatch) -> None:
     # the class product swaps its factors so that p runs over the smaller
     # support; checked here on the literal product
-    monkeypatch.setattr(oracle, "_on_whole_classes", lambda *_: False)
+    monkeypatch.setattr(oracle, "_class_values", lambda *_: None)
     rng = random.Random(21)
     for n in range(1, 7):
         for _ in range(3):
@@ -261,7 +328,7 @@ def test_class_check_agrees_with_is_near_central() -> None:
             size = rng.randint(1, min(8, math.factorial(n)))
             for h in [g, _random_element(rng, n, size), *_broken(rng, g)]:
                 near = is_near_central(h)
-                assert oracle._on_whole_classes(h._terms, index) == near
+                assert (oracle._class_values(h._terms, index) is not None) == near
                 seen.add(near)
     assert seen == {True, False}
 
@@ -290,15 +357,8 @@ def test_class_sums_and_reads_at_n_8() -> None:
     assert extract_marked_coefficient(g, Partition((n,)), n) == 0
 
 
-def test_idempotents_at_n_8_take_the_class_product(monkeypatch) -> None:
-    taken = []
-    class_product = oracle._class_product
-
-    def spy(*args):
-        taken.append(args)
-        return class_product(*args)
-
-    monkeypatch.setattr(oracle, "_class_product", spy)
+def test_idempotents_at_n_8_take_the_class_product(class_products) -> None:
+    taken = class_products
     n = 8
     mu, j = random.Random(2023).choice(_marked(n))
     oracle._z1_idempotent_cached.cache_clear()
@@ -312,17 +372,10 @@ def test_idempotents_at_n_8_take_the_class_product(monkeypatch) -> None:
     assert row == genchar_row(mu, j)
 
 
-def test_products_past_the_oracle_limit_list_no_group(monkeypatch) -> None:
+def test_products_past_the_oracle_limit_list_no_group(listed_groups) -> None:
     # J_12 and J_11 are built without a guard, so their product must be the
     # literal one: an index of S_12 would hold 479,001,600 permutations
-    listed = []
-
-    def spy(n):
-        # lists no classes, so that a wrong path fails without building S_12
-        listed.append(n)
-        return ()
-
-    monkeypatch.setattr(oracle, "_marked_index", spy)
+    listed = listed_groups
     n = 12
     got = ga_multiply(jm_element(n, n), jm_element(n - 1, n))
     assert listed == []
@@ -440,6 +493,38 @@ def test_extract_marked_coefficient() -> None:
     lone = GroupAlgebraElement.from_permutation(_perm(3, 2, 1))
     with pytest.raises(DomainError):
         extract_marked_coefficient(lone, Partition((2, 1)), 2)
+    # constant on (2,1)@2, but holding one of the two 3-cycles: outside Z1(3)
+    uneven = k + GroupAlgebraElement.from_permutation(_perm(2, 3, 1))
+    with pytest.raises(DomainError, match="not constant on every marked class"):
+        extract_marked_coefficient(uneven, Partition((2, 1)), 2)
+
+
+def test_coefficients_are_exact() -> None:
+    # a float would store its binary expansion, 0.1 as 3602879701896397/2^55
+    one = GroupAlgebraElement.one(3)
+    ident = Permutation.identity(3)
+    for bad in (0.1, 1.0, "1/3"):
+        with pytest.raises(TypeError, match="neither an int nor a Fraction"):
+            GroupAlgebraElement(3, {ident: bad})
+        with pytest.raises(TypeError):
+            one.scale(bad)
+        with pytest.raises(TypeError):
+            one * bad
+        with pytest.raises(TypeError):
+            bad * one
+        with pytest.raises(TypeError):
+            GroupAlgebraElement.from_permutation(ident, bad)
+    assert one.scale(Fraction(1, 10)).coefficient(ident) == Fraction(1, 10)
+    assert (3 * one).coefficient(ident) == 3
+
+
+def test_coefficient_refuses_another_degree() -> None:
+    g = class_sum(Partition((2, 1)), 2)
+    with pytest.raises(DomainError, match="does not live in S_3"):
+        g.coefficient(Permutation.transposition(1, 2, 2))
+    with pytest.raises(DomainError, match="does not live in S_3"):
+        g.coefficient(Permutation.identity(4))
+    assert g.coefficient(Permutation.transposition(1, 3, 3)) == 1
 
 
 def test_extraction_matches_generalized_characters() -> None:
