@@ -28,8 +28,14 @@ from functools import cache
 from itertools import accumulate
 from operator import mul, sub
 
-from .errors import DomainError, GuardExceeded
-from .partitions import Partition, _descending_parts, enumerate_partitions
+from .errors import GuardExceeded
+from .partitions import (
+    Partition,
+    _check_int,
+    _check_order,
+    _descending_parts,
+    enumerate_partitions,
+)
 
 __all__ = ["CHARACTER_TABLE_MAX_N", "chi", "character_table"]
 
@@ -124,8 +130,7 @@ def _chi_column(parts: tuple[int, ...]) -> tuple[int, ...]:
 @cache
 def chi(lam: Partition, mu: Partition) -> int:
     """Character value of the irreducible indexed by lam on the class mu."""
-    if lam.n != mu.n:
-        raise DomainError(f"sizes differ: |{lam}| = {lam.n}, |{mu}| = {mu.n}")
+    _check_order(lam.n, mu)
     return _mn(_beta_mask(lam.parts), mu.parts)
 
 
@@ -155,6 +160,7 @@ def character_table(n: int) -> list[list[int]]:
     both in the order produced by enumerate_partitions(n). A larger n raises
     GuardExceeded naming the p(n)^2 entries it would compute.
     """
+    _check_int(n, "n")
     if n > CHARACTER_TABLE_MAX_N:
         # p(n) itself takes O(n^1.5) big-integer steps; past n = 1000 name a bound
         entries = f"= {_partition_counts(n)[n] ** 2}" if n <= 1000 else "> 10^62"

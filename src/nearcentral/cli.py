@@ -32,6 +32,7 @@ from .oracle import (
     z1_idempotent,
 )
 from .partitions import (
+    _check_int,
     decrement_part,
     enumerate_marked_partitions,
     enumerate_partitions,
@@ -79,8 +80,7 @@ def _shape_arg(text: str, n: int | None, name: str):
 
 
 def _cmd_partitions(args: argparse.Namespace) -> dict[str, Any]:
-    if args.n < 0:
-        raise DomainError("n must be nonnegative")
+    _check_int(args.n, "n")
     # p(n) itself takes O(n^1.5) big-integer steps; past n = 1000 name a bound
     count = _partition_counts(args.n)[args.n] if args.n <= 1000 else None
     if count is None or count > LIST_MAX:
@@ -133,8 +133,7 @@ def _cmd_tableaux(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_chartable(args: argparse.Namespace) -> dict[str, Any] | None:
-    if args.n < 1:
-        raise DomainError("n must be positive")
+    _check_int(args.n, "n", 1)
     table = character_table(args.n)
     labels = [format_partition(p) for p in enumerate_partitions(args.n)]
     if args.format == "csv":

@@ -68,7 +68,9 @@ from .errors import (
 from .partitions import (
     MarkedPartition,
     Partition,
+    _check_int,
     _check_mark,
+    _check_order,
     _cycle_type_symmetry,
     decrement_part,
     class_size,
@@ -168,8 +170,7 @@ def table1_rows(n: int) -> list[tuple[MarkedPartition, Row]]:
     class sum exactly; called on contents it returns the scalar by which the
     class sum acts on the matching idempotent.
     """
-    if n < 1:
-        raise DomainError("n must be positive")
+    _check_int(n, "n", 1)
     half = Fraction(1, 2)
     pairs = math.comb(n - 1, 2)
     rows: list[tuple[MarkedPartition, Row]] = []
@@ -304,8 +305,7 @@ def _column(lam: Partition, i: int) -> tuple[int, tuple[int, ...]]:
     # for the t-th marked shape (mu, j) of enumerate_marked_partitions(n).
     # The summed weight of the paths that end on mu with n's cell at content
     # c_{mu,j} is the value at (mu, j); a marked shape no path reaches has
-    # the value 0.
-    _check_mark(lam, i)
+    # the value 0.  Every caller has checked the mark.
     n = lam.n
     if n > COLUMN_MAX_N:
         raise GuardExceeded(
@@ -535,8 +535,7 @@ def _check_closed(n: int) -> None:
 def _common_order(mu: Partition, j: int, lam: Partition, i: int) -> int:
     _check_mark(mu, j)
     _check_mark(lam, i)
-    if mu.n != lam.n:
-        raise DomainError(f"{mu} and {lam} are partitions of different integers")
+    _check_order(mu.n, lam)
     return mu.n
 
 
@@ -582,8 +581,7 @@ def genchar_hook_row(mu: Partition, j: int) -> Fraction:
     """gamma^{mu,j}_{(n-1,1), n-1} in closed form, for 3 <= n <= STAR_CLOSED_MAX;
     a larger n raises `GuardExceeded`."""
     n = mu.n
-    if n < 3:
-        raise DomainError("the near-fixed-point row needs n >= 3")
+    _check_int(n, "n", 3)
     _check_mark(mu, j)
     _check_closed(n)
     parts = mu.parts
@@ -645,8 +643,8 @@ def genchar_row(mu: Partition, j: int) -> dict[MarkedPartition, Fraction]:
 
 @cache
 def _row(mu: Partition, j: int) -> tuple[Fraction, ...]:
-    # gamma^{mu,j} at the t-th marked class of enumerate_marked_partitions(n)
-    _check_mark(mu, j)
+    # gamma^{mu,j} at the t-th marked class of enumerate_marked_partitions(n);
+    # every caller has checked the mark
     if mu.n > GENCHAR_MAX_N:
         raise _rule_refusal(
             mu, j, f"gamma row over the {_marked_count(mu.n)} marked classes"
@@ -661,8 +659,7 @@ def superscript_sum(mu: Partition, lam: Partition, i: int) -> int:
     """
     # an empty mu calls no genchar, which would check the mark and the sizes
     _check_mark(lam, i)
-    if mu.n != lam.n:
-        raise DomainError(f"{mu} and {lam} are partitions of different integers")
+    _check_order(lam.n, mu)
     total = sum(
         (genchar(mu, j, lam, i) for j in sorted(set(mu.parts))), Fraction(0)
     )
@@ -678,8 +675,7 @@ def subscript_sum_chi(mu: Partition, j: int, lam: Partition) -> Fraction:
     Normalized by d_mu / (|C_lam| d_{j_-(mu)}), this again yields chi^mu_lam.
     """
     # an empty lam has no part for `genchar` to check the sizes on
-    if lam.n != mu.n:
-        raise DomainError(f"{mu} and {lam} are partitions of different integers")
+    _check_order(mu.n, lam)
     values = [(i, genchar(mu, j, lam, i)) for i in sorted(set(lam.parts))]
     total = sum((marked_class_size(lam, i) * value for i, value in values), Fraction(0))
     norm = Fraction(dimension(mu), class_size(lam) * dimension(decrement_part(mu, j)))
@@ -694,6 +690,8 @@ def weighted_sum(rho: Partition, ell: int, m: int) -> Fraction:
     Equals the elementary symmetric polynomial e_{n-m} of the contents of rho,
     i.e. a coefficient of the content polynomial.
     """
+    _check_mark(rho, ell)  # before the cache, which answers 2.0 under 2
+    _check_int(m, "part count")
     row, table = _row(rho, ell), _marked_shapes(rho.n)
     total = Fraction(0)
     for marked, size, value in zip(table.marked, table.size, row):
@@ -732,8 +730,7 @@ def multi_product_coefficient(
     n = mu.n
     _check_mark(mu, j)
     for lam, i in factors:
-        if lam.n != n:
-            raise DomainError(f"{lam} is not a partition of {n}")
+        _check_order(n, lam)
         _check_mark(lam, i)
     r = len(factors)
     # gamma^{rho,ell}_{mu,j} d_rho / d_{ell_-(rho)}^r times the factors'

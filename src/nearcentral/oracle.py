@@ -42,7 +42,9 @@ from .genchar import JMVariables, Row, _common_order, _marked_count, genchar, ta
 from .partitions import (
     MarkedPartition,
     Partition,
+    _check_int,
     _check_mark,
+    _check_order,
     decrement_part,
     enumerate_marked_partitions,
     enumerate_partitions,
@@ -111,6 +113,7 @@ class GroupAlgebraElement:
     __slots__ = ("_n", "_terms", "_den")
 
     def __init__(self, n: int, terms: Mapping[Permutation, Fraction | int] = ()):
+        _check_int(n, "n")
         coeffs: dict[tuple[int, ...], Fraction] = {}
         for perm, coeff in dict(terms).items():
             coeffs[_images_in(perm, n)] = _exact(coeff)
@@ -135,11 +138,11 @@ class GroupAlgebraElement:
 
     @classmethod
     def zero(cls, n: int) -> "GroupAlgebraElement":
-        return cls._make(n, {})
+        return cls(n)
 
     @classmethod
     def one(cls, n: int) -> "GroupAlgebraElement":
-        return cls._make(n, {tuple(range(1, n + 1)): 1})
+        return cls(n, {Permutation.identity(n): 1})
 
     @classmethod
     def from_permutation(
@@ -339,8 +342,8 @@ def class_sum(lam: Partition, i: int) -> GroupAlgebraElement:
 
 def jm_element(k: int, n: int) -> GroupAlgebraElement:
     """The Jucys-Murphy element J_k: the sum of (i k) for i < k."""
-    if not 2 <= k <= n:
-        raise DomainError(f"Jucys-Murphy index {k} is outside 2..{n}")
+    _check_int(n, "n", 2)
+    _check_int(k, "Jucys-Murphy index", 2, n)
     terms = {Permutation.transposition(i, k, n).images: 1 for i in range(1, k)}
     return GroupAlgebraElement._make(n, terms)
 
@@ -390,8 +393,7 @@ def extract_marked_coefficient(
     if it is on (mu, j): g then lies outside the marked-class algebra.
     """
     n = g.n
-    if mu.n != n:
-        raise DomainError(f"{mu} is not a partition of {n}")
+    _check_order(n, mu)
     _check_mark(mu, j)
     check_guard(n, ORACLE_MAX_N, "marked coefficient read")
     return _marked_decomposition(g)[MarkedPartition(mu, j)]
@@ -421,10 +423,8 @@ def is_near_central(g: GroupAlgebraElement) -> bool:
 
 def jm_power_coefficients(n: int, r: int) -> dict[MarkedPartition, Fraction]:
     """Full marked-class coefficient table of J_n to the power r."""
-    if n < 1:
-        raise DomainError("n must be positive")
-    if r < 0:
-        raise DomainError("power must be nonnegative")
+    _check_int(n, "n", 1)
+    _check_int(r, "power")
     check_guard(n, ORACLE_MAX_N, "Jucys-Murphy power expansion")
     jm = jm_element(n, n) if n >= 2 else GroupAlgebraElement.zero(1)
     g = GroupAlgebraElement.one(n)
@@ -454,8 +454,7 @@ def enumerate_star_factorizations(pi: Permutation, r: int) -> int:
     sequences, refused past `_STAR_SEQUENCES_MAX` of them.
     """
     n = pi.n
-    if r < 0:
-        raise DomainError("length must be nonnegative")
+    _check_int(r, "length")
     if n < 2:
         return 1 if r == 0 else 0
     if (n - 1) ** r > _STAR_SEQUENCES_MAX:
@@ -485,10 +484,8 @@ def star_walk(n: int, rmax: int) -> list[dict[MarkedPartition, int]]:
     the marked partitions of n, and walk[r][(lam, i)] / |C_{lam,i}| is the
     count for one permutation of the class.
     """
-    if n < 1:
-        raise DomainError("n must be positive")
-    if rmax < 0:
-        raise DomainError("length must be nonnegative")
+    _check_int(n, "n", 1)
+    _check_int(rmax, "length")
     state: dict[tuple[tuple[int, ...], int], int] = {((1,) * n, 1): 1}
     walk = [state]
     for _ in range(rmax):
@@ -571,8 +568,7 @@ def _strahov_histogram(
 def evaluate_asf_at_jm(f: Row, n: int) -> GroupAlgebraElement:
     """Call the Table 1 row `f` on the Jucys-Murphy elements of S_n: J_2 ..
     J_{n-1}, J_n and the identity; see `JMVariables`."""
-    if n < 1:
-        raise DomainError("n must be positive")
+    _check_int(n, "n", 1)
     check_guard(n, ORACLE_MAX_N, "Jucys-Murphy substitution")
     inner = tuple(jm_element(k, n) for k in range(2, n))
     top = jm_element(n, n) if n >= 2 else GroupAlgebraElement.zero(1)
@@ -597,8 +593,7 @@ def run_verify(max_n: int = 4) -> list[str]:
     before (about 1.5 s at n = 6 on a 2-vCPU host), so max_n above 6 raises
     GuardExceeded.
     """
-    if max_n < 2:
-        raise DomainError("verification needs max_n >= 2")
+    _check_int(max_n, "max_n", 2)
     order = math.factorial(max_n) if max_n <= 20 else "more than 10^18"
     check_guard(max_n, 6, f"verification over the {order} permutations of S_n")
     done: list[str] = []

@@ -43,9 +43,7 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         ordered = tuple(sorted(parts, reverse=True))
         for p in ordered:
-            # bool is an int subclass, and True would pass as the part 1
-            if type(p) is not int or p < 1:
-                raise DomainError(f"partition parts must be positive integers, got {p!r}")
+            _check_int(p, "partition part", 1)
         object.__setattr__(self, "_parts", ordered)
         object.__setattr__(self, "_n", sum(ordered))
 
@@ -102,9 +100,9 @@ class Partition:
     def __str__(self) -> str:
         return format_partition(self)
 
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        return parse_partition(text)
+    def __reduce__(self):
+        # pickle and copy set slots through __setattr__, which refuses them
+        return Partition, (self._parts,)
 
 
 class MarkedPartition:
@@ -148,6 +146,9 @@ class MarkedPartition:
     def __str__(self) -> str:
         return format_marked_partition(self)
 
+    def __reduce__(self):
+        return MarkedPartition, (self.shape, self.mark)
+
 
 # The slots' own setters, for objects built from data that is valid by
 # construction: each store costs about a third of an object.__setattr__ call,
@@ -158,20 +159,35 @@ _set_parts = Partition._parts.__set__
 _set_n = Partition._n.__set__
 
 
+def _check_int(value: int, what: str, low: int = 0, high: int | None = None) -> None:
+    # the one test of an integer argument, for every function that takes a
+    # size, count, length or index: bool is an int subclass, and True would
+    # pass as 1, as 2.0 would as 2 and turn an exact count into a float
+    if type(value) is not int:
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if value < low or high is not None and value > high:
+        bound = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise DomainError(f"{what} must be {bound}, got {value}")
+
+
+def _check_order(n: int, *shapes: Partition) -> None:
+    # the one test that shapes are partitions of the same n
+    for lam in shapes:
+        if lam.n != n:
+            raise DomainError(f"{lam} is not a partition of {n}")
+
+
 def _check_mark(lam: Partition, i: int) -> None:
     # the one test that a mark names a part, for every function that takes
-    # a marked class (lam, i); bool is an int subclass, and True would pass
-    # as the mark 1, as 2.0 would as the mark 2
-    if type(i) is not int:
-        raise DomainError(f"mark must be an integer, got {i!r}")
+    # a marked class (lam, i)
+    _check_int(i, "mark", 1)
     if i not in lam.parts:
         raise DomainError(f"mark {i} is not a part of {lam}")
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in reverse lexicographic order, (n) first."""
-    if n < 0:
-        raise DomainError(f"cannot partition {n}")
+    _check_int(n, "n")
     # `Partition.unchecked` inlined with the known n: its call and the sum of
     # each tuple are about 7% of the `aggregates` benchmark's batch time, which
     # enumerates the 32,860 partitions of 35 and 36 in every batch

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .partitions import Partition
+from .partitions import Partition, _check_int
 
 __all__ = ["Permutation", "cycle_length_through", "cycle_lengths", "cycle_type"]
 
@@ -61,7 +61,9 @@ class Permutation:
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
+        for x in images:
+            _check_int(x, "image", 1, len(images))
+        if len(set(images)) != len(images):
             raise DomainError(f"not a permutation in one-line notation: {images!r}")
         self._images = images
 
@@ -79,23 +81,24 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls.unchecked(tuple(range(1, n + 1)))
+        return cls.from_cycles(n, [])
 
     @classmethod
     def transposition(cls, a: int, b: int, n: int) -> "Permutation":
-        if not (1 <= a <= n and 1 <= b <= n and a != b):
+        _check_int(n, "n", 2)
+        if a == b:
             raise DomainError(f"({a} {b}) is not a transposition inside S_{n}")
-        images = list(range(1, n + 1))
-        images[a - 1], images[b - 1] = b, a
-        return cls.unchecked(tuple(images))
+        return cls.from_cycles(n, [(a, b)])
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
+        _check_int(n, "n")
         images = list(range(1, n + 1))
         seen: set[int] = set()
         for cycle in cycles:
             for x in cycle:
-                if not (1 <= x <= n) or x in seen:
+                _check_int(x, "cycle symbol", 1, n)
+                if x in seen:
                     raise DomainError(f"bad cycle symbol {x} in {cycle!r}")
                 seen.add(x)
             for a, b in zip(cycle, cycle[1:]):
@@ -113,8 +116,7 @@ class Permutation:
         return len(self._images)
 
     def __call__(self, x: int) -> int:
-        if not 1 <= x <= len(self._images):
-            raise DomainError(f"{x} is outside 1..{len(self._images)}")
+        _check_int(x, "symbol", 1, len(self._images))
         return self._images[x - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
@@ -151,8 +153,7 @@ class Permutation:
         return cycle_type(self._images)
 
     def cycle_length_through(self, x: int) -> int:
-        if not 1 <= x <= len(self._images):
-            raise DomainError(f"{x} is outside 1..{len(self._images)}")
+        _check_int(x, "symbol", 1, len(self._images))
         return cycle_length_through(self._images, x)
 
     def __eq__(self, other: object) -> bool:

@@ -23,7 +23,7 @@ from .genchar import (
     _column,
     _marked_shapes,
 )
-from .partitions import Partition, _check_mark, _descending_parts, class_size
+from .partitions import Partition, _check_int, _check_mark, _descending_parts, class_size
 
 __all__ = [
     "STAR_CLOSED_MAX",
@@ -130,8 +130,7 @@ def star_count(lam: Partition, i: int, r: int) -> int:
     STAR_CLOSED_MAX raises GuardExceeded.
     """
     _check_mark(lam, i)
-    if r < 0:
-        raise DomainError("length must be nonnegative")
+    _check_int(r, "length")
     n = lam.n
     _check_size(n, r)
     den, spectrum = _star_spectrum(lam, i)
@@ -195,10 +194,8 @@ def star_count_closed(case: StarClosedCase, n: int, r: int) -> int:
 
     n or r above STAR_CLOSED_MAX raises GuardExceeded.
     """
-    if n < 3:
-        raise DomainError("closed forms need n >= 3")
-    if r < 1:
-        raise DomainError("length must be positive")
+    _check_int(n, "n", 3)
+    _check_int(r, "length", 1)
     if n > STAR_CLOSED_MAX or r > STAR_CLOSED_MAX:
         raise GuardExceeded(
             f"closed-form star count at n = {n}, r = {r} sums O(n) powers c^r "
@@ -222,10 +219,8 @@ def star_count_class(lam: Partition, r: int) -> int:
     n = lam.n
     # S_0 has no star, and the sum over marked shapes would read 0 at r = 0
     # where the empty sequence gives the empty permutation
-    if n < 1:
-        raise DomainError("n must be positive")
-    if r < 0:
-        raise DomainError("length must be nonnegative")
+    _check_int(n, "n", 1)
+    _check_int(r, "length")
     _check_size(n, r)
     total = _weighted_power_sum(n, r, _chi_column(lam.parts))
     return _as_count(class_size(lam) * total, math.factorial(n), "class star count")
@@ -239,10 +234,9 @@ def star_count_by_cycle_count(n: int, k: int, r: int) -> int:
 
     n above STAR_COUNT_MAX_N or r above STAR_CLOSED_MAX raises GuardExceeded.
     """
-    if not 1 <= k <= n:
-        raise DomainError(f"cycle count {k} is outside 1..{n}")
-    if r < 0:
-        raise DomainError("length must be nonnegative")
+    _check_int(n, "n", 1)
+    _check_int(k, "cycle count", 1, n)
+    _check_int(r, "length")
     _check_size(n, r)
     total = _weighted_power_sum(n, r, _cycle_columns(n)[k])
     return _as_count(total, math.factorial(n), "cycle-count star total")

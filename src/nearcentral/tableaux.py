@@ -21,7 +21,7 @@ import math
 from functools import cache
 
 from .errors import DomainError, InconsistencyError
-from .partitions import Partition, _check_mark, decrement_part
+from .partitions import Partition, _check_int, _check_mark, decrement_part
 
 __all__ = [
     "StandardTableau",
@@ -43,9 +43,10 @@ class StandardTableau:
         lengths = [len(row) for row in rows]
         if any(lengths[k] < lengths[k + 1] for k in range(len(lengths) - 1)):
             raise DomainError("row lengths must be weakly decreasing")
-        n = sum(lengths)
         symbols = [s for row in rows for s in row]
-        if sorted(symbols) != list(range(1, n + 1)):
+        for s in symbols:
+            _check_int(s, "symbol", 1, len(symbols))
+        if len(set(symbols)) != len(symbols):
             raise DomainError("filling must use the symbols 1..n exactly once")
         for row in rows:
             if any(row[k] >= row[k + 1] for k in range(len(row) - 1)):
@@ -68,6 +69,9 @@ class StandardTableau:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("StandardTableau is immutable")
 
+    def __reduce__(self):
+        return StandardTableau, (self._rows,)
+
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         return self._rows
@@ -82,6 +86,7 @@ class StandardTableau:
 
     def position(self, symbol: int) -> tuple[int, int]:
         """(row, column) of a symbol, 1-indexed."""
+        _check_int(symbol, "symbol", 1, self.n)
         where = self._where
         if where is None:
             where = {
@@ -90,10 +95,7 @@ class StandardTableau:
                 for c, s in enumerate(row, start=1)
             }
             _set_where(self, where)
-        try:
-            return where[symbol]
-        except KeyError:
-            raise DomainError(f"symbol {symbol} not in tableau") from None
+        return where[symbol]
 
     def content(self, symbol: int) -> int:
         r, c = self.position(symbol)

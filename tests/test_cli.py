@@ -8,6 +8,7 @@ from nearcentral import (
     VerificationError,
     enumerate_marked_partitions,
     enumerate_partitions,
+    marked_content,
 )
 from nearcentral.cli import run
 
@@ -177,6 +178,18 @@ def test_oracle_verify_mismatch_exits_70(capsys, monkeypatch) -> None:
     assert "verification mismatch in sum over j" in err
 
 
+def test_oracle_verify_reports_a_broken_identity(capsys, monkeypatch) -> None:
+    # one identity of the real suite broken, as in the oracle's own test
+    monkeypatch.setattr(
+        "nearcentral.oracle.marked_content", lambda lam, i: marked_content(lam, i) + 1
+    )
+    code, doc, err = _invoke(capsys, ["oracle", "verify", "--max-n", "3"])
+    assert code == 70
+    assert doc["status"] == "mismatch"
+    assert doc["check"] == "marked idempotents diagonalize J_n @ n=2"
+    assert "verification mismatch in marked idempotents diagonalize J_n @ n=2" in err
+
+
 def test_oracle_verify_guard(capsys, monkeypatch) -> None:
     # n = 7 is refused before any n is verified; n = 6 gets through to the
     # suite, which fails here on purpose
@@ -225,6 +238,23 @@ def test_bad_mark_exits_1(capsys, argv) -> None:
     code, doc, err = _invoke(capsys, argv)
     assert code == 1
     assert doc == {"status": "error", "error": "mark 2 is not a part of 3,1"}
+    assert err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["genchar", "--n", "4", "--mu", "2,1", "--j", "2", "--lambda", "4", "--i", "4"],
+         "--mu '2,1' is not a partition of 4"),
+        (["partitions", "--n", "-1"], "n must be at least 0, got -1"),
+        (["chartable", "--n", "0"], "n must be at least 1, got 0"),
+    ],
+    ids=["shape of another n", "partitions of -1", "chartable of 0"],
+)
+def test_refused_sizes_exit_1(capsys, argv, error) -> None:
+    code, doc, err = _invoke(capsys, argv)
+    assert code == 1
+    assert doc == {"status": "error", "error": error}
     assert err
 
 

@@ -294,6 +294,9 @@ def test_hook_row_named_cases() -> None:
         assert genchar_hook_row(Partition((n,)), n) == 1
         assert genchar_hook_row(Partition((1,) * n), 1) == (-1) ** n
     assert genchar_hook_row(Partition((2, 1)), 2) == Fraction(1, 2)
+    for mu, j in (((2,), 2), ((1, 1), 1), ((1,), 1)):
+        with pytest.raises(DomainError, match=f"^n must be at least 3, got {sum(mu)}$"):
+            genchar_hook_row(Partition(mu), j)
 
 
 def test_hook_row_n5_values_frozen_from_strahov() -> None:
@@ -898,6 +901,8 @@ def test_multi_product_single_factor_is_identity_expansion() -> None:
             for mu, j in _marked(n):
                 expected = 1 if (lam, i) == (mu, j) else 0
                 assert multi_product_coefficient([(lam, i)], mu, j) == expected
+    with pytest.raises(DomainError, match="^need at least one factor$"):
+        multi_product_coefficient([], Partition((2, 1)), 2)
 
 
 def test_multi_product_triple_swap_class() -> None:

@@ -297,3 +297,59 @@ def test_one_function_checks_a_mark() -> None:
     assert not found
     genchar_module = importlib.import_module("nearcentral.genchar")
     assert "index" not in genchar_module._MarkedShapes._fields
+
+
+def _refuses_in_range(node: ast.If) -> bool:
+    # `if <test>: raise DomainError(..)` where the test orders a name or an
+    # attribute, such as `if n < 1`, `if args.n < 0` or `if not 1 <= k <= n`
+    raises = any(
+        isinstance(child, ast.Raise)
+        and isinstance(child.exc, ast.Call)
+        and getattr(child.exc.func, "id", None) == "DomainError"
+        for statement in node.body
+        for child in ast.walk(statement)
+    )
+    orders = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    return raises and any(
+        isinstance(compare, ast.Compare)
+        and any(isinstance(op, orders) for op in compare.ops)
+        and any(
+            isinstance(side, (ast.Name, ast.Attribute))
+            for side in (compare.left, *compare.comparators)
+        )
+        for compare in ast.walk(node.test)
+    )
+
+
+def test_one_function_checks_an_integer_argument() -> None:
+    # partitions._check_int is the only test of what an integer argument is,
+    # and it and _check_order are the only range and size refusals; the
+    # CLI's _shape_arg words its own, to name the flag
+    allowed = {
+        ("partitions.py", "_check_int"),
+        ("partitions.py", "_check_order"),
+        ("cli.py", "_shape_arg"),
+    }
+    typed, refused = [], []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for top in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(top, ast.FunctionDef):
+                continue
+            where = (path.name, top.name)
+            for node in ast.walk(top):
+                text = ast.unparse(node)
+                if isinstance(node, ast.Compare) and text.startswith("type(") and (
+                    text.endswith(" is not int")
+                ):
+                    typed.append(where)
+                if where in allowed:
+                    continue
+                if isinstance(node, ast.If) and _refuses_in_range(node):
+                    refused.append(f"{path.name}:{node.lineno} in {top.name}")
+                if isinstance(node, ast.Raise) and any(
+                    words in text
+                    for words in ("is not a partition of", "different integers", "sizes differ")
+                ):
+                    refused.append(f"{path.name}:{node.lineno} in {top.name}")
+    assert typed == [("partitions.py", "_check_int")]
+    assert not refused

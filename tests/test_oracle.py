@@ -16,6 +16,7 @@ from nearcentral import (
     MarkedPartition,
     Partition,
     Permutation,
+    VerificationError,
     central_idempotent,
     chi,
     class_size,
@@ -33,6 +34,7 @@ from nearcentral import (
     jm_element,
     jm_power_coefficients,
     marked_class_size,
+    marked_content,
     run_verify,
     table1_poly,
     z1_idempotent,
@@ -64,6 +66,19 @@ def test_permutation_basics() -> None:
     assert pi(1) == 4 and pi(4) == 2 and pi(3) == 5
     with pytest.raises(DomainError):
         Permutation((1, 1, 3))
+
+
+def test_permutation_refusals_and_cycle_notation() -> None:
+    assert str(Permutation.from_cycles(5, [(1, 4, 2), (3, 5)])) == "(1 4 2)(3 5)"
+    assert str(Permutation.identity(3)) == "id"
+    with pytest.raises(DomainError, match=r"^bad cycle symbol 2 in \(2, 3\)$"):
+        Permutation.from_cycles(3, [(1, 2), (2, 3)])
+    with pytest.raises(DomainError, match=r"^\(2 2\) is not a transposition inside S_3$"):
+        Permutation.transposition(2, 2, 3)
+    with pytest.raises(DomainError, match="^cannot compose permutations of different degrees$"):
+        _perm(2, 1) * _perm(1, 2, 3)
+    with pytest.raises(DomainError, match="^cannot add elements of different group algebras$"):
+        GroupAlgebraElement.one(2) + GroupAlgebraElement.one(3)
 
 
 def test_group_algebra_drops_zero_terms() -> None:
@@ -601,6 +616,10 @@ def test_star_factorization_enumeration() -> None:
     assert enumerate_star_factorizations(Permutation.identity(4), 2) == 3
     with pytest.raises(GuardExceeded):
         enumerate_star_factorizations(Permutation.identity(8), 10)
+    # S_0 and S_1 have no star: only the empty sequence, giving the identity
+    for n in (0, 1):
+        assert enumerate_star_factorizations(Permutation.identity(n), 0) == 1
+        assert enumerate_star_factorizations(Permutation.identity(n), 2) == 0
 
 
 def test_star_enumeration_matches_jm_powers() -> None:
@@ -627,6 +646,15 @@ def test_run_verify_small() -> None:
     checks = run_verify(3)
     assert checks
     assert all(isinstance(line, str) for line in checks)
+
+
+def test_run_verify_reports_a_broken_identity(monkeypatch) -> None:
+    # one identity of the real suite broken: J_n acts on each marked
+    # idempotent by its marked content, not by that plus 1
+    monkeypatch.setattr(oracle, "marked_content", lambda lam, i: marked_content(lam, i) + 1)
+    with pytest.raises(VerificationError) as failed:
+        run_verify(3)
+    assert failed.value.check == "marked idempotents diagonalize J_n @ n=2"
 
 
 def test_run_verify_is_refused_past_n6(monkeypatch) -> None:

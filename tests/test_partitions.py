@@ -229,6 +229,15 @@ def test_parse_and_format_round_trip() -> None:
         parse_partition("2,x")
 
 
+def test_parse_edge_cases() -> None:
+    assert parse_partition("") == Partition()
+    assert parse_partition("  ") == Partition()
+    with pytest.raises(DomainError, match="^marked partition needs shape@mark, got '2,1'$"):
+        parse_marked_partition("2,1")
+    with pytest.raises(DomainError, match="^bad mark in '2,1@x'$"):
+        parse_marked_partition("2,1@x")
+
+
 @given(part_lists)
 def test_partition_accepts_any_part_order(parts: list[int]) -> None:
     lam = Partition(parts)

@@ -79,6 +79,9 @@ def test_closed_forms_pinned_values() -> None:
         star_count_closed(StarClosedCase.FULL_CYCLE, 2, 2)
     with pytest.raises(DomainError):
         star_count_closed(StarClosedCase.FULL_CYCLE, 3, 0)
+    # the case's value is not a case
+    with pytest.raises(DomainError, match="^unknown closed-form case 'full-cycle'$"):
+        star_count_closed("full-cycle", 5, 3)
     for n in range(3, 41):
         # an n-cycle has exactly one minimal star factorization
         assert star_count_closed(StarClosedCase.FULL_CYCLE, n, n - 1) == 1

@@ -1,0 +1,54 @@
+"""The immutable value types, and results keyed by them, survive pickle and
+copy, so they can be sent to a worker process."""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import pytest
+
+from nearcentral import (
+    MarkedPartition,
+    Partition,
+    StandardTableau,
+    genchar_row,
+    jm_power_coefficients,
+    star_walk,
+)
+
+VALUES = {
+    "Partition": lambda: Partition((2, 1)),
+    "MarkedPartition": lambda: MarkedPartition(Partition((2, 1)), 2),
+    "StandardTableau": lambda: StandardTableau(((1, 2), (3,))),
+    "genchar_row": lambda: genchar_row(Partition((2, 1)), 2),
+    "star_walk": lambda: star_walk(4, 3),
+    "jm_power_coefficients": lambda: jm_power_coefficients(3, 2),
+}
+
+COPIES = {
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("how", COPIES)
+@pytest.mark.parametrize("name", VALUES)
+def test_values_round_trip(name, how) -> None:
+    value = VALUES[name]()
+    copied = COPIES[how](value)
+    assert copied == value
+    assert type(copied) is type(value)
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_copies_stay_immutable_and_hash_alike(how) -> None:
+    for name in ("Partition", "MarkedPartition", "StandardTableau"):
+        value = VALUES[name]()
+        copied = COPIES[how](value)
+        assert hash(copied) == hash(value)
+        with pytest.raises(AttributeError):
+            copied.extra = 0
+    tableau = COPIES[how](VALUES["StandardTableau"]())
+    assert tableau.position(3) == (2, 1)
