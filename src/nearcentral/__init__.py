@@ -59,6 +59,7 @@ from .genchar import (
 )
 from .oracle import (
     ORACLE_MAX_N,
+    VERIFY_MAX_N,
     GroupAlgebraElement,
     VerificationError,
     central_idempotent,

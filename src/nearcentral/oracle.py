@@ -42,6 +42,7 @@ from .genchar import JMVariables, Row, _common_order, _marked_count, genchar, ta
 from .partitions import (
     MarkedPartition,
     Partition,
+    _Value,
     _check_int,
     _check_mark,
     _check_order,
@@ -69,6 +70,7 @@ __all__ = [
     "star_walk",
     "genchar_strahov",
     "evaluate_asf_at_jm",
+    "VERIFY_MAX_N",
     "VerificationError",
     "run_verify",
 ]
@@ -76,6 +78,9 @@ __all__ = [
 # largest n whose group the oracle lists: S_9 has 362,880 permutations,
 # about the most pure Python enumerates in reasonable time
 ORACLE_MAX_N = 9
+
+# largest n `run_verify` checks: each n costs about 10 times the one before
+VERIFY_MAX_N = 6
 
 # most star sequences `enumerate_star_factorizations` walks one by one
 _STAR_SEQUENCES_MAX = 10**7
@@ -100,7 +105,7 @@ def _images_in(perm: Permutation, n: int) -> tuple[int, ...]:
     return perm.images
 
 
-class GroupAlgebraElement:
+class GroupAlgebraElement(_Value):
     """A formal rational linear combination of permutations of fixed degree.
 
     Stored as integer numerators keyed by image tuples over one positive
@@ -124,9 +129,9 @@ class GroupAlgebraElement:
     def _set(self, n: int, terms: dict[tuple[int, ...], int], den: int) -> None:
         # the numerators `terms` over den > 0, brought to lowest terms
         common = math.gcd(den, *terms.values())
-        self._n = n
-        self._terms = {p: v // common for p, v in terms.items() if v}
-        self._den = den // common
+        _set_n(self, n)
+        _set_terms(self, {p: v // common for p, v in terms.items() if v})
+        _set_den(self, den // common)
 
     @classmethod
     def _make(
@@ -219,6 +224,12 @@ class GroupAlgebraElement:
 
     def __repr__(self) -> str:
         return f"<group algebra element over S_{self._n}, {len(self._terms)} terms>"
+
+
+# the slots' own setters, as in `partitions`: `_set` is the one writer
+_set_n = GroupAlgebraElement._n.__set__
+_set_terms = GroupAlgebraElement._terms.__set__
+_set_den = GroupAlgebraElement._den.__set__
 
 
 _Classes = tuple[tuple[Partition, int, tuple[tuple[int, ...], ...]], ...]
@@ -579,10 +590,32 @@ class VerificationError(RuntimeError):
     """A structural identity failed inside the verification suite."""
 
     def __init__(self, check: str, lhs: object, rhs: object):
+        if (
+            isinstance(lhs, GroupAlgebraElement)
+            and isinstance(rhs, GroupAlgebraElement)
+            and lhs.n == rhs.n
+        ):
+            lhs, rhs = _where_they_differ(lhs, rhs)
         super().__init__(f"{check}: {lhs} != {rhs}")
         self.check = check
         self.lhs = str(lhs)
         self.rhs = str(rhs)
+
+
+def _where_they_differ(lhs: GroupAlgebraElement, rhs: GroupAlgebraElement) -> tuple[str, str]:
+    # each side's coefficients on the permutations where the two differ, at
+    # most 8, in image-tuple order: an element prints only its degree and its
+    # number of terms, so two unequal elements can print alike
+    def at(x: GroupAlgebraElement, p: tuple[int, ...]) -> Fraction:
+        return Fraction(x._terms.get(p, 0), x._den)
+
+    keys = sorted(lhs._terms.keys() | rhs._terms.keys())
+    differ = [p for p in keys if at(lhs, p) != at(rhs, p)]
+    more = [f"… ({len(differ) - 8} more)"] if len(differ) > 8 else []
+    return tuple(
+        ", ".join([f"{Permutation.unchecked(p)}: {at(x, p)}" for p in differ[:8]] + more)
+        for x in (lhs, rhs)
+    )
 
 
 def run_verify(max_n: int = 4) -> list[str]:
@@ -590,12 +623,12 @@ def run_verify(max_n: int = 4) -> list[str]:
 
     Returns the labels of the checks that ran; raises VerificationError with
     both sides on the first failure.  Each n costs about 10 times the one
-    before (about 1.5 s at n = 6 on a 2-vCPU host), so max_n above 6 raises
-    GuardExceeded.
+    before (2-3 s at n = 6 on a 2-vCPU host), so max_n above `VERIFY_MAX_N`
+    = 6 raises GuardExceeded.
     """
     _check_int(max_n, "max_n", 2)
     order = math.factorial(max_n) if max_n <= 20 else "more than 10^18"
-    check_guard(max_n, 6, f"verification over the {order} permutations of S_n")
+    check_guard(max_n, VERIFY_MAX_N, f"verification over the {order} permutations of S_n")
     done: list[str] = []
 
     def expect(check: str, lhs: object, rhs: object) -> None:

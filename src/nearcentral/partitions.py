@@ -30,7 +30,32 @@ __all__ = [
 ]
 
 
-class Partition:
+class _Value:
+    """The one immutability and pickle policy of the value types: attribute
+    syntax can neither rebind nor delete a slot, and pickle and copy store
+    the slots back through their own setters, unchecked."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return _restore, (type(self), tuple(getattr(self, s) for s in self.__slots__))
+
+
+def _restore(cls: type, values: tuple) -> _Value:
+    # unchecked: unpickling runs arbitrary callables, so a check adds no safety
+    self = _new(cls)
+    for name, value in zip(cls.__slots__, values):
+        getattr(cls, name).__set__(self, value)
+    return self
+
+
+class Partition(_Value):
     """An integer partition stored as a weakly decreasing tuple.
 
     Parts may be given in any order; the constructor sorts them and checks
@@ -53,17 +78,14 @@ class Partition:
 
         The caller guarantees that `parts` is a weakly decreasing tuple of
         positive ints; the constructor's sort and check are skipped for speed
-        where that holds by construction (`decrement_part`, `cycle_type`;
-        enumeration stores its known n directly). Input from outside goes
-        through `Partition(...)`.
+        where that holds by construction (`decrement_part`,
+        `Permutation.cycle_type`; enumeration stores its known n directly).
+        Input from outside goes through `Partition(...)`.
         """
         self = _new(cls)
         _set_parts(self, parts)
         _set_n(self, sum(parts))
         return self
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Partition is immutable")
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -100,12 +122,8 @@ class Partition:
     def __str__(self) -> str:
         return format_partition(self)
 
-    def __reduce__(self):
-        # pickle and copy set slots through __setattr__, which refuses them
-        return Partition, (self._parts,)
 
-
-class MarkedPartition:
+class MarkedPartition(_Value):
     """A partition together with a marked part size.
 
     Immutable and hashable like `Partition`; two marked partitions are equal
@@ -121,12 +139,6 @@ class MarkedPartition:
         _check_mark(shape, mark)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "mark", mark)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MarkedPartition is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("MarkedPartition is immutable")
 
     @property
     def n(self) -> int:
@@ -145,9 +157,6 @@ class MarkedPartition:
 
     def __str__(self) -> str:
         return format_marked_partition(self)
-
-    def __reduce__(self):
-        return MarkedPartition, (self.shape, self.mark)
 
 
 # The slots' own setters, for objects built from data that is valid by

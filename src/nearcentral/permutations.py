@@ -12,14 +12,14 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .partitions import Partition, _check_int
+from .partitions import Partition, _Value, _check_int
 
-__all__ = ["Permutation", "cycle_length_through", "cycle_lengths", "cycle_type"]
+__all__ = ["Permutation", "cycle_length_through", "cycle_lengths"]
 
 
 def cycle_lengths(images: Sequence[int]) -> tuple[int, ...]:
     """Cycle lengths of the permutation with one-line notation `images`,
-    largest first: the parts of `cycle_type` as a plain tuple."""
+    largest first: the parts of `Permutation.cycle_type` as a plain tuple."""
     lengths = []
     seen = [False] * (len(images) + 1)
     for start in range(1, len(images) + 1):
@@ -46,12 +46,7 @@ def cycle_length_through(images: Sequence[int], x: int) -> int:
     return length
 
 
-def cycle_type(images: Sequence[int]) -> Partition:
-    """Cycle type of the permutation with one-line notation `images`."""
-    return Partition.unchecked(cycle_lengths(images))
-
-
-class Permutation:
+class Permutation(_Value):
     """A permutation of {1, .., n} stored in one-line notation.
 
     Composition is right to left: (p * q)(x) = p(q(x)).
@@ -65,7 +60,7 @@ class Permutation:
             _check_int(x, "image", 1, len(images))
         if len(set(images)) != len(images):
             raise DomainError(f"not a permutation in one-line notation: {images!r}")
-        self._images = images
+        object.__setattr__(self, "_images", images)
 
     @classmethod
     def unchecked(cls, images: tuple[int, ...]) -> "Permutation":
@@ -76,7 +71,7 @@ class Permutation:
         speed in loops that build permutations from known-good tuples.
         """
         self = object.__new__(cls)
-        self._images = images
+        _set_images(self, images)
         return self
 
     @classmethod
@@ -150,7 +145,7 @@ class Permutation:
         return out
 
     def cycle_type(self) -> Partition:
-        return cycle_type(self._images)
+        return Partition.unchecked(cycle_lengths(self._images))
 
     def cycle_length_through(self, x: int) -> int:
         _check_int(x, "symbol", 1, len(self._images))
@@ -170,3 +165,7 @@ class Permutation:
         if not cycles:
             return "id"
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+
+
+# the slot's own setter, as in `partitions`, for `unchecked`
+_set_images = Permutation._images.__set__

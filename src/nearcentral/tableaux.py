@@ -21,7 +21,7 @@ import math
 from functools import cache
 
 from .errors import DomainError, InconsistencyError
-from .partitions import Partition, _check_int, _check_mark, decrement_part
+from .partitions import Partition, _Value, _check_int, _check_mark, decrement_part
 
 __all__ = [
     "StandardTableau",
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-class StandardTableau:
+class StandardTableau(_Value):
     """An immutable standard filling of a partition shape."""
 
     __slots__ = ("_rows", "_where")
@@ -65,12 +65,6 @@ class StandardTableau:
         _set_rows(self, rows)
         _set_where(self, None)
         return self
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("StandardTableau is immutable")
-
-    def __reduce__(self):
-        return StandardTableau, (self._rows,)
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:

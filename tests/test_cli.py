@@ -10,7 +10,7 @@ from nearcentral import (
     enumerate_partitions,
     marked_content,
 )
-from nearcentral.cli import run
+from nearcentral.cli import main, run
 
 
 def _invoke(capsys, argv: list[str]) -> tuple[int, object, str]:
@@ -188,6 +188,7 @@ def test_oracle_verify_reports_a_broken_identity(capsys, monkeypatch) -> None:
     assert doc["status"] == "mismatch"
     assert doc["check"] == "marked idempotents diagonalize J_n @ n=2"
     assert "verification mismatch in marked idempotents diagonalize J_n @ n=2" in err
+    assert doc["lhs"] != doc["rhs"]
 
 
 def test_oracle_verify_guard(capsys, monkeypatch) -> None:
@@ -256,6 +257,15 @@ def test_refused_sizes_exit_1(capsys, argv, error) -> None:
     assert code == 1
     assert doc == {"status": "error", "error": error}
     assert err
+
+
+@pytest.mark.parametrize("n, code", [("3", 0), ("-1", 1)])
+def test_main_exits_with_the_code_run_returns(capsys, monkeypatch, n, code) -> None:
+    monkeypatch.setattr("sys.argv", ["nearcentral", "partitions", "--n", n])
+    with pytest.raises(SystemExit) as exited:
+        main()
+    assert exited.value.code == code
+    capsys.readouterr()
 
 
 def test_guard_exceeded_exits_2(capsys) -> None:

@@ -353,3 +353,30 @@ def test_one_function_checks_an_integer_argument() -> None:
                     refused.append(f"{path.name}:{node.lineno} in {top.name}")
     assert typed == [("partitions.py", "_check_int")]
     assert not refused
+
+
+def test_one_base_holds_the_immutability_and_pickle_policy() -> None:
+    # partitions._Value refuses attribute syntax and pickles by its slots,
+    # once for the five value types, which define none of these themselves
+    policy = {
+        "__setattr__", "__delattr__", "__reduce__", "__reduce_ex__", "__getstate__",
+        "__setstate__",
+    }
+    found, based = [], set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if any(getattr(base, "id", None) == "_Value" for base in cls.bases):
+                based.add(cls.name)
+            if (path.name, cls.name) == ("partitions.py", "_Value"):
+                continue
+            found += [
+                f"{path.name}:{method.lineno} {cls.name}.{method.name}"
+                for method in cls.body
+                if isinstance(method, ast.FunctionDef) and method.name in policy
+            ]
+    assert not found
+    assert based == {
+        "Partition", "MarkedPartition", "StandardTableau", "Permutation", "GroupAlgebraElement",
+    }

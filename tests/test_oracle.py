@@ -16,6 +16,7 @@ from nearcentral import (
     MarkedPartition,
     Partition,
     Permutation,
+    VERIFY_MAX_N,
     VerificationError,
     central_idempotent,
     chi,
@@ -496,6 +497,16 @@ def test_z1_idempotent_structure() -> None:
     ) == GroupAlgebraElement.zero(3)
 
 
+def test_a_cached_idempotent_cannot_be_rewritten() -> None:
+    # every caller gets the same cached element, so one assignment would
+    # change what all later callers read
+    gamma = z1_idempotent(Partition((2, 1)), 2)
+    with pytest.raises(AttributeError, match="^GroupAlgebraElement is immutable$"):
+        gamma._den = 7
+    again = z1_idempotent(Partition((2, 1)), 2)
+    assert again.coefficient(_perm(1, 2, 3)) == Fraction(1, 3)
+
+
 def test_extract_marked_coefficient() -> None:
     k = class_sum(Partition((2, 1)), 2)
     assert extract_marked_coefficient(k, Partition((2, 1)), 2) == 1
@@ -655,6 +666,25 @@ def test_run_verify_reports_a_broken_identity(monkeypatch) -> None:
     with pytest.raises(VerificationError) as failed:
         run_verify(3)
     assert failed.value.check == "marked idempotents diagonalize J_n @ n=2"
+    # J_2 (id + (1 2))/2 against twice that: each side's own coefficients
+    assert failed.value.lhs == "id: 1/2, (1 2): 1/2"
+    assert failed.value.rhs == "id: 1, (1 2): 1"
+
+
+def test_verification_error_shows_where_elements_differ() -> None:
+    # at most 8 permutations in image-tuple order, a 0 where a side has no
+    # term; other values, and elements of different degrees, keep str
+    every = GroupAlgebraElement(4, {Permutation(p): 1 for p in itertools.permutations(range(1, 5))})
+    failed = VerificationError("check", every, GroupAlgebraElement.zero(4))
+    assert failed.lhs.startswith("id: 1, (3 4): 1, (2 3): 1, ")
+    assert failed.lhs.endswith(", (1 2)(3 4): 1, … (16 more)")
+    assert failed.rhs.startswith("id: 0, (3 4): 0, ") and failed.rhs.endswith(": 0, … (16 more)")
+    apart = VerificationError("check", GroupAlgebraElement.zero(3), GroupAlgebraElement.zero(4))
+    assert (apart.lhs, apart.rhs) == (
+        "<group algebra element over S_3, 0 terms>",
+        "<group algebra element over S_4, 0 terms>",
+    )
+    assert VerificationError("check", Fraction(1, 2), 3).lhs == "1/2"
 
 
 def test_run_verify_is_refused_past_n6(monkeypatch) -> None:
@@ -664,12 +694,15 @@ def test_run_verify_is_refused_past_n6(monkeypatch) -> None:
         raise AssertionError(f"verified {args}")
 
     monkeypatch.setattr(oracle, "enumerate_partitions", refuse)
-    with pytest.raises(GuardExceeded, match="5040 permutations of S_n at n=7 exceeds"):
-        run_verify(7)
+    over = VERIFY_MAX_N + 1
+    with pytest.raises(
+        GuardExceeded, match=f"{math.factorial(over)} permutations of S_n at n={over} exceeds"
+    ):
+        run_verify(over)
     with pytest.raises(GuardExceeded, match="more than 10.18 permutations of S_n"):
         run_verify(10**6)
     with pytest.raises(AssertionError, match="verified"):
-        run_verify(6)
+        run_verify(VERIFY_MAX_N)
 
 
 def test_guards_reject_oversized_inputs() -> None:

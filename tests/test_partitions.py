@@ -22,7 +22,7 @@ from nearcentral import (
     parse_partition,
 )
 from nearcentral.characters import _partition_counts
-from nearcentral.permutations import Permutation, cycle_type
+from nearcentral.permutations import Permutation
 
 part_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=8)
 
@@ -146,7 +146,7 @@ def test_trusted_shapes_match_validated_construction() -> None:
     for images in itertools.permutations(range(1, 7)):
         lengths = [len(c) for c in Permutation(images).cycles()]
         expected = Partition(lengths + [1] * (6 - sum(lengths)))
-        got = cycle_type(images)
+        got = Permutation(images).cycle_type()
         assert got == expected and got.parts == expected.parts
         assert got.n == expected.n == 6
 

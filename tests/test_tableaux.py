@@ -132,6 +132,11 @@ def test_enumerated_tableaux_match_validated_construction() -> None:
                     t.position(n + 1)
 
 
+def test_tableau_repr_rebuilds_the_tableau() -> None:
+    for t in enumerate_syt(Partition((3, 2))):
+        assert eval(repr(t), {"StandardTableau": StandardTableau}) == t
+
+
 def test_standard_tableau_rejects_bad_fillings() -> None:
     assert StandardTableau(((1, 3), (2, 4), (5,))).n == 5
     for rows in (
