@@ -28,7 +28,7 @@ from functools import cache
 from itertools import accumulate
 from operator import mul, sub
 
-from .errors import GuardExceeded
+from .errors import counted, refuse_past, shown
 from .partitions import (
     Partition,
     _check_int,
@@ -161,13 +161,11 @@ def character_table(n: int) -> list[list[int]]:
     GuardExceeded naming the p(n)^2 entries it would compute.
     """
     _check_int(n, "n")
-    if n > CHARACTER_TABLE_MAX_N:
-        # p(n) itself takes O(n^1.5) big-integer steps; past n = 1000 name a bound
-        entries = f"= {_partition_counts(n)[n] ** 2}" if n <= 1000 else "> 10^62"
-        raise GuardExceeded(
-            f"character table of S_{n} has p({n})^2 {entries} entries; "
-            f"the limit is n <= {CHARACTER_TABLE_MAX_N}"
-        )
+    refuse_past(
+        n, CHARACTER_TABLE_MAX_N, "n",
+        lambda: f"character table of S_{shown(n)} has "
+        f"{counted(n, lambda m: _partition_counts(m)[m] ** 2)} entries, p(n)^2",
+    )
     # by columns, so a table leaves chi's cache as it was
     columns = [_chi_column(mu.parts) for mu in _shapes(n)]
     return [list(row) for row in zip(*columns)]

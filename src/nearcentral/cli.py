@@ -18,12 +18,10 @@ from fractions import Fraction
 from typing import Any
 
 from .characters import _partition_counts, character_table
-from .errors import DomainError, GuardExceeded, InconsistencyError
-from .genchar import (
-    connection_coefficient,
-    genchar,
-    genchar_table2,
+from .errors import (
+    COUNTED_MAX, DomainError, GuardExceeded, InconsistencyError, counted, refuse_past, shown
 )
+from .genchar import _marked_count, connection_coefficient, genchar, genchar_table2
 from .oracle import (
     VerificationError,
     extract_marked_coefficient,
@@ -52,8 +50,9 @@ from .tableaux import dimension, enumerate_syt, enumerate_syt_marked
 USAGE_EXIT = 64
 INCONSISTENCY_EXIT = 70
 
-# most items `partitions` (counted as p(n)) and `tableaux` list; inputs at
-# n <= 6 count at most 16, and 10^4 tableaux take about a second
+# most items `partitions` (p(n) of them, or p(0) + .. + p(n-1) marked) and
+# `tableaux` list; inputs at n <= 6 list at most 19, and 10^4 tableaux take
+# about a second
 LIST_MAX = 10_000
 
 
@@ -80,46 +79,39 @@ def _shape_arg(text: str, n: int | None, name: str):
 
 
 def _cmd_partitions(args: argparse.Namespace) -> dict[str, Any]:
-    _check_int(args.n, "n")
-    # p(n) itself takes O(n^1.5) big-integer steps; past n = 1000 name a bound
-    count = _partition_counts(args.n)[args.n] if args.n <= 1000 else None
-    if count is None or count > LIST_MAX:
-        shown = "> 10^31" if count is None else f"= {count}"
-        raise GuardExceeded(
-            f"p({args.n}) {shown} partitions exceed the listing limit {LIST_MAX}"
-        )
+    n = args.n
+    _check_int(n, "n")
+    what = "marked partitions" if args.marked else "partitions"
+    count = _marked_count if args.marked else lambda m: _partition_counts(m)[m]
+    # past COUNTED_MAX the count of COUNTED_MAX, below that of n, is compared
+    refuse_past(
+        count(min(n, COUNTED_MAX)), LIST_MAX, what,
+        lambda: f"n = {shown(n)} has {counted(n, count)} {what}",
+    )
     if args.marked:
         return {
-            "n": args.n,
+            "n": n,
             "marked_partitions": [
-                format_marked_partition(mp)
-                for mp in enumerate_marked_partitions(args.n)
+                format_marked_partition(mp) for mp in enumerate_marked_partitions(n)
             ],
         }
-    return {
-        "n": args.n,
-        "partitions": [format_partition(p) for p in enumerate_partitions(args.n)],
-    }
+    return {"n": n, "partitions": [format_partition(p) for p in enumerate_partitions(n)]}
 
 
 def _cmd_tableaux(args: argparse.Namespace) -> dict[str, Any]:
     shape = _shape_arg(args.shape, None, "shape")
     label = f"shape {format_partition(shape)}"
     # the hook-length product needs n!, so a huge shape is refused on its size
-    if shape.n > LIST_MAX:
-        raise GuardExceeded(
-            f"{label} has {shape.n} cells, past the listing limit {LIST_MAX}"
-        )
+    refuse_past(shape.n, LIST_MAX, "cells", lambda: f"{label} has {shown(shape.n)} cells")
     if args.mark is None:
         count = dimension(shape)
     else:
         # n ends a row of length i: the rest is a tableau of i_-(shape)
         count = dimension(decrement_part(shape, args.mark))
         label += f" marked at {args.mark}"
-    if count > LIST_MAX:
-        raise GuardExceeded(
-            f"{label} has {count} standard tableaux, past the listing limit {LIST_MAX}"
-        )
+    refuse_past(
+        count, LIST_MAX, "tableaux", lambda: f"{label} has {shown(count)} standard tableaux"
+    )
     if args.mark is None:
         tabs = enumerate_syt(shape)
     else:

@@ -61,9 +61,11 @@ from .characters import (
 )
 from .errors import (
     DomainError,
-    GuardExceeded,
     InconsistencyError,
     UnsupportedPattern,
+    counted,
+    refuse_past,
+    shown,
 )
 from .partitions import (
     MarkedPartition,
@@ -280,11 +282,9 @@ def _marked_shapes(n: int) -> _MarkedShapes:
 COLUMN_MAX_N = 30
 
 
-def _marked_count(n: int) -> int | str:
+def _marked_count(n: int) -> int:
     # a marked partition (mu, j) of n is a partition of n - j plus the part
-    # j, so there are p(0) + .. + p(n-1) of them; past n = 1000 name a bound
-    if n > 1000:
-        return "more than 10^31"
+    # j, so there are p(0) + .. + p(n-1) of them
     return sum(_partition_counts(n)[:n])
 
 
@@ -307,12 +307,11 @@ def _column(lam: Partition, i: int) -> tuple[int, tuple[int, ...]]:
     # c_{mu,j} is the value at (mu, j); a marked shape no path reaches has
     # the value 0.  Every caller has checked the mark.
     n = lam.n
-    if n > COLUMN_MAX_N:
-        raise GuardExceeded(
-            f"gamma column at n={n} holds one value for each of the "
-            f"{_marked_count(n)} marked shapes of n; "
-            f"the limit is n <= {COLUMN_MAX_N}"
-        )
+    refuse_past(
+        n, COLUMN_MAX_N, "n",
+        lambda: f"gamma column at n={shown(n)} holds one value for each of the "
+        f"{counted(n, _marked_count)} marked shapes of n",
+    )
     ends, den = _lattice_pass(lam, i)
     table, masks = _marked_shapes(n), _shape_masks(n)
     weights = [ends.get(masks[k], {}).get(c, 0) for k, c in zip(table.shape, table.content)]
@@ -479,23 +478,24 @@ def _rule_value(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
     return Fraction(total, rim.scale ** (i - 1))
 
 
-def _shapes_inside(parts: tuple[int, ...]) -> int | str:
-    # the partitions nu with nu_k <= parts_k for every row k, the empty one
-    # too: counts[v] is the number of choices of the rows so far whose last
-    # row has length v; past n = 1000 name a bound
-    if sum(parts) > 1000:
-        return f"at most 2^{parts[0] + len(parts)}"
-    counts = [1] * (parts[0] + 1)
-    for bound in parts[1:]:
+def _shapes_inside(parts: tuple[int, ...], cells: int) -> int:
+    # the partitions nu inside the first `cells` cells of parts read row by
+    # row, itself a partition, the empty one too: counts[v] is the number of
+    # choices of the rows so far whose last row has length v
+    before = itertools.accumulate(parts, initial=0)
+    rows = [min(part, cells - s) for part, s in zip(parts, before) if s < cells]
+    counts = [1] * (rows[0] + 1)
+    for bound in rows[1:]:
         counts = list(itertools.accumulate(reversed(counts)))[::-1][: bound + 1]
     return sum(counts)
 
 
-def _rule_refusal(mu: Partition, j: int, what: str) -> GuardExceeded:
-    return GuardExceeded(
-        f"{what} at n={mu.n} takes a rim pass from {mu}@{j} over up to "
-        f"{_shapes_inside(mu.parts)} shapes inside {mu}; "
-        f"the limit is n <= {GENCHAR_MAX_N}"
+def _rim_work(mu: Partition, j: int) -> str:
+    # what a refused rule names: its rim pass, whose states are shapes inside mu
+    inside = counted(mu.n, lambda cells: _shapes_inside(mu.parts, cells))
+    return (
+        f"at n={shown(mu.n)} takes a rim pass from {','.join(map(shown, mu.parts))}"
+        f"@{shown(j)} over some of the {inside} shapes inside it"
     )
 
 
@@ -503,7 +503,9 @@ def _rule_refusal(mu: Partition, j: int, what: str) -> GuardExceeded:
 def _closed_classes(n: int) -> frozenset[tuple[Partition, int]]:
     # the classes (lam, i) of n that `genchar_table2` answers: the identity,
     # (n-1, 1) marked on the long cycle, and every class of Table 1; none has
-    # more than two parts above 1
+    # more than two parts above 1.  Past STAR_CLOSED_MAX they are refused
+    # before any is built, as their shapes have up to n parts
+    _check_closed(n)
     closed = {(m.shape, m.mark) for m in _table1_index(n)}
     closed.add((Partition.unchecked((1,) * n), 1))
     if n >= 5:
@@ -525,11 +527,10 @@ STAR_CLOSED_MAX = 1000
 
 
 def _check_closed(n: int) -> None:
-    if n > STAR_CLOSED_MAX:
-        raise GuardExceeded(
-            f"closed-form gamma at n={n} works with dimensions of shapes of n; "
-            f"the limit is n <= {STAR_CLOSED_MAX}"
-        )
+    refuse_past(
+        n, STAR_CLOSED_MAX, "n",
+        lambda: f"closed-form gamma at n={shown(n)} works with dimensions of shapes of n",
+    )
 
 
 def _common_order(mu: Partition, j: int, lam: Partition, i: int) -> int:
@@ -617,15 +618,12 @@ def genchar(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
     rule, for n <= GENCHAR_MAX_N; a larger n raises `GuardExceeded` naming
     n and the limit, or the rim pass it would take."""
     n = _common_order(mu, j, lam, i)
-    if lam.parts[2:3] <= (1,):
-        # at most two parts above 1, like every class with a closed form: past
-        # STAR_CLOSED_MAX it is refused as one before the closed classes of n,
-        # shapes of up to n parts, are built
-        _check_closed(n)
-        if (lam, i) in _closed_classes(n):
-            return genchar_table2(mu, j, lam, i)
-    if n > GENCHAR_MAX_N:
-        raise _rule_refusal(mu, j, "marked Murnaghan-Nakayama rule")
+    # at most two parts above 1, like every class with a closed form
+    if lam.parts[2:3] <= (1,) and (lam, i) in _closed_classes(n):
+        return genchar_table2(mu, j, lam, i)
+    refuse_past(
+        n, GENCHAR_MAX_N, "n", lambda: f"marked Murnaghan-Nakayama rule {_rim_work(mu, j)}"
+    )
     return _rule_value(mu, j, lam, i)
 
 
@@ -645,10 +643,11 @@ def genchar_row(mu: Partition, j: int) -> dict[MarkedPartition, Fraction]:
 def _row(mu: Partition, j: int) -> tuple[Fraction, ...]:
     # gamma^{mu,j} at the t-th marked class of enumerate_marked_partitions(n);
     # every caller has checked the mark
-    if mu.n > GENCHAR_MAX_N:
-        raise _rule_refusal(
-            mu, j, f"gamma row over the {_marked_count(mu.n)} marked classes"
-        )
+    refuse_past(
+        mu.n, GENCHAR_MAX_N, "n",
+        lambda: f"gamma row over the {counted(mu.n, _marked_count)} marked classes "
+        f"{_rim_work(mu, j)}",
+    )
     return tuple(genchar(mu, j, m.shape, m.mark) for m in _marked_shapes(mu.n).marked)
 
 

@@ -37,7 +37,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .characters import chi
-from .errors import DomainError, GuardExceeded
+from .errors import DomainError, counted, refuse_past, shown
 from .genchar import JMVariables, Row, _common_order, _marked_count, genchar, table1_rows
 from .partitions import (
     MarkedPartition,
@@ -86,10 +86,8 @@ VERIFY_MAX_N = 6
 _STAR_SEQUENCES_MAX = 10**7
 
 
-def check_guard(n: int, limit: int, what: str) -> None:
-    """Raise GuardExceeded when n is past limit."""
-    if n > limit:
-        raise GuardExceeded(f"{what} at n={n} exceeds the limit n <= {limit}")
+def _check_listed(n: int, what: str) -> None:
+    refuse_past(n, ORACLE_MAX_N, "n", lambda: f"{what} at n={shown(n)}")
 
 
 def _exact(c: Fraction | int) -> Fraction:
@@ -345,7 +343,7 @@ def class_sum(lam: Partition, i: int) -> GroupAlgebraElement:
     """Sum of all permutations with cycle type lam and n on an i-cycle."""
     _check_mark(lam, i)
     n = lam.n
-    check_guard(n, ORACLE_MAX_N, "marked class enumeration")
+    _check_listed(n, "marked class enumeration")
     classes = _marked_index(n)
     values = [int(through == i and ctype == lam) for ctype, through, _ in classes]
     return _from_class_values(n, classes, values, 1)
@@ -362,7 +360,7 @@ def jm_element(k: int, n: int) -> GroupAlgebraElement:
 def central_idempotent(lam: Partition) -> GroupAlgebraElement:
     """The primitive central idempotent of C[S_n] attached to lam."""
     n = lam.n
-    check_guard(n, ORACLE_MAX_N, "central idempotent expansion")
+    _check_listed(n, "central idempotent expansion")
     d = dimension(lam)
     classes = _marked_index(n)
     values = [d * chi(lam, ctype) for ctype, _, _ in classes]
@@ -377,7 +375,7 @@ def z1_idempotent(lam: Partition, i: int) -> GroupAlgebraElement:
     """
     _check_mark(lam, i)
     n = lam.n
-    check_guard(n, ORACLE_MAX_N, "marked idempotent expansion")
+    _check_listed(n, "marked idempotent expansion")
     return _z1_idempotent_cached(lam, i)
 
 
@@ -406,7 +404,7 @@ def extract_marked_coefficient(
     n = g.n
     _check_order(n, mu)
     _check_mark(mu, j)
-    check_guard(n, ORACLE_MAX_N, "marked coefficient read")
+    _check_listed(n, "marked coefficient read")
     return _marked_decomposition(g)[MarkedPartition(mu, j)]
 
 
@@ -436,7 +434,7 @@ def jm_power_coefficients(n: int, r: int) -> dict[MarkedPartition, Fraction]:
     """Full marked-class coefficient table of J_n to the power r."""
     _check_int(n, "n", 1)
     _check_int(r, "power")
-    check_guard(n, ORACLE_MAX_N, "Jucys-Murphy power expansion")
+    _check_listed(n, "Jucys-Murphy power expansion")
     jm = jm_element(n, n) if n >= 2 else GroupAlgebraElement.zero(1)
     g = GroupAlgebraElement.one(n)
     for _ in range(r):
@@ -468,11 +466,13 @@ def enumerate_star_factorizations(pi: Permutation, r: int) -> int:
     _check_int(r, "length")
     if n < 2:
         return 1 if r == 0 else 0
-    if (n - 1) ** r > _STAR_SEQUENCES_MAX:
-        raise GuardExceeded(
-            f"{(n - 1) ** r} sequences exceed the enumeration budget "
-            f"{_STAR_SEQUENCES_MAX}"
-        )
+    # (n-1)^r against the limit without forming it: (n-1)^min(r, 24) is past
+    # 10^7 exactly when (n-1)^r is, as 2^24 > 10^7
+    refuse_past(
+        (n - 1) ** min(r, _STAR_SEQUENCES_MAX.bit_length()), _STAR_SEQUENCES_MAX, "sequences",
+        lambda: f"star enumeration of length {shown(r)} walks "
+        f"{counted(r, lambda m: (n - 1) ** m)} sequences",
+    )
     stars = [Permutation.transposition(a, n, n) for a in range(1, n)]
 
     def walk(prefix: Permutation, depth: int) -> int:
@@ -535,7 +535,7 @@ def genchar_strahov(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
     the counts are already cached.
     """
     n = _common_order(mu, j, lam, i)
-    check_guard(n, ORACLE_MAX_N, "character sum over S_{n-1}")
+    _check_listed(n, "character sum over S_{n-1}")
     reduced = decrement_part(mu, j)
     total = sum(
         count * chi(mu, alpha) * chi(reduced, beta)
@@ -580,7 +580,7 @@ def evaluate_asf_at_jm(f: Row, n: int) -> GroupAlgebraElement:
     """Call the Table 1 row `f` on the Jucys-Murphy elements of S_n: J_2 ..
     J_{n-1}, J_n and the identity; see `JMVariables`."""
     _check_int(n, "n", 1)
-    check_guard(n, ORACLE_MAX_N, "Jucys-Murphy substitution")
+    _check_listed(n, "Jucys-Murphy substitution")
     inner = tuple(jm_element(k, n) for k in range(2, n))
     top = jm_element(n, n) if n >= 2 else GroupAlgebraElement.zero(1)
     return f(JMVariables(inner, top, GroupAlgebraElement.one(n)))
@@ -627,8 +627,11 @@ def run_verify(max_n: int = 4) -> list[str]:
     = 6 raises GuardExceeded.
     """
     _check_int(max_n, "max_n", 2)
-    order = math.factorial(max_n) if max_n <= 20 else "more than 10^18"
-    check_guard(max_n, VERIFY_MAX_N, f"verification over the {order} permutations of S_n")
+    refuse_past(
+        max_n, VERIFY_MAX_N, "n",
+        lambda: f"verification over the {counted(max_n, math.factorial)} permutations "
+        f"of S_n at n={shown(max_n)}",
+    )
     done: list[str] = []
 
     def expect(check: str, lhs: object, rhs: object) -> None:

@@ -15,7 +15,7 @@ from functools import cache
 from operator import add, mul
 
 from .characters import _chi_column, _partition_counts
-from .errors import DomainError, GuardExceeded
+from .errors import DomainError, counted, refuse_past, shown
 from .genchar import (
     COLUMN_MAX_N,
     STAR_CLOSED_MAX,
@@ -103,19 +103,16 @@ def _star_spectrum(lam: Partition, i: int) -> tuple[int, tuple[tuple[int, int], 
 
 
 def _check_size(n: int, r: int) -> None:
-    if n > STAR_COUNT_MAX_N:
-        # p(n) itself takes O(n^1.5) big-integer steps; past n = 1000 name a bound
-        shapes = f"= {_partition_counts(n)[n]}" if n <= 1000 else "> 10^31"
-        raise GuardExceeded(
-            f"star count at n = {n} sums over p({n}) {shapes} shapes; "
-            f"the limit is n <= {STAR_COUNT_MAX_N}"
-        )
-    if r > STAR_CLOSED_MAX:
-        raise GuardExceeded(
-            f"star count at n = {n}, r = {r} sums powers c^r with |c| <= {n - 1}, "
-            f"each of up to {r * (n - 1).bit_length()} bits; "
-            f"the limit is r <= {STAR_CLOSED_MAX}"
-        )
+    refuse_past(
+        n, STAR_COUNT_MAX_N, "n",
+        lambda: f"star count at n = {shown(n)} sums over the "
+        f"{counted(n, lambda m: _partition_counts(m)[m])} shapes of n",
+    )
+    refuse_past(
+        r, STAR_CLOSED_MAX, "r",
+        lambda: f"star count at n = {shown(n)}, r = {shown(r)} sums powers c^r with "
+        f"|c| <= {shown(n - 1)}, each of up to {shown(r * (n - 1).bit_length())} bits",
+    )
 
 
 def star_count(lam: Partition, i: int, r: int) -> int:
@@ -196,12 +193,12 @@ def star_count_closed(case: StarClosedCase, n: int, r: int) -> int:
     """
     _check_int(n, "n", 3)
     _check_int(r, "length", 1)
-    if n > STAR_CLOSED_MAX or r > STAR_CLOSED_MAX:
-        raise GuardExceeded(
-            f"closed-form star count at n = {n}, r = {r} sums O(n) powers c^r "
-            f"with |c| <= {n - 1}, each of up to {r * (n - 1).bit_length()} bits; "
-            f"the limit is n <= {STAR_CLOSED_MAX} and r <= {STAR_CLOSED_MAX}"
-        )
+    refuse_past(
+        max(n, r), STAR_CLOSED_MAX, "n and r",
+        lambda: f"closed-form star count at n = {shown(n)}, r = {shown(r)} sums O(n) "
+        f"powers c^r with |c| <= {shown(n - 1)}, each of up to "
+        f"{shown(r * (n - 1).bit_length())} bits",
+    )
     total = sum(w * c**r for w, c in _closed_spectrum(case, n))
     return _as_count(total, math.factorial(n) * (n - 1), "closed-form star count")
 

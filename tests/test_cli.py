@@ -199,7 +199,7 @@ def test_oracle_verify_guard(capsys, monkeypatch) -> None:
     assert code == 2
     assert doc["status"] == "error"
     assert "the 5040 permutations of S_n at n=7" in doc["error"]
-    assert "exceeds the limit n <= 6" in doc["error"]
+    assert "at n=7; the limit is n <= 6" in doc["error"]
     with pytest.raises(AssertionError):
         run(["oracle", "verify", "--max-n", "6"])
     capsys.readouterr()
@@ -293,7 +293,7 @@ def test_genchar_guard_exceeded_exits_2(capsys, monkeypatch) -> None:
     code, doc, _ = _invoke(capsys, argv)
     assert code == 2
     assert doc["status"] == "error"
-    assert "rim pass from 9,7,4,3,2,1,1@4 over up to 1475 shapes" in doc["error"]
+    assert "rim pass from 9,7,4,3,2,1,1@4 over some of the 1475 shapes" in doc["error"]
     assert "the limit is n <= 26" in doc["error"]
     with pytest.raises(AssertionError):
         run(["genchar", "--n", "26", "--mu", "9,7,4,3,2,1", "--j", "4",
@@ -361,7 +361,7 @@ def test_chartable_guard_exceeded_exits_2(capsys, monkeypatch) -> None:
     code, doc, _ = _invoke(capsys, ["chartable", "--n", "40"])
     assert code == 2
     assert doc["status"] == "error"
-    assert "p(40)^2 = 1394126244 entries" in doc["error"]
+    assert "S_40 has 1394126244 entries, p(n)^2; the limit is n <= 18" in doc["error"]
 
 
 def _refuse(*args) -> None:
@@ -386,7 +386,7 @@ def test_starfact_closed_guard_exceeded_exits_2(capsys, monkeypatch, n, r, messa
         assert code == 2
         assert doc["status"] == "error"
         assert message in doc["error"]
-        assert "the limit is n <= 1000 and r <= 1000" in doc["error"]
+        assert "the limit is n and r <= 1000" in doc["error"]
 
 
 def test_starfact_closed_guard_boundary(capsys, monkeypatch) -> None:
@@ -458,7 +458,7 @@ def test_starfact_size_guard(capsys, monkeypatch, command) -> None:
     code, doc, _ = _invoke(capsys, [arg.format(n=31) for arg in command])
     assert code == 2
     assert doc["status"] == "error"
-    assert "star count at n = 31 sums over p(31) = 6842 shapes" in doc["error"]
+    assert "star count at n = 31 sums over the 6842 shapes of n" in doc["error"]
     assert "the limit is n <= 30" in doc["error"]
     with pytest.raises(AssertionError):
         run([arg.format(n=30) for arg in command])
@@ -468,9 +468,9 @@ def test_starfact_size_guard(capsys, monkeypatch, command) -> None:
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["partitions", "--n", "55"], "p(55) = 451276 partitions"),
-        (["partitions", "--n", "55", "--marked"], "p(55) = 451276 partitions"),
-        (["partitions", "--n", "1000001"], "p(1000001) > 10^31 partitions"),
+        (["partitions", "--n", "55"], "n = 55 has 451276 partitions"),
+        (["partitions", "--n", "55", "--marked"], "n = 55 has 2533589 marked partitions"),
+        (["partitions", "--n", "1000001"], "n = 1000001 has more than 10^31 partitions"),
         (
             ["tableaux", "--shape", "5,4,3,2"],
             "shape 5,4,3,2 has 48048 standard tableaux",
@@ -494,7 +494,7 @@ def test_listing_guard_exceeded_exits_2(capsys, monkeypatch, argv, message) -> N
     assert code == 2
     assert doc["status"] == "error"
     assert message in doc["error"]
-    assert "the listing limit 10000" in doc["error"]
+    assert doc["error"].endswith(" <= 10000")
 
 
 def test_huge_shape_is_refused_before_its_hook_lengths(capsys, monkeypatch) -> None:
@@ -502,12 +502,37 @@ def test_huge_shape_is_refused_before_its_hook_lengths(capsys, monkeypatch) -> N
     monkeypatch.setattr("nearcentral.cli.dimension", _refuse)
     code, doc, _ = _invoke(capsys, ["tableaux", "--shape", "1000000"])
     assert code == 2
-    assert "shape 1000000 has 1000000 cells, past the listing limit" in doc["error"]
+    assert doc["error"] == "shape 1000000 has 1000000 cells; the limit is cells <= 10000"
+
+
+def test_marked_listing_is_counted_as_listed(capsys) -> None:
+    # (mu, j) of n is a partition of n - j plus the part j: 11732 of them at
+    # n = 27, where p(27) = 3010
+    code, doc, _ = _invoke(capsys, ["partitions", "--n", "26", "--marked"])
+    assert code == 0
+    assert len(doc["marked_partitions"]) == 9296
+    code, doc, _ = _invoke(capsys, ["partitions", "--n", "27", "--marked"])
+    assert code == 2
+    assert doc["error"] == (
+        "n = 27 has 11732 marked partitions; the limit is marked partitions <= 10000"
+    )
+
+
+def test_a_count_past_the_printable_digits_is_refused_in_one_document(capsys) -> None:
+    # the staircase of 9870 cells has more standard tableaux than str prints
+    staircase = ",".join(map(str, range(140, 0, -1)))
+    code, doc, err = _invoke(capsys, ["tableaux", "--shape", staircase])
+    assert code == 2
+    assert doc["status"] == "error"
+    refused = " has more than 10^17377 standard tableaux; the limit is tableaux <= 10000"
+    assert doc["error"] == f"shape {staircase}{refused}"
+    assert err
 
 
 def test_listing_guard_boundary(capsys, monkeypatch) -> None:
     monkeypatch.setattr("nearcentral.cli.LIST_MAX", 5)
     assert run(["partitions", "--n", "4"]) == 0  # p(4) = 5
+    assert run(["partitions", "--n", "4", "--marked"]) == 2  # p(0) + .. + p(3) = 7
     assert run(["partitions", "--n", "5"]) == 2  # p(5) = 7
     assert run(["tableaux", "--shape", "3,2"]) == 0  # 5 tableaux
     assert run(["tableaux", "--shape", "3,1,1"]) == 2  # 6 tableaux

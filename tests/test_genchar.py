@@ -226,7 +226,7 @@ def test_strahov_guard_holds_once_the_walk_is_cached(monkeypatch) -> None:
     value = genchar_strahov(mu, j, lam, i)
     assert histogram.cache_info().currsize == 1
     monkeypatch.setattr(oracle_module, "ORACLE_MAX_N", 6)
-    with pytest.raises(GuardExceeded, match="n=7 exceeds the limit n <= 6"):
+    with pytest.raises(GuardExceeded, match="n=7; the limit is n <= 6"):
         genchar_strahov(mu, j, lam, i)
     # the refusal came before the cached walk was read
     assert histogram.cache_info().hits == 0
@@ -431,7 +431,7 @@ def _refuse(*args) -> None:
 def test_rule_is_refused_past_its_limit(monkeypatch) -> None:
     assert GENCHAR_MAX_N == 26
     past = Partition((9, 7, 4, 3, 2, 1, 1))
-    work = "at n=27 takes a rim pass from 9,7,4,3,2,1,1@4 over up to 1475 shapes"
+    work = "at n=27 takes a rim pass from 9,7,4,3,2,1,1@4 over some of the 1475 shapes"
     with pytest.raises(GuardExceeded, match=f"Murnaghan-Nakayama rule {work}"):
         genchar(past, 4, past, 4)
     with pytest.raises(GuardExceeded, match=f"row over the 11732 marked classes {work}"):
@@ -458,8 +458,7 @@ def test_shapes_inside_counts_the_subdiagrams() -> None:
                 len(nu) <= len(mu) and all(a <= b for a, b in zip(nu.parts, mu.parts))
                 for nu in smaller
             )
-            assert genchar_module._shapes_inside(mu.parts) == inside, mu
-    assert genchar_module._shapes_inside((1001,)) == "at most 2^1002"
+            assert genchar_module._shapes_inside(mu.parts, n) == inside, mu
 
 
 def test_columns_are_refused_past_the_column_limit(monkeypatch) -> None:
@@ -468,7 +467,6 @@ def test_columns_are_refused_past_the_column_limit(monkeypatch) -> None:
     assert genchar_module._marked_count(31) == sum(
         len(enumerate_partitions(m)) for m in range(31)
     )
-    assert genchar_module._marked_count(1001) == "more than 10^31"
     full, split = Partition((31,)), Partition((30, 1))
     refusal = "gamma column at n=31 holds one value for each of the 28629 marked shapes"
     with pytest.raises(GuardExceeded, match=refusal):
@@ -688,7 +686,7 @@ def test_columns_past_the_cap(monkeypatch) -> None:
     # n = 31 is refused naming the shapes or the marked shapes of n, n = 30
     # gets through to the lattice pass, which fails here on purpose
     general, full = Partition((3, 2) + (1,) * 26), Partition((31,))
-    with pytest.raises(GuardExceeded, match="star count at n = 31 sums over p.31. = 6842 shapes"):
+    with pytest.raises(GuardExceeded, match="star count at n = 31 sums over the 6842 shapes of n"):
         star_count(general, 2, 5)
     refusal = "gamma column at n=31 holds one value for each of the 28629 marked shapes"
     with pytest.raises(GuardExceeded, match=refusal):

@@ -380,3 +380,31 @@ def test_one_base_holds_the_immutability_and_pickle_policy() -> None:
     assert based == {
         "Partition", "MarkedPartition", "StandardTableau", "Permutation", "GroupAlgebraElement",
     }
+
+
+def test_one_function_raises_every_refusal() -> None:
+    # errors.refuse_past alone builds GuardExceeded: it compares a value with
+    # its limit and words the refusal in the one frame
+    def builds(node: ast.AST) -> bool:
+        built = node.func if isinstance(node, ast.Call) else getattr(node, "exc", None)
+        return getattr(built, "id", getattr(built, "attr", None)) == "GuardExceeded"
+
+    found, allowed = [], 0
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {
+            id(node)
+            for top in ast.walk(tree)
+            if isinstance(top, ast.FunctionDef) and (path.name, top.name) == (
+                "errors.py", "refuse_past"
+            )
+            for node in ast.walk(top)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Call, ast.Raise)) and builds(node):
+                if id(node) in inside:
+                    allowed += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found
+    assert allowed == 1

@@ -402,7 +402,7 @@ def test_products_past_the_oracle_limit_list_no_group(listed_groups) -> None:
     )
     assert got == GroupAlgebraElement(n, want)
     # nor is S_12 listed to read a coefficient back
-    with pytest.raises(GuardExceeded, match="at n=12 exceeds the limit n <= 9"):
+    with pytest.raises(GuardExceeded, match="at n=12; the limit is n <= 9"):
         extract_marked_coefficient(got, Partition((3,) + (1,) * 9), 3)
     assert listed == []
 
@@ -542,6 +542,20 @@ def test_coefficients_are_exact() -> None:
             GroupAlgebraElement.from_permutation(ident, bad)
     assert one.scale(Fraction(1, 10)).coefficient(ident) == Fraction(1, 10)
     assert (3 * one).coefficient(ident) == 3
+
+
+def test_scalars_multiply_from_either_side() -> None:
+    # the Table 1 rows scale Jucys-Murphy elements from the left
+    # (`evaluate_asf_at_jm`); anything but an element, an int or a Fraction is
+    # left to the other operand, which refuses it too
+    g = class_sum(Partition((2, 1)), 2) + GroupAlgebraElement.one(3)
+    assert 3 * g == g * 3 == g.scale(3)
+    assert Fraction(1, 2) * g == g.scale(Fraction(1, 2))
+    for operate in (
+        lambda: "x" * g, lambda: g * "x", lambda: g + 1, lambda: g - 1, lambda: 1 - g
+    ):
+        with pytest.raises(TypeError):
+            operate()
 
 
 def test_coefficient_refuses_another_degree() -> None:
@@ -696,10 +710,10 @@ def test_run_verify_is_refused_past_n6(monkeypatch) -> None:
     monkeypatch.setattr(oracle, "enumerate_partitions", refuse)
     over = VERIFY_MAX_N + 1
     with pytest.raises(
-        GuardExceeded, match=f"{math.factorial(over)} permutations of S_n at n={over} exceeds"
+        GuardExceeded, match=f"{math.factorial(over)} permutations of S_n at n={over}; the limit"
     ):
         run_verify(over)
-    with pytest.raises(GuardExceeded, match="more than 10.18 permutations of S_n"):
+    with pytest.raises(GuardExceeded, match="more than 10.2567 permutations of S_n"):
         run_verify(10**6)
     with pytest.raises(AssertionError, match="verified"):
         run_verify(VERIFY_MAX_N)
