@@ -10,7 +10,8 @@ in the module that enforces it, so no limit is read from a setting.
 
 Every refusal is raised by `refuse_past` in one frame, "<the work refused>;
 the limit is <name> <= <limit>", and prints each number by `shown`, or by
-`counted` when it is a count too costly to form.
+`counted` when it is a count too costly to form.  An argument refused as out
+of range prints its value by `shown` too, so no refusal fails in `str`.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ def refuse_past(value: int, limit: int, name: str, work: Callable[[], str]) -> N
 
 
 def shown(x: int) -> str:
-    """x >= 0 in decimal; past the digits `str` converts
-    (`sys.get_int_max_str_digits()`), "more than 10^k" below it."""
+    """x in decimal; past the digits `str` converts
+    (`sys.get_int_max_str_digits()`), "more than 10^k" with 10^k below x, or
+    "less than -10^k" with -10^k above a negative x."""
     digits = sys.get_int_max_str_digits()
     # x has at most bits * log10(2) + 1 decimal digits
     if digits and x.bit_length() * 30103 // 100000 >= digits:
@@ -72,5 +74,6 @@ def counted(size: int, count: Callable[[int], int]) -> str:
 
 
 def _more_than(x: int) -> str:
-    # 10^k <= 10^((bits - 1) * 0.301) < 2^(bits - 1) <= x
-    return f"more than 10^{(x.bit_length() - 1) * 3010 // 10000}"
+    # 10^k <= 10^((bits - 1) * 0.301) < 2^(bits - 1) <= |x|
+    k = (x.bit_length() - 1) * 3010 // 10000
+    return f"more than 10^{k}" if x > 0 else f"less than -10^{k}"

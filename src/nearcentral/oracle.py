@@ -19,11 +19,20 @@ classes) as image tuples and nothing else, for every n up to
 `ORACLE_MAX_N`.  Their class sums are a basis of Z1(n), the elements that
 commute with S_{n-1}: `_class_values` reads such an element's numerator on
 each class, and `_from_class_values` writes the element back from them.
-Z1(n) is closed under products, so `ga_multiply` sums a product in it at
-one member per marked class; as Z1(n) is commutative and a marked class
-holds the inverse of each member, no inverse is formed.  Every other
+Z1(n) is closed under products, so `ga_multiply` takes a product in it
+class by class, by one of two routes.  The direct sum composes one member
+of each marked class with the smaller factor's support; as Z1(n) is
+commutative and a marked class holds the inverse of each member, no
+inverse is formed.  The table route contracts the factors' class values
+with the structure constants of Z1(n), counted once per n by composing one
+member of each class with all of S_n.  A ski-rental rule with no tunable
+constant picks the route: the direct sum is taken at n until the
+compositions it has formed there reach the table's cost, classes * n!;
+the next product counts the table and every later one contracts it.  So a
+process that never reuses a table never counts one, and the work at n
+stays within about twice the cheaper of the two routes.  Every other
 product composes image tuples term by term, with one `operator.itemgetter`
-per right-hand permutation; the tests compare the class path with it.
+per right-hand permutation; the tests compare both class routes with it.
 """
 
 from __future__ import annotations
@@ -79,8 +88,9 @@ __all__ = [
 # about the most pure Python enumerates in reasonable time
 ORACLE_MAX_N = 9
 
-# largest n `run_verify` checks: each n costs about 10 times the one before
-VERIFY_MAX_N = 6
+# largest n `run_verify` checks: 0.6 s at n = 6 and 7 s at n = 7 on a 2-vCPU
+# host, each n 5 to 11 times the one before
+VERIFY_MAX_N = 7
 
 # most star sequences `enumerate_star_factorizations` walks one by one
 _STAR_SEQUENCES_MAX = 10**7
@@ -279,7 +289,31 @@ def _from_class_values(
     return GroupAlgebraElement._make(n, terms, den)
 
 
+# compositions the direct class sum has formed at each n; once they reach
+# the cost of counting `_structure_constants(n)`, the class path at n
+# contracts the table instead
+_direct_steps: Counter[int] = Counter()
+
+
 def _class_product(
+    n: int,
+    classes: _Classes,
+    ta: dict[tuple[int, ...], int],
+    tb: dict[tuple[int, ...], int],
+    va: list[int],
+    vb: list[int],
+) -> list[int]:
+    # the class values of the product of two elements that commute with
+    # S_{n-1}, given their terms and their class values, by the route the
+    # ski-rental rule of `ga_multiply` picks
+    size = len(classes)
+    if _direct_steps[n] < size * math.factorial(n):
+        _direct_steps[n] += size * min(len(ta), len(tb))
+        return _direct_class_sum(ta, tb, classes)
+    return _contract(_structure_constants(n), va, vb)
+
+
+def _direct_class_sum(
     ta: dict[tuple[int, ...], int], tb: dict[tuple[int, ...], int], classes: _Classes
 ) -> list[int]:
     # a product of elements that commute with S_{n-1} commutes with it too,
@@ -298,16 +332,50 @@ def _class_product(
     return values
 
 
+_Table = tuple[tuple[tuple[int, int, int], ...], ...]
+
+
+@cache
+def _structure_constants(n: int) -> _Table:
+    # row C, for the C-th marked class of S_n with first member k: the
+    # triples (A, B, #{p in class A : p k in class B}) of nonzero count, so
+    # that, as in `_direct_class_sum`, a product of factors with class values
+    # a and b takes sum T a_A b_B on C.  Counted by composing k with every
+    # member of the index, classes * n! compositions, once per n for the life
+    # of the process
+    classes = _marked_index(n)
+    class_of = {p: c for c, (_, _, members) in enumerate(classes) for p in members}
+    table = []
+    for _, _, members in classes:
+        at = itemgetter(*[x - 1 for x in members[0]])
+        table.append(tuple(
+            (x, y, count)
+            for x, (_, _, those) in enumerate(classes)
+            for y, count in Counter(map(class_of.__getitem__, map(at, those))).items()
+        ))
+    return tuple(table)
+
+
+def _contract(table: _Table, va: list[int], vb: list[int]) -> list[int]:
+    # the class values of a product from those of its factors
+    return [sum(count * va[x] * vb[y] for x, y, count in row) for row in table]
+
+
 def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
     """Product in the group algebra.
 
     For 2 <= n <= ORACLE_MAX_N, when the larger factor has more terms than
     S_n has marked classes and both commute with S_{n-1} (each is constant
-    on every marked class), the product is summed at one member of each
-    marked class and shared by the rest of the class: fewer term pairs than
-    the literal len(a) * len(b).  That sum uses two facts of the algebra of
-    such elements: it is commutative, so the smaller support is walked, and
-    each marked class is closed under inversion, so c(k) = sum_p a(p) b(p k).
+    on every marked class), the product is taken as one value per marked
+    class, shared by the whole class, by one of two routes.  The direct sum
+    forms c(k) = sum_p a(p) b(p k) at one member k of each class, over the
+    smaller support: the algebra of such elements is commutative and each
+    marked class is closed under inversion.  The table route forms
+    c_C = sum T_C[A, B] a_A b_B from the factors' class values, with the
+    structure constants T_C[A, B] = #{p in A : p k in B} counted once per n.
+    The direct sum is taken until the compositions it has formed at n,
+    classes * min(len(a), len(b)) per product, reach the classes * n! that
+    counting the table costs; every later product at n contracts the table.
     Every other product is expanded term by term, and lists no class when
     neither factor has more terms than S_n has marked classes.  Either way
     the integer numerators are multiplied over the product of the two
@@ -325,10 +393,11 @@ def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraE
     if (
         n <= ORACLE_MAX_N
         and max(len(ta), len(tb)) > _marked_count(n)
-        and _class_values(ta, classes := _marked_index(n)) is not None
-        and _class_values(tb, classes) is not None
+        and (va := _class_values(ta, classes := _marked_index(n))) is not None
+        and (vb := _class_values(tb, classes)) is not None
     ):
-        return _from_class_values(n, classes, _class_product(ta, tb, classes), den)
+        values = _class_product(n, classes, ta, tb, va, vb)
+        return _from_class_values(n, classes, values, den)
     terms = {}
     # itemgetter(q(1)-1, .., q(n)-1) maps the images of p to those of p * q
     right = [(itemgetter(*[x - 1 for x in q]), cb) for q, cb in tb.items()]
@@ -474,13 +543,16 @@ def enumerate_star_factorizations(pi: Permutation, r: int) -> int:
         f"{counted(r, lambda m: (n - 1) ** m)} sequences",
     )
     stars = [Permutation.transposition(a, n, n) for a in range(1, n)]
-
-    def walk(prefix: Permutation, depth: int) -> int:
+    # depth first with a stack of (prefix, length), not by recursion: at n = 2
+    # every r passes the limit, so r may be far past the recursion limit
+    count, stack = 0, [(Permutation.identity(n), 0)]
+    while stack:
+        prefix, depth = stack.pop()
         if depth == r:
-            return 1 if prefix == pi else 0
-        return sum(walk(prefix * s, depth + 1) for s in stars)
-
-    return walk(Permutation.identity(n), 0)
+            count += prefix == pi
+        else:
+            stack.extend((prefix * s, depth + 1) for s in stars)
+    return count
 
 
 def star_walk(n: int, rmax: int) -> list[dict[MarkedPartition, int]]:
@@ -622,9 +694,9 @@ def run_verify(max_n: int = 4) -> list[str]:
     """Run the whole invariant suite for each n up to max_n.
 
     Returns the labels of the checks that ran; raises VerificationError with
-    both sides on the first failure.  Each n costs about 10 times the one
-    before (2-3 s at n = 6 on a 2-vCPU host), so max_n above `VERIFY_MAX_N`
-    = 6 raises GuardExceeded.
+    both sides on the first failure.  Each n costs 5 to 11 times the one
+    before (0.6 s at n = 6 and 7 s at n = 7 on a 2-vCPU host), so max_n
+    above `VERIFY_MAX_N` = 7 raises GuardExceeded.
     """
     _check_int(max_n, "max_n", 2)
     refuse_past(

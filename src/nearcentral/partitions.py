@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator
 
-from .errors import DomainError, InconsistencyError
+from .errors import DomainError, InconsistencyError, shown
 
 __all__ = [
     "Partition",
@@ -175,8 +175,8 @@ def _check_int(value: int, what: str, low: int = 0, high: int | None = None) -> 
     if type(value) is not int:
         raise DomainError(f"{what} must be an integer, got {value!r}")
     if value < low or high is not None and value > high:
-        bound = f"at least {low}" if high is None else f"in {low}..{high}"
-        raise DomainError(f"{what} must be {bound}, got {value}")
+        bound = f"at least {shown(low)}" if high is None else f"in {shown(low)}..{shown(high)}"
+        raise DomainError(f"{what} must be {bound}, got {shown(value)}")
 
 
 def _check_order(n: int, *shapes: Partition) -> None:

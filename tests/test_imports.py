@@ -197,7 +197,15 @@ def test_oracle_products_stay_in_integers() -> None:
     assert "_integerized" not in defined
     found = [
         f"{name}:{node.lineno}"
-        for name in ("ga_multiply", "_class_product", "_class_values", "_from_class_values")
+        for name in (
+            "ga_multiply",
+            "_class_product",
+            "_direct_class_sum",
+            "_structure_constants",
+            "_contract",
+            "_class_values",
+            "_from_class_values",
+        )
         for node in ast.walk(defined[name])
         if isinstance(node, (ast.Name, ast.Attribute))
         and getattr(node, "id", getattr(node, "attr", None))

@@ -139,3 +139,16 @@ def test_an_integer_above_its_range_is_refused() -> None:
 def test_sizes_below_the_range_of_a_shape_are_refused() -> None:
     with pytest.raises(DomainError, match="^n must be at least 1, got 0$"):
         star_count_class(Partition(), 0)
+
+
+def test_an_integer_past_the_digits_str_converts_is_refused() -> None:
+    # the message words the value through `errors.shown`, as `str` refuses
+    # an int of more than 4300 digits
+    with pytest.raises(
+        DomainError, match=r"^cycle count must be in 1\.\.5, got more than 10\^4999$"
+    ):
+        star_count_by_cycle_count(5, 10**5000, 3)
+    with pytest.raises(
+        DomainError, match=r"^partition part must be at least 1, got less than -10\^4999$"
+    ):
+        Partition((-(10**5000),))

@@ -303,6 +303,85 @@ def test_class_path_starts_past_the_marked_class_count(class_products) -> None:
         assert got == _literal_product(a, b)
 
 
+def test_both_class_routes_match_the_literal_product() -> None:
+    # the table contraction and the direct class sum give the same class
+    # values, and the element written from them is the literal product
+    rng = random.Random(2028)
+    for n in range(2, 8):
+        classes = oracle._marked_index(n)
+        table = oracle._structure_constants(n)
+        assert len(table) == len(classes)
+        for _ in range(3):
+            a = _near_central_element(rng, n, 150)
+            b = _near_central_element(rng, n, 150)
+            va = oracle._class_values(a._terms, classes)
+            vb = oracle._class_values(b._terms, classes)
+            direct = oracle._direct_class_sum(a._terms, b._terms, classes)
+            assert oracle._contract(table, va, vb) == direct
+            got = oracle._from_class_values(n, classes, direct, a._den * b._den)
+            assert got == _literal_product(a, b)
+
+
+@pytest.fixture
+def counted_tables(monkeypatch) -> list:
+    # every n whose table of structure constants is counted, in order,
+    # starting from no compositions formed at any n
+    counted = []
+    count = oracle._structure_constants.__wrapped__
+
+    def spy(n):
+        counted.append(n)
+        return count(n)
+
+    monkeypatch.setattr(oracle, "_direct_steps", Counter())
+    monkeypatch.setattr(oracle, "_structure_constants", functools.cache(spy))
+    return counted
+
+
+def test_a_cold_idempotent_counts_no_table(counted_tables, class_products) -> None:
+    # the one class product of a cold z1_idempotent at n = 6 walks at most
+    # the 5! terms of its factor from S_5, below the 19 * 6! steps of the table
+    n = 6
+    for mu, j in _marked(n):
+        oracle._direct_steps.clear()
+        oracle._z1_idempotent_cached.cache_clear()
+        class_products.clear()
+        gamma = z1_idempotent(mu, j)
+        assert len(class_products) == 1
+        assert 0 < oracle._direct_steps[n] <= oracle._marked_count(n) * math.factorial(n - 1)
+        scale = Fraction(math.factorial(n), dimension(mu))
+        assert scale * extract_marked_coefficient(gamma, mu, j) == genchar(mu, j, mu, j)
+    oracle._z1_idempotent_cached.cache_clear()
+    assert counted_tables == []
+
+
+def test_the_table_is_counted_once_its_cost_is_spent(monkeypatch, counted_tables) -> None:
+    # the direct sum is taken, and its compositions added up, until they
+    # reach classes * n!; the next product counts the table, and every
+    # later one contracts it
+    rng = random.Random(2029)
+    for n in range(3, 7):
+        classes = oracle._marked_count(n)
+        cost = classes * math.factorial(n)
+        steps, products = 0, 0
+        while products < 3:
+            a = _near_central_element(rng, n, math.factorial(n))
+            b = _near_central_element(rng, n, math.factorial(n))
+            if max(len(a), len(b)) <= classes:
+                continue
+            by_table = steps >= cost
+            got = ga_multiply(a, b)
+            if by_table:
+                products += 1
+            else:
+                steps += classes * min(len(a), len(b))
+            assert oracle._direct_steps[n] == steps
+            assert counted_tables == list(range(3, n + by_table))
+            with monkeypatch.context() as literal:
+                literal.setattr(oracle, "_class_values", lambda *_: None)
+                assert got == ga_multiply(a, b)
+
+
 def test_sparse_products_list_no_group(listed_groups) -> None:
     # J_8 and J_7 of S_9 have 7 and 6 terms, fewer than the 67 marked classes
     # of 9, so their product is the literal one and S_9 is not listed
@@ -641,6 +720,12 @@ def test_star_factorization_enumeration() -> None:
     assert enumerate_star_factorizations(Permutation.identity(4), 2) == 3
     with pytest.raises(GuardExceeded):
         enumerate_star_factorizations(Permutation.identity(8), 10)
+    # S_2 has the one star (1 2), so a sequence of length r gives s^r; the
+    # walk keeps a stack, not one Python frame per star
+    s = Permutation.transposition(1, 2, 2)
+    assert enumerate_star_factorizations(Permutation.identity(2), 2000) == 1
+    assert enumerate_star_factorizations(s, 2000) == 0
+    assert enumerate_star_factorizations(s, 2001) == 1
     # S_0 and S_1 have no star: only the empty sequence, giving the identity
     for n in (0, 1):
         assert enumerate_star_factorizations(Permutation.identity(n), 0) == 1
@@ -701,9 +786,9 @@ def test_verification_error_shows_where_elements_differ() -> None:
     assert VerificationError("check", Fraction(1, 2), 3).lhs == "1/2"
 
 
-def test_run_verify_is_refused_past_n6(monkeypatch) -> None:
+def test_run_verify_is_refused_past_its_limit(monkeypatch) -> None:
     # refused before any n is verified; at the limit the suite starts, and
-    # fails here on purpose, since a real run at n = 6 takes seconds
+    # fails here on purpose, since a real run at n = 7 takes seconds
     def refuse(*args) -> None:
         raise AssertionError(f"verified {args}")
 

@@ -97,6 +97,8 @@ def test_numbers_are_shown_in_full_while_str_can() -> None:
     assert shown(10 ** (digits - 1)) == str(10 ** (digits - 1))
     assert shown(10**digits) == f"more than 10^{digits - 1}"
     assert shown(0) == "0"
+    assert shown(-(10 ** (digits - 1))) == str(-(10 ** (digits - 1)))
+    assert shown(-(10**digits)) == f"less than -10^{digits - 1}"
 
 
 def test_costly_counts_are_bounded_by_their_value_at_1000() -> None:
