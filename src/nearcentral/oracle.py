@@ -20,19 +20,16 @@ classes) as image tuples and nothing else, for every n up to
 commute with S_{n-1}: `_class_values` reads such an element's numerator on
 each class, and `_from_class_values` writes the element back from them.
 Z1(n) is closed under products, so `ga_multiply` takes a product in it
-class by class, by one of two routes.  The direct sum composes one member
-of each marked class with the smaller factor's support; as Z1(n) is
+class by class, from the structure constants of Z1(n): for class C with
+first member k, #{p in class x : p k in class y}.  They are counted one
+factor class x at a time, by composing each member of x with one member of
+every class and looking the result up in a cached map from permutation to
+class number, and kept, so a cold product composes what a direct sum over
+its smaller factor would, and a repeated one composes nothing.  As Z1(n) is
 commutative and a marked class holds the inverse of each member, no
-inverse is formed.  The table route contracts the factors' class values
-with the structure constants of Z1(n), counted once per n by composing one
-member of each class with all of S_n.  A ski-rental rule with no tunable
-constant picks the route: the direct sum is taken at n until the
-compositions it has formed there reach the table's cost, classes * n!;
-the next product counts the table and every later one contracts it.  So a
-process that never reuses a table never counts one, and the work at n
-stays within about twice the cheaper of the two routes.  Every other
-product composes image tuples term by term, with one `operator.itemgetter`
-per right-hand permutation; the tests compare both class routes with it.
+inverse is formed.  Every other product composes image tuples term by
+term, with one `operator.itemgetter` per right-hand permutation; the tests
+compare the class product with it.
 """
 
 from __future__ import annotations
@@ -61,6 +58,7 @@ from .partitions import (
     marked_class_size,
 )
 from .permutations import Permutation, cycle_length_through, cycle_lengths
+from .starcount import STAR_CLOSED_MAX, STAR_COUNT_MAX_N
 from .tableaux import dimension, marked_content
 
 __all__ = [
@@ -88,7 +86,7 @@ __all__ = [
 # about the most pure Python enumerates in reasonable time
 ORACLE_MAX_N = 9
 
-# largest n `run_verify` checks: 0.6 s at n = 6 and 7 s at n = 7 on a 2-vCPU
+# largest n `run_verify` checks: 0.5 s at n = 6 and 5.5 s at n = 7 on a 2-vCPU
 # host, each n 5 to 11 times the one before
 VERIFY_MAX_N = 7
 
@@ -289,76 +287,61 @@ def _from_class_values(
     return GroupAlgebraElement._make(n, terms, den)
 
 
-# compositions the direct class sum has formed at each n; once they reach
-# the cost of counting `_structure_constants(n)`, the class path at n
-# contracts the table instead
-_direct_steps: Counter[int] = Counter()
+@cache
+def _class_map(n: int) -> tuple[dict[tuple[int, ...], int], tuple[itemgetter, ...]]:
+    # the number of each permutation's marked class, and for each class C
+    # the itemgetter(k(1)-1, .., k(n)-1) that maps the images of p to those
+    # of p k, k the first member of C; kept for the life of the process, so
+    # at n = ORACLE_MAX_N = 9 the map holds all 362,880 permutations (about
+    # 0.1 s and 20 MB to build, on top of the index)
+    classes = _marked_index(n)
+    class_of = {p: c for c, (_, _, members) in enumerate(classes) for p in members}
+    return class_of, tuple(itemgetter(*[x - 1 for x in members[0]]) for _, _, members in classes)
+
+
+@cache
+def _constants_from(n: int, x: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # row C, for the C-th marked class of S_n with first member k: the pairs
+    # (y, #{p in class x : p k in class y}) of nonzero count, the structure
+    # constants of Z1(n) from class x; counted by composing k with every
+    # member of class x, as many compositions as a product over the support
+    # of class x
+    class_of, composers = _class_map(n)
+    members = _marked_index(n)[x][2]
+    rows = []
+    for at in composers:
+        # a dict, not a Counter, whose setup outweighs its counting on the
+        # small classes a cold idempotent counts (0.7 against 1.1 ms at n = 6)
+        counts: dict[int, int] = {}
+        for y in map(class_of.__getitem__, map(at, members)):
+            counts[y] = counts.get(y, 0) + 1
+        rows.append(tuple(counts.items()))
+    return tuple(rows)
 
 
 def _class_product(
     n: int,
-    classes: _Classes,
     ta: dict[tuple[int, ...], int],
     tb: dict[tuple[int, ...], int],
     va: list[int],
     vb: list[int],
 ) -> list[int]:
     # the class values of the product of two elements that commute with
-    # S_{n-1}, given their terms and their class values, by the route the
-    # ski-rental rule of `ga_multiply` picks
-    size = len(classes)
-    if _direct_steps[n] < size * math.factorial(n):
-        _direct_steps[n] += size * min(len(ta), len(tb))
-        return _direct_class_sum(ta, tb, classes)
-    return _contract(_structure_constants(n), va, vb)
-
-
-def _direct_class_sum(
-    ta: dict[tuple[int, ...], int], tb: dict[tuple[int, ...], int], classes: _Classes
-) -> list[int]:
-    # a product of elements that commute with S_{n-1} commutes with it too,
-    # so it is constant on each marked class: c(k) is summed at one member k
-    # per class.  c(k) = sum_p a(p) b(p^-1 k) = sum_p a(p) b(p k) by
-    # p -> p^-1, as a marked class holds the inverse of each member and a
-    # takes one value on it; and such elements commute with each other, so
-    # the factors are swapped to let p run over the smaller support
+    # S_{n-1}, given their terms and their class values.  The product
+    # commutes with S_{n-1} too, so it is constant on each marked class: its
+    # value at one member k of class C is sum_p a(p) b(p^-1 k) =
+    # sum_p a(p) b(p k) by p -> p^-1, as a marked class holds the inverse of
+    # each member and a takes one value on it, that is
+    # sum_x a_x sum_y #{p in class x : p k in class y} b_y.  Such elements
+    # commute with each other, so the factors are swapped to let x run over
+    # the classes of the smaller support
     if len(tb) < len(ta):
-        ta, tb = tb, ta
-    values = []
-    for _, _, members in classes:
-        # itemgetter(k(1)-1, .., k(n)-1) maps the images of p to those of p k
-        at = itemgetter(*[x - 1 for x in members[0]])
-        values.append(sum(ca * tb.get(at(p), 0) for p, ca in ta.items()))
-    return values
-
-
-_Table = tuple[tuple[tuple[int, int, int], ...], ...]
-
-
-@cache
-def _structure_constants(n: int) -> _Table:
-    # row C, for the C-th marked class of S_n with first member k: the
-    # triples (A, B, #{p in class A : p k in class B}) of nonzero count, so
-    # that, as in `_direct_class_sum`, a product of factors with class values
-    # a and b takes sum T a_A b_B on C.  Counted by composing k with every
-    # member of the index, classes * n! compositions, once per n for the life
-    # of the process
-    classes = _marked_index(n)
-    class_of = {p: c for c, (_, _, members) in enumerate(classes) for p in members}
-    table = []
-    for _, _, members in classes:
-        at = itemgetter(*[x - 1 for x in members[0]])
-        table.append(tuple(
-            (x, y, count)
-            for x, (_, _, those) in enumerate(classes)
-            for y, count in Counter(map(class_of.__getitem__, map(at, those))).items()
-        ))
-    return tuple(table)
-
-
-def _contract(table: _Table, va: list[int], vb: list[int]) -> list[int]:
-    # the class values of a product from those of its factors
-    return [sum(count * va[x] * vb[y] for x, y, count in row) for row in table]
+        va, vb = vb, va
+    held = [(a, _constants_from(n, x)) for x, a in enumerate(va) if a]
+    return [
+        sum(a * count * vb[y] for a, rows in held for y, count in rows[c])
+        for c in range(len(va))
+    ]
 
 
 def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -367,15 +350,13 @@ def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraE
     For 2 <= n <= ORACLE_MAX_N, when the larger factor has more terms than
     S_n has marked classes and both commute with S_{n-1} (each is constant
     on every marked class), the product is taken as one value per marked
-    class, shared by the whole class, by one of two routes.  The direct sum
-    forms c(k) = sum_p a(p) b(p k) at one member k of each class, over the
-    smaller support: the algebra of such elements is commutative and each
-    marked class is closed under inversion.  The table route forms
-    c_C = sum T_C[A, B] a_A b_B from the factors' class values, with the
-    structure constants T_C[A, B] = #{p in A : p k in B} counted once per n.
-    The direct sum is taken until the compositions it has formed at n,
-    classes * min(len(a), len(b)) per product, reach the classes * n! that
-    counting the table costs; every later product at n contracts the table.
+    class, shared by the whole class: c_C = sum_x a_x sum_y T_C[x, y] b_y
+    over the classes x of the smaller support, with the structure constants
+    T_C[x, y] = #{p in class x : p k in class y} for one member k of C, as
+    the algebra of such elements is commutative and each marked class is
+    closed under inversion.  The constants from class x are counted, by |x|
+    compositions per class, the first time the smaller factor of a product
+    is nonzero on x, and kept for the life of the process.
     Every other product is expanded term by term, and lists no class when
     neither factor has more terms than S_n has marked classes.  Either way
     the integer numerators are multiplied over the product of the two
@@ -396,7 +377,7 @@ def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraE
         and (va := _class_values(ta, classes := _marked_index(n))) is not None
         and (vb := _class_values(tb, classes)) is not None
     ):
-        values = _class_product(n, classes, ta, tb, va, vb)
+        values = _class_product(n, ta, tb, va, vb)
         return _from_class_values(n, classes, values, den)
     terms = {}
     # itemgetter(q(1)-1, .., q(n)-1) maps the images of p to those of p * q
@@ -500,10 +481,15 @@ def is_near_central(g: GroupAlgebraElement) -> bool:
 
 
 def jm_power_coefficients(n: int, r: int) -> dict[MarkedPartition, Fraction]:
-    """Full marked-class coefficient table of J_n to the power r."""
+    """Full marked-class coefficient table of J_n to the power r.
+
+    r above STAR_CLOSED_MAX, the longest star count this table verifies,
+    raises GuardExceeded: the table takes r products.
+    """
     _check_int(n, "n", 1)
     _check_int(r, "power")
     _check_listed(n, "Jucys-Murphy power expansion")
+    refuse_past(r, STAR_CLOSED_MAX, "r", lambda: f"Jucys-Murphy power expansion at r={shown(r)}")
     jm = jm_element(n, n) if n >= 2 else GroupAlgebraElement.zero(1)
     g = GroupAlgebraElement.one(n)
     for _ in range(r):
@@ -566,9 +552,14 @@ def star_walk(n: int, rmax: int) -> list[dict[MarkedPartition, int]]:
     of m-cycles choices of a).  So the counts move as an integer walk over
     the marked partitions of n, and walk[r][(lam, i)] / |C_{lam,i}| is the
     count for one permutation of the class.
+
+    n above STAR_COUNT_MAX_N or rmax above STAR_CLOSED_MAX, the limits of
+    the star counts the walk verifies, raises GuardExceeded.
     """
     _check_int(n, "n", 1)
     _check_int(rmax, "length")
+    refuse_past(n, STAR_COUNT_MAX_N, "n", lambda: f"star walk at n={shown(n)}")
+    refuse_past(rmax, STAR_CLOSED_MAX, "rmax", lambda: f"star walk of length {shown(rmax)}")
     state: dict[tuple[tuple[int, ...], int], int] = {((1,) * n, 1): 1}
     walk = [state]
     for _ in range(rmax):
@@ -695,7 +686,7 @@ def run_verify(max_n: int = 4) -> list[str]:
 
     Returns the labels of the checks that ran; raises VerificationError with
     both sides on the first failure.  Each n costs 5 to 11 times the one
-    before (0.6 s at n = 6 and 7 s at n = 7 on a 2-vCPU host), so max_n
+    before (0.5 s at n = 6 and 5.5 s at n = 7 on a 2-vCPU host), so max_n
     above `VERIFY_MAX_N` = 7 raises GuardExceeded.
     """
     _check_int(max_n, "max_n", 2)

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import nearcentral
 
@@ -200,9 +201,8 @@ def test_oracle_products_stay_in_integers() -> None:
         for name in (
             "ga_multiply",
             "_class_product",
-            "_direct_class_sum",
-            "_structure_constants",
-            "_contract",
+            "_class_map",
+            "_constants_from",
             "_class_values",
             "_from_class_values",
         )
@@ -241,6 +241,63 @@ def test_modules_read_no_environment() -> None:
                 continue
             if any(name.split(".")[0] == "os" or name == "environ" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
+# the generic types a module-level type alias subscripts
+_ALIASED = {"tuple", "list", "dict", "set", "frozenset", "type", "Callable", "Mapping"}
+
+
+def _binds_no_state(value: ast.expr) -> bool:
+    # a constant (literals and UPPER_CASE names joined by operators), a type
+    # alias, a slot's own setter or object.__new__
+    if all(
+        isinstance(node, (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop, ast.Load))
+        or (isinstance(node, ast.Name) and node.id.isupper())
+        for node in ast.walk(value)
+    ):
+        return True
+    if isinstance(value, ast.Subscript):
+        return getattr(value.value, "id", None) in _ALIASED
+    return isinstance(value, ast.Attribute) and (
+        value.attr == "__set__"
+        or (value.attr == "__new__" and getattr(value.value, "id", None) == "object")
+    )
+
+
+def _module_statements(body: list[ast.stmt]) -> Iterator[ast.stmt]:
+    # the statements run at import, inside module-level if and try blocks too
+    for node in body:
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _module_statements(getattr(node, field, []))
+
+
+def test_modules_bind_no_mutable_state() -> None:
+    # state a module binds and its code mutates is shared by every caller in
+    # the process, so one call or test can change the next; every cache is a
+    # functools.cache on a function, and a module binds only __all__,
+    # constants, type aliases, slot setters and object.__new__
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in _module_statements(tree.body):
+            if isinstance(node, ast.Assign):
+                names = [getattr(t, "id", None) for t in node.targets]
+                if names == ["__all__"] or _binds_no_state(node.value):
+                    continue
+            elif isinstance(node, ast.AnnAssign):
+                if node.value is None or _binds_no_state(node.value):
+                    continue
+            elif not isinstance(node, (ast.AugAssign, ast.For, ast.AsyncFor, ast.With)):
+                continue
+            found.append(f"{path.name}:{node.lineno}")
+        found += [
+            f"{path.name}:{node.lineno} global"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Global)
+        ]
     assert not found
 
 

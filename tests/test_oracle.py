@@ -303,83 +303,60 @@ def test_class_path_starts_past_the_marked_class_count(class_products) -> None:
         assert got == _literal_product(a, b)
 
 
-def test_both_class_routes_match_the_literal_product() -> None:
-    # the table contraction and the direct class sum give the same class
-    # values, and the element written from them is the literal product
+def test_the_class_product_is_the_literal_product() -> None:
+    # the class values the class product counts, written back, are the
+    # literal product, with either factor the smaller
     rng = random.Random(2028)
     for n in range(2, 8):
         classes = oracle._marked_index(n)
-        table = oracle._structure_constants(n)
-        assert len(table) == len(classes)
         for _ in range(3):
             a = _near_central_element(rng, n, 150)
             b = _near_central_element(rng, n, 150)
             va = oracle._class_values(a._terms, classes)
             vb = oracle._class_values(b._terms, classes)
-            direct = oracle._direct_class_sum(a._terms, b._terms, classes)
-            assert oracle._contract(table, va, vb) == direct
-            got = oracle._from_class_values(n, classes, direct, a._den * b._den)
-            assert got == _literal_product(a, b)
+            want = _literal_product(a, b)
+            for args in [(a._terms, b._terms, va, vb), (b._terms, a._terms, vb, va)]:
+                values = oracle._class_product(n, *args)
+                assert oracle._from_class_values(n, classes, values, a._den * b._den) == want
 
 
 @pytest.fixture
-def counted_tables(monkeypatch) -> list:
-    # every n whose table of structure constants is counted, in order,
-    # starting from no compositions formed at any n
+def counted_columns(monkeypatch) -> list:
+    # every (n, x) whose structure constants from class x are counted, in
+    # order, starting from none counted
     counted = []
-    count = oracle._structure_constants.__wrapped__
+    count = oracle._constants_from.__wrapped__
 
-    def spy(n):
-        counted.append(n)
-        return count(n)
+    def spy(n, x):
+        counted.append((n, x))
+        return count(n, x)
 
-    monkeypatch.setattr(oracle, "_direct_steps", Counter())
-    monkeypatch.setattr(oracle, "_structure_constants", functools.cache(spy))
+    monkeypatch.setattr(oracle, "_constants_from", functools.cache(spy))
     return counted
 
 
-def test_a_cold_idempotent_counts_no_table(counted_tables, class_products) -> None:
-    # the one class product of a cold z1_idempotent at n = 6 walks at most
-    # the 5! terms of its factor from S_5, below the 19 * 6! steps of the table
+def test_idempotents_count_each_column_once(counted_columns, class_products) -> None:
+    # the one class product of a cold z1_idempotent at n = 6 counts the
+    # columns of the classes where its smaller factor is nonzero, and no
+    # later idempotent counts a column again
     n = 6
+    classes = oracle._marked_index(n)
     for mu, j in _marked(n):
-        oracle._direct_steps.clear()
         oracle._z1_idempotent_cached.cache_clear()
         class_products.clear()
+        before = set(counted_columns)
         gamma = z1_idempotent(mu, j)
         assert len(class_products) == 1
-        assert 0 < oracle._direct_steps[n] <= oracle._marked_count(n) * math.factorial(n - 1)
+        _, ta, tb, va, vb = class_products[0]
+        smaller = va if len(ta) <= len(tb) else vb
+        nonzero = {(n, x) for x, v in enumerate(smaller) if v}
+        assert set(counted_columns) - before <= nonzero <= set(counted_columns)
+        # the smaller factor is the idempotent of S_{n-1}, on classes fixing n
+        assert all(classes[x][1] == 1 for _, x in nonzero)
         scale = Fraction(math.factorial(n), dimension(mu))
         assert scale * extract_marked_coefficient(gamma, mu, j) == genchar(mu, j, mu, j)
     oracle._z1_idempotent_cached.cache_clear()
-    assert counted_tables == []
-
-
-def test_the_table_is_counted_once_its_cost_is_spent(monkeypatch, counted_tables) -> None:
-    # the direct sum is taken, and its compositions added up, until they
-    # reach classes * n!; the next product counts the table, and every
-    # later one contracts it
-    rng = random.Random(2029)
-    for n in range(3, 7):
-        classes = oracle._marked_count(n)
-        cost = classes * math.factorial(n)
-        steps, products = 0, 0
-        while products < 3:
-            a = _near_central_element(rng, n, math.factorial(n))
-            b = _near_central_element(rng, n, math.factorial(n))
-            if max(len(a), len(b)) <= classes:
-                continue
-            by_table = steps >= cost
-            got = ga_multiply(a, b)
-            if by_table:
-                products += 1
-            else:
-                steps += classes * min(len(a), len(b))
-            assert oracle._direct_steps[n] == steps
-            assert counted_tables == list(range(3, n + by_table))
-            with monkeypatch.context() as literal:
-                literal.setattr(oracle, "_class_values", lambda *_: None)
-                assert got == ga_multiply(a, b)
+    assert len(counted_columns) == len(set(counted_columns))
 
 
 def test_sparse_products_list_no_group(listed_groups) -> None:
@@ -400,8 +377,8 @@ def test_marked_classes_hold_the_inverse_of_each_member() -> None:
 
 
 def test_near_central_elements_commute(monkeypatch) -> None:
-    # the class product swaps its factors so that p runs over the smaller
-    # support; checked here on the literal product
+    # the class product swaps its factors so that x runs over the classes of
+    # the smaller support; checked here on the literal product
     monkeypatch.setattr(oracle, "_class_values", lambda *_: None)
     rng = random.Random(21)
     for n in range(1, 7):

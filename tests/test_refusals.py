@@ -29,6 +29,7 @@ from nearcentral import (
     star_count_by_cycle_count,
     star_count_class,
     star_count_closed,
+    star_walk,
     z1_idempotent,
 )
 from nearcentral.characters import _partition_counts
@@ -61,6 +62,9 @@ TOP = Partition((HUGE,))
         (lambda: central_idempotent(TOP), "expansion at n=more than 10^4999"),
         (lambda: z1_idempotent(TOP, HUGE), "expansion at n=more than 10^4999"),
         (lambda: jm_power_coefficients(HUGE, 1), "expansion at n=more than 10^4999"),
+        (lambda: jm_power_coefficients(3, HUGE), "expansion at r=more than 10^4999"),
+        (lambda: star_walk(HUGE, 0), "star walk at n=more than 10^4999"),
+        (lambda: star_walk(3, HUGE), "star walk of length more than 10^4999"),
         (lambda: run_verify(HUGE), "the more than 10^2567 permutations"),
         (
             lambda: enumerate_star_factorizations(Permutation.identity(9), 5000),
