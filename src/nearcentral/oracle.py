@@ -15,17 +15,18 @@ listed, so the spectral counts have a check above n = 7; and
 S_{n-1}, with no idempotent built.
 
 One cached index lists the marked classes of S_n (the S_{n-1}-conjugacy
-classes) as image tuples and nothing else, for every n up to
-`ORACLE_MAX_N`.  Their class sums are a basis of Z1(n), the elements that
-commute with S_{n-1}: `_class_values` reads such an element's numerator on
-each class, and `_from_class_values` writes the element back from them.
-Z1(n) is closed under products, so `ga_multiply` takes a product in it
-class by class, from the structure constants of Z1(n): for class C with
-first member k, #{p in class x : p k in class y}.  They are counted one
-factor class x at a time, by composing each member of x with one member of
-every class and looking the result up in a cached map from permutation to
-class number, and kept, so a cold product composes what a direct sum over
-its smaller factor would, and a repeated one composes nothing.  As Z1(n) is
+classes) as image tuples, for every n up to `ORACLE_MAX_N`.  Their class
+sums are a basis of Z1(n), the elements that commute with S_{n-1}, and an
+element of Z1(n) is held as one numerator per class for as long as no
+permutation is read: class sums, idempotents, their sums, multiples and
+class-path products never list their terms.  Z1(n) is closed under
+products, so `ga_multiply` takes a product in it class by class, from the
+structure constants of Z1(n): for class C with first member k,
+#{p in class x : p k in class y}.  They are counted one factor class x at a
+time, by composing each member of x with one member of every class and
+looking the result up in a cached map from permutation to class number,
+and kept, so a cold product composes what a direct sum over its smaller
+factor would, and a repeated one composes nothing.  As Z1(n) is
 commutative and a marked class holds the inverse of each member, no
 inverse is formed.  Every other product composes image tuples term by
 term, with one `operator.itemgetter` per right-hand permutation; the tests
@@ -40,7 +41,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .characters import chi
 from .errors import DomainError, counted, refuse_past, shown
@@ -86,8 +88,8 @@ __all__ = [
 # about the most pure Python enumerates in reasonable time
 ORACLE_MAX_N = 9
 
-# largest n `run_verify` checks: 0.5 s at n = 6 and 5.5 s at n = 7 on a 2-vCPU
-# host, each n 5 to 11 times the one before
+# largest n `run_verify` checks: 0.2 s at n = 6 and 1.4 s at n = 7 on a 2-vCPU
+# host, each n 4 to 7 times the one before
 VERIFY_MAX_N = 7
 
 # most star sequences `enumerate_star_factorizations` walks one by one
@@ -114,14 +116,19 @@ def _images_in(perm: Permutation, n: int) -> tuple[int, ...]:
 class GroupAlgebraElement(_Value):
     """A formal rational linear combination of permutations of fixed degree.
 
-    Stored as integer numerators keyed by image tuples over one positive
-    denominator, in lowest terms: the denominator and the numerators have
-    gcd 1 and no zero numerator is kept, so equality compares the parts.
-    A coefficient becomes a Fraction only when it is read.  Coefficients and
-    scalars must be ints or Fractions: a float raises TypeError.
+    Integer numerators over one positive denominator, in lowest terms (gcd
+    1), in one or both of two coordinates, each built at most once: keyed by
+    image tuple, no zero kept, or for an element of Z1(n) one numerator per
+    marked class.  Elements made in Z1(n) hold only class values, expanded
+    to terms when a permutation is read; an element built from terms finds
+    its class values, or that it has none, when first asked.  `len`, `bool`
+    and `==` expand nothing.  Coefficients and scalars must be ints or
+    Fractions (a float raises TypeError); a Fraction is made when read.
     """
 
-    __slots__ = ("_n", "_terms", "_den")
+    # _perms: numerators by image tuple, None until expanded; _values: class
+    # numerators, None until read, () when not constant on every class
+    __slots__ = ("_n", "_den", "_perms", "_values")
 
     def __init__(self, n: int, terms: Mapping[Permutation, Fraction | int] = ()):
         _check_int(n, "n")
@@ -130,21 +137,25 @@ class GroupAlgebraElement(_Value):
             coeffs[_images_in(perm, n)] = _exact(coeff)
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         numerators = {p: c.numerator * (den // c.denominator) for p, c in coeffs.items()}
-        self._set(n, numerators, den)
+        self._set(n, den, numerators)
 
-    def _set(self, n: int, terms: dict[tuple[int, ...], int], den: int) -> None:
-        # the numerators `terms` over den > 0, brought to lowest terms
-        common = math.gcd(den, *terms.values())
+    def _set(
+        self, n: int, den: int, terms: dict | None, values: Sequence[int] | None = None
+    ) -> None:
+        # the numerators over den > 0, as terms or as class values, brought
+        # to lowest terms: the gcd over the class values is that over the terms
+        common = math.gcd(den, *(terms.values() if values is None else values))
         _set_n(self, n)
-        _set_terms(self, {p: v // common for p, v in terms.items() if v})
         _set_den(self, den // common)
+        _set_perms(self, None if terms is None else {p: v // common for p, v in terms.items() if v})
+        _set_values(self, None if values is None else tuple(v // common for v in values))
 
     @classmethod
     def _make(
         cls, n: int, terms: dict[tuple[int, ...], int], den: int = 1
     ) -> "GroupAlgebraElement":
         self = object.__new__(cls)
-        self._set(n, terms, den)
+        self._set(n, den, terms)
         return self
 
     @classmethod
@@ -165,6 +176,14 @@ class GroupAlgebraElement(_Value):
     def n(self) -> int:
         return self._n
 
+    @property
+    def _terms(self) -> Mapping[tuple[int, ...], int]:
+        # the numerators keyed by image tuple, read-only, expanded from the
+        # class values the first time a permutation is read
+        if self._perms is None:
+            _set_perms(self, _class_terms(self._n, self._values))
+        return MappingProxyType(self._perms)
+
     def coefficient(self, perm: Permutation) -> Fraction:
         return Fraction(self._terms.get(_images_in(perm, self._n), 0), self._den)
 
@@ -176,18 +195,22 @@ class GroupAlgebraElement(_Value):
         return map(Permutation.unchecked, self._terms)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        if self._perms is not None:
+            return len(self._perms)
+        return sum(len(m) for (_, _, m), v in zip(_marked_index(self._n), self._values) if v)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._perms) if self._perms is not None else any(self._values)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GroupAlgebraElement)
-            and self._n == other._n
-            and self._den == other._den
-            and self._terms == other._terms
-        )
+        if not isinstance(other, GroupAlgebraElement):
+            return False
+        if self._n != other._n or self._den != other._den:
+            return False
+        if self._perms is not None and other._perms is not None:
+            return self._perms == other._perms
+        mine = _class_values(self)  # a side holds only class values
+        return mine is not None and mine == _class_values(other)
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         if not isinstance(other, GroupAlgebraElement):
@@ -196,6 +219,13 @@ class GroupAlgebraElement(_Value):
             raise DomainError("cannot add elements of different group algebras")
         den = math.lcm(self._den, other._den)
         mine, theirs = den // self._den, den // other._den
+        # in class coordinates when both sides have class values, read from
+        # the terms of one side when the other holds no terms
+        va, vb = self._values, other._values
+        if self._perms is None or other._perms is None:
+            va, vb = _class_values(self), _class_values(other)
+        if va and vb:
+            return _from_class_values(self._n, [x * mine + y * theirs for x, y in zip(va, vb)], den)
         out = {p: v * mine for p, v in self._terms.items()}
         for p, v in other._terms.items():
             out[p] = out.get(p, 0) + v * theirs
@@ -224,25 +254,24 @@ class GroupAlgebraElement(_Value):
     def scale(self, scalar: Fraction | int) -> "GroupAlgebraElement":
         c = _exact(scalar)
         num, den = c.numerator, self._den * c.denominator
-        return GroupAlgebraElement._make(
-            self._n, {p: num * v for p, v in self._terms.items()}, den
-        )
+        if self._values:
+            return _from_class_values(self._n, [num * v for v in self._values], den)
+        return GroupAlgebraElement._make(self._n, {p: num * v for p, v in self._terms.items()}, den)
 
     def __repr__(self) -> str:
-        return f"<group algebra element over S_{self._n}, {len(self._terms)} terms>"
+        return f"<group algebra element over S_{self._n}, {len(self)} terms>"
 
 
-# the slots' own setters, as in `partitions`: `_set` is the one writer
+# the slots' own setters, as in `partitions`: `_set` is the one writer of an
+# element, and `_terms` and `_class_values` fill a coordinate left unbuilt
 _set_n = GroupAlgebraElement._n.__set__
-_set_terms = GroupAlgebraElement._terms.__set__
 _set_den = GroupAlgebraElement._den.__set__
-
-
-_Classes = tuple[tuple[Partition, int, tuple[tuple[int, ...], ...]], ...]
+_set_perms = GroupAlgebraElement._perms.__set__
+_set_values = GroupAlgebraElement._values.__set__
 
 
 @cache
-def _marked_index(n: int) -> _Classes:
+def _marked_index(n: int) -> tuple[tuple[Partition, int, tuple[tuple[int, ...], ...]], ...]:
     # (cycle type, length of the cycle through n, members as image tuples)
     # for each marked class of S_n, in the order its first member comes in
     # the lexicographic listing of S_n; kept for the life of the process, so
@@ -259,32 +288,39 @@ def _marked_index(n: int) -> _Classes:
     )
 
 
-def _class_values(terms: dict[tuple[int, ...], int], classes: _Classes) -> list[int] | None:
-    # the numerator of `terms` on each marked class, in the order of
-    # `classes`, or None when `terms` is not constant on every class, that
-    # is, when it does not commute with S_{n-1}: a class is touched when its
-    # first member is present, and the touched classes must hold every term
-    values, held = [], 0
-    for _, _, members in classes:
-        c = terms.get(members[0], 0)
-        if c:
-            if any(terms.get(p) != c for p in members):
-                return None
-            held += len(members)
-        values.append(c)
-    return values if held == len(terms) else None
+def _class_values(g: GroupAlgebraElement) -> tuple[int, ...] | None:
+    # g's numerator on each marked class, in `_marked_index` order, or None
+    # when g is not constant on every class, that is, when it does not
+    # commute with S_{n-1}; read from the terms once and kept, the empty
+    # tuple standing for None: a class is touched when its first member is
+    # present, and the touched classes must hold every term
+    if g._values is None:
+        terms, classes = g._perms, _marked_index(g._n)
+        values = tuple(terms.get(members[0], 0) for _, _, members in classes)
+        touched = [(members, c) for (_, _, members), c in zip(classes, values) if c]
+        near = sum(len(members) for members, _ in touched) == len(terms) and all(
+            terms.get(p) == c for members, c in touched for p in members
+        )
+        _set_values(g, values if near else ())
+    return g._values or None
 
 
-def _from_class_values(
-    n: int, classes: _Classes, values: Iterable[int], den: int
-) -> GroupAlgebraElement:
-    # the element taking the numerator values[k] over den on every member of
-    # the k-th marked class
+def _class_terms(n: int, values: Sequence[int]) -> dict[tuple[int, ...], int]:
+    # the terms taking the numerator values[k] on every member of the k-th
+    # marked class: the one expansion of class values into permutations
     terms: dict[tuple[int, ...], int] = {}
-    for (_, _, members), v in zip(classes, values):
+    for (_, _, members), v in zip(_marked_index(n), values):
         if v:
             terms.update(dict.fromkeys(members, v))
-    return GroupAlgebraElement._make(n, terms, den)
+    return terms
+
+
+def _from_class_values(n: int, values: Sequence[int], den: int) -> GroupAlgebraElement:
+    # the element taking the numerator values[k] over den on every member of
+    # the k-th marked class, held as its class values only
+    g = object.__new__(GroupAlgebraElement)
+    g._set(n, den, None, values)
+    return g
 
 
 @cache
@@ -320,14 +356,10 @@ def _constants_from(n: int, x: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def _class_product(
-    n: int,
-    ta: dict[tuple[int, ...], int],
-    tb: dict[tuple[int, ...], int],
-    va: list[int],
-    vb: list[int],
+    n: int, a: GroupAlgebraElement, b: GroupAlgebraElement, va: tuple, vb: tuple
 ) -> list[int]:
     # the class values of the product of two elements that commute with
-    # S_{n-1}, given their terms and their class values.  The product
+    # S_{n-1}, given the elements and their class values.  The product
     # commutes with S_{n-1} too, so it is constant on each marked class: its
     # value at one member k of class C is sum_p a(p) b(p^-1 k) =
     # sum_p a(p) b(p k) by p -> p^-1, as a marked class holds the inverse of
@@ -335,11 +367,11 @@ def _class_product(
     # sum_x a_x sum_y #{p in class x : p k in class y} b_y.  Such elements
     # commute with each other, so the factors are swapped to let x run over
     # the classes of the smaller support
-    if len(tb) < len(ta):
+    if len(b) < len(a):
         va, vb = vb, va
-    held = [(a, _constants_from(n, x)) for x, a in enumerate(va) if a]
+    held = [(v, _constants_from(n, x)) for x, v in enumerate(va) if v]
     return [
-        sum(a * count * vb[y] for a, rows in held for y, count in rows[c])
+        sum(v * count * vb[y] for v, rows in held for y, count in rows[c])
         for c in range(len(va))
     ]
 
@@ -349,37 +381,34 @@ def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraE
 
     For 2 <= n <= ORACLE_MAX_N, when the larger factor has more terms than
     S_n has marked classes and both commute with S_{n-1} (each is constant
-    on every marked class), the product is taken as one value per marked
-    class, shared by the whole class: c_C = sum_x a_x sum_y T_C[x, y] b_y
-    over the classes x of the smaller support, with the structure constants
-    T_C[x, y] = #{p in class x : p k in class y} for one member k of C, as
-    the algebra of such elements is commutative and each marked class is
-    closed under inversion.  The constants from class x are counted, by |x|
-    compositions per class, the first time the smaller factor of a product
-    is nonzero on x, and kept for the life of the process.
-    Every other product is expanded term by term, and lists no class when
-    neither factor has more terms than S_n has marked classes.  Either way
-    the integer numerators are multiplied over the product of the two
-    denominators.
+    on every marked class), the product is taken from the factors' class
+    values and held as class values, one per marked class: c_C = sum_x a_x
+    sum_y T_C[x, y] b_y over the classes x of the smaller support, with the
+    structure constants T_C[x, y] = #{p in class x : p k in class y} for one
+    member k of C, as such elements commute and each marked class is closed
+    under inversion.  The constants from class x are counted, by |x|
+    compositions per class, the first time the smaller factor is nonzero on
+    x, and kept.  Every other product expands both factors' terms and is
+    taken term by term; it lists no class when neither factor has more
+    terms than S_n has marked classes.  Either way the integer numerators
+    are multiplied over the product of the two denominators.
     """
     if a.n != b.n:
         raise DomainError("cannot multiply elements of different group algebras")
-    n, ta, tb = a.n, a._terms, b._terms
-    den = a._den * b._den
+    n, den = a.n, a._den * b._den
     if n <= 1:
         # S_0 and S_1 hold only the identity, where itemgetter cannot compose:
         # it raises for no index and returns a bare int for one
-        terms = {tuple(range(1, n + 1)): sum(ta.values()) * sum(tb.values())}
+        terms = {tuple(range(1, n + 1)): sum(a._terms.values()) * sum(b._terms.values())}
         return GroupAlgebraElement._make(n, terms, den)
     if (
         n <= ORACLE_MAX_N
-        and max(len(ta), len(tb)) > _marked_count(n)
-        and (va := _class_values(ta, classes := _marked_index(n))) is not None
-        and (vb := _class_values(tb, classes)) is not None
+        and max(len(a), len(b)) > _marked_count(n)
+        and (va := _class_values(a)) is not None
+        and (vb := _class_values(b)) is not None
     ):
-        values = _class_product(n, ta, tb, va, vb)
-        return _from_class_values(n, classes, values, den)
-    terms = {}
+        return _from_class_values(n, _class_product(n, a, b, va, vb), den)
+    ta, tb, terms = a._terms, b._terms, {}
     # itemgetter(q(1)-1, .., q(n)-1) maps the images of p to those of p * q
     right = [(itemgetter(*[x - 1 for x in q]), cb) for q, cb in tb.items()]
     for mine, ca in ta.items():
@@ -394,9 +423,8 @@ def class_sum(lam: Partition, i: int) -> GroupAlgebraElement:
     _check_mark(lam, i)
     n = lam.n
     _check_listed(n, "marked class enumeration")
-    classes = _marked_index(n)
-    values = [int(through == i and ctype == lam) for ctype, through, _ in classes]
-    return _from_class_values(n, classes, values, 1)
+    values = [int(through == i and ctype == lam) for ctype, through, _ in _marked_index(n)]
+    return _from_class_values(n, values, 1)
 
 
 def jm_element(k: int, n: int) -> GroupAlgebraElement:
@@ -412,9 +440,8 @@ def central_idempotent(lam: Partition) -> GroupAlgebraElement:
     n = lam.n
     _check_listed(n, "central idempotent expansion")
     d = dimension(lam)
-    classes = _marked_index(n)
-    values = [d * chi(lam, ctype) for ctype, _, _ in classes]
-    return _from_class_values(n, classes, values, math.factorial(n))
+    values = [d * chi(lam, ctype) for ctype, _, _ in _marked_index(n)]
+    return _from_class_values(n, values, math.factorial(n))
 
 
 def z1_idempotent(lam: Partition, i: int) -> GroupAlgebraElement:
@@ -432,14 +459,14 @@ def z1_idempotent(lam: Partition, i: int) -> GroupAlgebraElement:
 @cache
 def _z1_idempotent_cached(lam: Partition, i: int) -> GroupAlgebraElement:
     n = lam.n
-    reduced, classes = decrement_part(lam, i), _marked_index(n)
+    reduced = decrement_part(lam, i)
     # S_{n-1} fixes n: its class ctype less one 1 is the class (ctype, 1)
     d = dimension(reduced)
     values = [
         d * chi(reduced, decrement_part(ctype, 1)) if through == 1 else 0
-        for ctype, through, _ in classes
+        for ctype, through, _ in _marked_index(n)
     ]
-    embedded = _from_class_values(n, classes, values, math.factorial(n - 1))
+    embedded = _from_class_values(n, values, math.factorial(n - 1))
     return ga_multiply(central_idempotent(lam), embedded)
 
 
@@ -500,13 +527,12 @@ def jm_power_coefficients(n: int, r: int) -> dict[MarkedPartition, Fraction]:
 def _marked_decomposition(
     g: GroupAlgebraElement,
 ) -> dict[MarkedPartition, Fraction]:
-    classes = _marked_index(g.n)
-    values = _class_values(g._terms, classes)
+    values = _class_values(g)
     if values is None:
         raise DomainError(f"{g!r} is not constant on every marked class")
     return {
         MarkedPartition(ctype, through): Fraction(v, g._den)
-        for (ctype, through, _), v in zip(classes, values)
+        for (ctype, through, _), v in zip(_marked_index(g.n), values)
     }
 
 
@@ -666,18 +692,23 @@ class VerificationError(RuntimeError):
 
 
 def _where_they_differ(lhs: GroupAlgebraElement, rhs: GroupAlgebraElement) -> tuple[str, str]:
-    # each side's coefficients on the permutations where the two differ, at
-    # most 8, in image-tuple order: an element prints only its degree and its
-    # number of terms, so two unequal elements can print alike
-    def at(x: GroupAlgebraElement, p: tuple[int, ...]) -> Fraction:
-        return Fraction(x._terms.get(p, 0), x._den)
-
-    keys = sorted(lhs._terms.keys() | rhs._terms.keys())
-    differ = [p for p in keys if at(lhs, p) != at(rhs, p)]
+    # each side's coefficients where the two differ, at most 8: on the marked
+    # classes, in index order, when both sides have class values, else on
+    # the permutations, in image-tuple order; an element prints only its
+    # degree and its number of terms, so two unequal elements can print alike
+    if lhs._values and rhs._values:
+        at = [MarkedPartition(ctype, through) for ctype, through, _ in _marked_index(lhs.n)]
+        places = zip(at, lhs._values, rhs._values)
+    else:
+        mine, theirs = lhs._terms, rhs._terms
+        keys = sorted(mine.keys() | theirs.keys())
+        places = ((Permutation.unchecked(p), mine.get(p, 0), theirs.get(p, 0)) for p in keys)
+    coeffs = [(at, Fraction(v, lhs._den), Fraction(w, rhs._den)) for at, v, w in places]
+    differ = [(at, x, y) for at, x, y in coeffs if x != y]
     more = [f"… ({len(differ) - 8} more)"] if len(differ) > 8 else []
     return tuple(
-        ", ".join([f"{Permutation.unchecked(p)}: {at(x, p)}" for p in differ[:8]] + more)
-        for x in (lhs, rhs)
+        ", ".join([f"{at}: {coeff[side]}" for at, *coeff in differ[:8]] + more)
+        for side in (0, 1)
     )
 
 
@@ -685,8 +716,8 @@ def run_verify(max_n: int = 4) -> list[str]:
     """Run the whole invariant suite for each n up to max_n.
 
     Returns the labels of the checks that ran; raises VerificationError with
-    both sides on the first failure.  Each n costs 5 to 11 times the one
-    before (0.5 s at n = 6 and 5.5 s at n = 7 on a 2-vCPU host), so max_n
+    both sides on the first failure.  Each n costs 4 to 7 times the one
+    before (0.2 s at n = 6 and 1.4 s at n = 7 on a 2-vCPU host), so max_n
     above `VERIFY_MAX_N` = 7 raises GuardExceeded.
     """
     _check_int(max_n, "max_n", 2)

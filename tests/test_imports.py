@@ -204,6 +204,7 @@ def test_oracle_products_stay_in_integers() -> None:
             "_class_map",
             "_constants_from",
             "_class_values",
+            "_class_terms",
             "_from_class_values",
         )
         for node in ast.walk(defined[name])

@@ -37,7 +37,9 @@ from nearcentral import (
     marked_class_size,
     marked_content,
     run_verify,
+    star_walk,
     table1_poly,
+    table1_rows,
     z1_idempotent,
 )
 from nearcentral import oracle
@@ -169,8 +171,12 @@ def _broken(
 
 
 def _assert_lowest_terms(g: GroupAlgebraElement) -> None:
-    # one positive denominator, coprime to the numerators, and no zero stored
+    # one positive denominator, coprime to the numerators, and no zero stored;
+    # class values, where held, one per marked class and coprime to it too
     assert g._den > 0
+    if g._values:
+        assert len(g._values) == len(oracle._marked_index(g.n))
+        assert math.gcd(g._den, *g._values) == 1
     assert math.gcd(g._den, *g._terms.values()) == 1
     assert 0 not in g._terms.values()
 
@@ -186,6 +192,12 @@ def test_elements_stay_in_lowest_terms(monkeypatch) -> None:
             made = [a, b, c, a + b, a - b, b + c, c - c, -a, a + (-a)]
             made += [a.scale(s) for s in (0, 2, -3, Fraction(-5, 6), Fraction(7, 4))]
             made += [ga_multiply(a, b), ga_multiply(b, c), ga_multiply(c, c)]
+            # held as class values only: a class sum, an idempotent, their
+            # sums and multiples, and their class-path products
+            mu, j = rng.choice(_marked(n))
+            k, gamma = class_sum(mu, j).scale(Fraction(-4, 6)), z1_idempotent(mu, j)
+            made += [k, gamma, k + gamma, gamma - gamma, gamma.scale(Fraction(6, 5)), zero + k]
+            made += [ga_multiply(gamma, k), ga_multiply(gamma, a)]
             with monkeypatch.context() as literal:
                 literal.setattr(oracle, "_class_values", lambda *_: None)
                 made += [ga_multiply(a, b), ga_multiply(a, zero)]
@@ -312,12 +324,96 @@ def test_the_class_product_is_the_literal_product() -> None:
         for _ in range(3):
             a = _near_central_element(rng, n, 150)
             b = _near_central_element(rng, n, 150)
-            va = oracle._class_values(a._terms, classes)
-            vb = oracle._class_values(b._terms, classes)
+            va, vb = oracle._class_values(a), oracle._class_values(b)
+            assert len(va) == len(vb) == len(classes)
             want = _literal_product(a, b)
-            for args in [(a._terms, b._terms, va, vb), (b._terms, a._terms, vb, va)]:
-                values = oracle._class_product(n, *args)
-                assert oracle._from_class_values(n, classes, values, a._den * b._den) == want
+            for args in [(a, b, va, vb), (b, a, vb, va)]:
+                got = oracle._from_class_values(n, oracle._class_product(n, *args), a._den * b._den)
+                assert got == want and dict(got.items()) == dict(want.items())
+
+
+def _class_built(rng: random.Random, n: int) -> list:
+    # makers of near-central elements built in class coordinates: a seeded
+    # signed sum of class sums, a scaled central and a scaled marked
+    # idempotent (fresh elements, not the cached ones), zero and one
+    marked = _marked(n)
+    picks = rng.sample(marked, min(3, len(marked)))
+    coeffs = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6)) for _ in picks]
+    (lam, _), (mu, j) = rng.choice(marked), rng.choice(marked)
+    zero = GroupAlgebraElement.zero
+    return [
+        lambda: sum((class_sum(*m).scale(c) for m, c in zip(picks, coeffs)), zero(n)),
+        lambda: central_idempotent(lam).scale(Fraction(-7, 3)),
+        lambda: z1_idempotent(mu, j).scale(2),
+        lambda: zero(n),
+        lambda: GroupAlgebraElement.one(n),
+    ]
+
+
+def test_class_values_and_terms_agree() -> None:
+    # each element once as built in class coordinates and once rebuilt
+    # literally from its terms: every reading and every operation agrees
+    # across the two forms
+    rng = random.Random(2030)
+    for n in range(2, 8):
+        makers = _class_built(rng, n)
+        built = [make() for make in makers]
+        assert built[0]._perms is None and built[1]._perms is None
+        literal = [GroupAlgebraElement(n, dict(make().items())) for make in makers]
+        forms = list(zip(built, literal))
+        for g, lit in forms:
+            assert g == lit and lit == g
+            assert (len(g), bool(g)) == (len(lit), bool(lit))
+            for s in (0, -1, Fraction(3, 4)):
+                assert g.scale(s) == lit.scale(s)
+            for mu, j in _marked(n):
+                want = extract_marked_coefficient(lit, mu, j)
+                assert extract_marked_coefficient(g, mu, j) == want
+        for (g, lit), (h, other) in itertools.product(forms, repeat=2):
+            for x, y in [(g, h), (g, other), (lit, h), (lit, other)]:
+                assert x + y == lit + other == g + h
+                assert x - y == lit - other == g - h
+                assert ga_multiply(x, y) == ga_multiply(lit, other) == ga_multiply(g, h)
+                assert dict(ga_multiply(x, y).items()) == dict(ga_multiply(lit, other).items())
+        # read last, as a permutation read expands the class values
+        perms = list(map(Permutation, itertools.permutations(range(1, n + 1))))
+        for g, lit in forms:
+            assert [g.coefficient(p) for p in perms] == [lit.coefficient(p) for p in perms]
+            assert dict(g.items()) == dict(lit.items())
+            assert g == lit and len(g) == len(lit)
+
+
+def test_class_valued_elements_expand_no_terms(monkeypatch, class_products) -> None:
+    # `len`, `bool`, `==`, sums, multiples, class reads and class-path
+    # products of elements held as class values list no permutation; the
+    # first permutation read expands them, once
+    n = 6
+    gamma = central_idempotent(Partition((3, 2, 1)))
+    k = class_sum(Partition((3, 2, 1)), 2).scale(Fraction(1, 3))
+    rebuilt = GroupAlgebraElement(n, dict(central_idempotent(Partition((3, 2, 1))).items()))
+    expanded = []
+    class_terms = oracle._class_terms
+
+    def spy(n, values):
+        expanded.append(n)
+        return class_terms(n, values)
+
+    monkeypatch.setattr(oracle, "_class_terms", spy)
+    assert (len(gamma), bool(gamma), bool(k.scale(0))) == (len(rebuilt), True, False)
+    assert gamma == rebuilt and rebuilt == gamma and gamma != k
+    total = gamma + k - gamma.scale(2) + GroupAlgebraElement.zero(n) - (-k)
+    product = ga_multiply(gamma, total)
+    assert len(class_products) == 1
+    assert product == ga_multiply(gamma, k).scale(2) - gamma
+    assert ga_multiply(gamma, gamma) == gamma
+    gk = ga_multiply(gamma, k)
+    read = [extract_marked_coefficient(x, Partition((3, 2, 1)), 2) for x in (product, gk, gamma)]
+    assert read[0] == 2 * read[1] - read[2]
+    assert repr(product) == "<group algebra element over S_6, 450 terms>"
+    assert expanded == []
+    identity = Permutation.identity(n)
+    assert product.coefficient(identity) == product.coefficient(identity)
+    assert expanded == [n]
 
 
 @pytest.fixture
@@ -347,8 +443,8 @@ def test_idempotents_count_each_column_once(counted_columns, class_products) -> 
         before = set(counted_columns)
         gamma = z1_idempotent(mu, j)
         assert len(class_products) == 1
-        _, ta, tb, va, vb = class_products[0]
-        smaller = va if len(ta) <= len(tb) else vb
+        _, a, b, va, vb = class_products[0]
+        smaller = va if len(a) <= len(b) else vb
         nonzero = {(n, x) for x, v in enumerate(smaller) if v}
         assert set(counted_columns) - before <= nonzero <= set(counted_columns)
         # the smaller factor is the idempotent of S_{n-1}, on classes fixing n
@@ -367,6 +463,14 @@ def test_sparse_products_list_no_group(listed_groups) -> None:
     got = ga_multiply(a, b)
     assert listed_groups == []
     assert got == _literal_product(a, b)
+
+
+def test_jm_polynomials_list_no_group(listed_groups) -> None:
+    # zero and one keep their one term or none, so the Table 1 rows at n = 9,
+    # sums and multiples of sparse Jucys-Murphy products, list no S_9
+    for _, poly in itertools.islice(table1_rows(9), 5):
+        assert evaluate_asf_at_jm(poly, 9)
+    assert listed_groups == []
 
 
 def test_marked_classes_hold_the_inverse_of_each_member() -> None:
@@ -400,7 +504,9 @@ def test_class_check_agrees_with_is_near_central() -> None:
             size = rng.randint(1, min(8, math.factorial(n)))
             for h in [g, _random_element(rng, n, size), *_broken(rng, g)]:
                 near = is_near_central(h)
-                assert (oracle._class_values(h._terms, index) is not None) == near
+                values = oracle._class_values(h)
+                assert (values is not None) == near
+                assert values is None or len(values) == len(index)
                 seen.add(near)
     assert seen == {True, False}
 
@@ -563,6 +669,23 @@ def test_a_cached_idempotent_cannot_be_rewritten() -> None:
     assert again.coefficient(_perm(1, 2, 3)) == Fraction(1, 3)
 
 
+def test_a_cached_idempotent_cannot_be_edited_in_place() -> None:
+    # the terms are read through a read-only view and the class values are a
+    # tuple, so no caller can change what a later caller reads
+    with pytest.raises(TypeError):
+        z1_idempotent(Partition((2, 1)), 2)._terms[(1, 2, 3)] = 7
+    again = z1_idempotent(Partition((2, 1)), 2)
+    assert again.coefficient(_perm(1, 2, 3)) == Fraction(1, 3)
+    # an idempotent of S_4 made by the class product holds a tuple of class
+    # values until its terms are first read, then the same read-only view
+    gamma = z1_idempotent(Partition((3, 1)), 3)
+    assert isinstance(gamma._values, tuple)
+    with pytest.raises(TypeError):
+        gamma._terms[(1, 2, 3, 4)] = 7
+    again = z1_idempotent(Partition((3, 1)), 3)
+    assert again.coefficient(Permutation.identity(4)) == Fraction(1, 4)
+
+
 def test_extract_marked_coefficient() -> None:
     k = class_sum(Partition((2, 1)), 2)
     assert extract_marked_coefficient(k, Partition((2, 1)), 2) == 1
@@ -680,6 +803,17 @@ def test_jm_power_tables() -> None:
             assert v == expected
 
 
+def test_jm_powers_at_n_9_match_the_star_walk() -> None:
+    # past its first literal products J_9^r is held as class values, so each
+    # step is one class product: r <= 6 against the integer walk, which
+    # counts each class as a whole
+    walk = star_walk(9, 6)
+    for r in range(7):
+        table = jm_power_coefficients(9, r)
+        counts = {mp: c * marked_class_size(mp.shape, mp.mark) for mp, c in table.items()}
+        assert {mp: c for mp, c in counts.items() if c} == walk[r]
+
+
 def test_jm_power_mass() -> None:
     for n in (2, 3, 4, 5):
         for r in range(5):
@@ -745,6 +879,28 @@ def test_run_verify_reports_a_broken_identity(monkeypatch) -> None:
     # J_2 (id + (1 2))/2 against twice that: each side's own coefficients
     assert failed.value.lhs == "id: 1/2, (1 2): 1/2"
     assert failed.value.rhs == "id: 1, (1 2): 1"
+
+
+def test_run_verify_names_the_marked_classes_of_a_broken_identity(
+    monkeypatch, class_products
+) -> None:
+    # broken at n = 3 only, where J_3 times the idempotent of (3)@3 takes the
+    # class path: both sides hold class values, so the mismatch is listed by
+    # marked class, each with both coefficients
+    monkeypatch.setattr(
+        oracle, "marked_content", lambda lam, i: marked_content(lam, i) + (lam.n == 3)
+    )
+    with pytest.raises(VerificationError) as failed:
+        run_verify(3)
+    assert failed.value.check == "marked idempotents diagonalize J_n @ n=3"
+    assert class_products
+    assert failed.value.lhs == "1,1,1@1: 1/3, 2,1@2: 1/3, 2,1@1: 1/3, 3@3: 1/3"
+    assert failed.value.rhs == "1,1,1@1: 1/2, 2,1@2: 1/2, 2,1@1: 1/2, 3@3: 1/2"
+    # a class where the two agree is left out
+    k = class_sum(Partition((2, 1)), 2)
+    one = k + GroupAlgebraElement.one(3) - k
+    apart = VerificationError("check", k + one.scale(2), k.scale(Fraction(1, 2)) + one)
+    assert (apart.lhs, apart.rhs) == ("1,1,1@1: 2, 2,1@2: 1", "1,1,1@1: 1, 2,1@2: 1/2")
 
 
 def test_verification_error_shows_where_elements_differ() -> None:
