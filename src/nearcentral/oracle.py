@@ -12,7 +12,11 @@ Beside the group algebra, `star_walk` recounts star factorizations as an
 integer walk over marked cycle types, cheap far past where S_n can be
 listed, so the spectral counts have a check above n = 7; and
 `genchar_strahov` recomputes generalized characters as a character sum over
-S_{n-1}, with no idempotent built.
+S_{n-1}, with no idempotent built.  Its walk visits each tau in S_{n-1}
+once, depth first, fixing tau's images one at a time: each image adds one
+edge to tau and one to pi tau, whose open chains are joined as it goes, and
+a closed cycle adds a weight for its length to a key, so no permutation is
+rescanned.
 
 One cached index lists the marked classes of S_n (the S_{n-1}-conjugacy
 classes) as image tuples, for every n up to `ORACLE_MAX_N`.  Their class
@@ -37,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 from operator import itemgetter
@@ -94,6 +97,12 @@ VERIFY_MAX_N = 7
 
 # most star sequences `enumerate_star_factorizations` walks one by one
 _STAR_SEQUENCES_MAX = 10**7
+
+# most states `star_walk` may hold, counted as its levels times the marked
+# classes of n: at this limit the slowest walks found take about 2.5 s at
+# 160 MB peak RSS (n = 15, rmax = 983) on a 2-vCPU host, where
+# star_walk(30, 80), past it, took 8 s at 310 MB
+_STAR_WALK_STATES_MAX = 5 * 10**5
 
 
 def _check_listed(n: int, what: str) -> None:
@@ -491,7 +500,8 @@ def is_near_central(g: GroupAlgebraElement) -> bool:
     Checked against the adjacent transpositions (k k+1) for k < n-1, which
     generate that subgroup.
     """
-    n, coeffs = g.n, g._terms
+    g._terms  # expands the class values, once, into g's own dict
+    n, coeffs = g.n, g._perms  # read directly: the view's get costs more
     for k in range(1, n - 1):
         # s p s for s = (k k+1): swap the positions k, k+1 of p's images, then
         # the values k, k+1
@@ -554,16 +564,22 @@ def enumerate_star_factorizations(pi: Permutation, r: int) -> int:
         lambda: f"star enumeration of length {shown(r)} walks "
         f"{counted(r, lambda m: (n - 1) ** m)} sequences",
     )
-    stars = [Permutation.transposition(a, n, n) for a in range(1, n)]
-    # depth first with a stack of (prefix, length), not by recursion: at n = 2
-    # every r passes the limit, so r may be far past the recursion limit
-    count, stack = 0, [(Permutation.identity(n), 0)]
+    # itemgetter(s(1)-1, .., s(n)-1) maps the images of p to those of p * s,
+    # as in `ga_multiply`, for each star s
+    stars = [
+        itemgetter(*[x - 1 for x in Permutation.transposition(a, n, n).images])
+        for a in range(1, n)
+    ]
+    # depth first with a stack of (prefix images, length), not by recursion:
+    # at n = 2 every r passes the limit, so r may be far past the recursion
+    # limit
+    count, target, stack = 0, pi.images, [(Permutation.identity(n).images, 0)]
     while stack:
         prefix, depth = stack.pop()
         if depth == r:
-            count += prefix == pi
+            count += prefix == target
         else:
-            stack.extend((prefix * s, depth + 1) for s in stars)
+            stack.extend((s(prefix), depth + 1) for s in stars)
     return count
 
 
@@ -580,12 +596,19 @@ def star_walk(n: int, rmax: int) -> list[dict[MarkedPartition, int]]:
     count for one permutation of the class.
 
     n above STAR_COUNT_MAX_N or rmax above STAR_CLOSED_MAX, the limits of
-    the star counts the walk verifies, raises GuardExceeded.
+    the star counts the walk verifies, raises GuardExceeded, and so does a
+    walk whose rmax + 1 levels of at most one state per marked class of n
+    could hold more than `_STAR_WALK_STATES_MAX` states.
     """
     _check_int(n, "n", 1)
     _check_int(rmax, "length")
     refuse_past(n, STAR_COUNT_MAX_N, "n", lambda: f"star walk at n={shown(n)}")
     refuse_past(rmax, STAR_CLOSED_MAX, "rmax", lambda: f"star walk of length {shown(rmax)}")
+    states = (rmax + 1) * _marked_count(n)
+    refuse_past(
+        states, _STAR_WALK_STATES_MAX, "states",
+        lambda: f"star walk of length {rmax} at n={n} holding up to {states} states",
+    )
     state: dict[tuple[tuple[int, ...], int], int] = {((1,) * n, 1): 1}
     walk = [state]
     for _ in range(rmax):
@@ -619,9 +642,10 @@ def genchar_strahov(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
     where pi is any fixed member of the marked class (lam, i); the result is
     independent of that choice.  The walk over S_{n-1} depends only on
     (lam, i): it runs once per subscript class and counts the pairs of cycle
-    types it meets, so each value is then a sum of at most p(n) p(n-1)
-    terms.  The walk is factorial in n, so every call is guarded, also when
-    the counts are already cached.
+    types it meets, joining the cycles of tau and pi tau one image of tau
+    at a time, so each value is then a sum of at most p(n) p(n-1) terms.
+    The walk is factorial in n, so every call is guarded, also when the
+    counts are already cached.
     """
     n = _common_order(mu, j, lam, i)
     _check_listed(n, "character sum over S_{n-1}")
@@ -650,19 +674,69 @@ def _strahov_histogram(
     ]
     pi = Permutation.from_cycles(n, cycles).images
     pi_of = (0, *pi).__getitem__  # pi_of(t) = pi(t), 1-indexed
-    pi_last = pi[n - 1]
     # summing chi^mu(pi sigma^{-1}) chi^{reduced}(sigma) over sigma equals
-    # summing chi^mu(pi tau) chi^{reduced}(tau): substitute tau = sigma^{-1};
-    # tau and the cycle lengths stay raw tuples because this loop is the
-    # whole cost of the route
-    counts: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
-    for tau in itertools.permutations(range(1, n)):
-        composite = (*map(pi_of, tau), pi_last)
-        counts[cycle_lengths(composite), cycle_lengths(tau)] += 1
-    return tuple(
-        (Partition.unchecked(alpha), Partition.unchecked(beta), count)
-        for (alpha, beta), count in counts.items()
-    )
+    # summing chi^mu(pi tau) chi^{reduced}(tau): substitute tau = sigma^{-1}.
+    # tau is walked depth first, fixing tau(1), tau(2), .. in turn to each
+    # image still free in increasing order, the order of
+    # itertools.permutations, so each tau is met once and a shared prefix is
+    # walked once.  Fixing tau(k) = v adds the edge k -> v to tau and
+    # k -> pi(v) to pi tau, from the tail of an open chain to the head of
+    # one.  Each side keeps, at both ends of each open chain, its other end
+    # (`tend`, `cend`), and at its head its length (`tlen`, `clen`),
+    # restored on the way back.  An edge that closes an L-cycle adds
+    # base^(L-1) to the key for tau, base^(n+L-2) for pi tau, so a leaf's
+    # key holds both cycle types as numbers of cycles per length, digits
+    # below base = n + 1; only the distinct keys become partitions
+    base = n + 1
+    tw = [0] + [base ** (m - 1) for m in range(1, n)]
+    cw = [0] + [base ** (n + m - 2) for m in range(1, n + 1)]
+    tend, tlen = list(range(n + 1)), [1] * (n + 1)
+    cend, clen = list(range(n + 1)), [1] * (n + 1)
+    # pi tau maps n to pi(n) whatever tau is
+    key, last = 0, pi[n - 1]
+    if last == n:
+        key = cw[1]
+    else:
+        cend[n], cend[last], clen[n] = last, n, 2
+    counts: dict[int, int] = {}
+    free = list(range(1, n))
+
+    def walk(k: int, key: int) -> None:
+        if len(free) < 2:
+            # the one image left closes the one open chain of each side
+            for v in free:
+                key += tw[tlen[v]] + cw[clen[pi_of(v)]]
+            counts[key] = counts.get(key, 0) + 1
+            return
+        for at in range(len(free)):
+            v = free.pop(at)
+            w, h, g, add = pi_of(v), tend[k], cend[k], 0
+            if h == v:
+                add = tw[tlen[v]]
+            else:
+                t = tend[v]
+                tend[h], tend[t], tlen[h] = t, h, tlen[h] + tlen[v]
+            if g == w:
+                add += cw[clen[w]]
+            else:
+                s = cend[w]
+                cend[g], cend[s], clen[g] = s, g, clen[g] + clen[w]
+            walk(k + 1, key + add)
+            if h != v:
+                tend[h], tend[t], tlen[h] = k, v, tlen[h] - tlen[v]
+            if g != w:
+                cend[g], cend[s], clen[g] = k, w, clen[g] - clen[w]
+            free.insert(at, v)
+
+    walk(1, key)
+
+    def parts(key: int, weights: list[int]) -> Partition:
+        lengths = range(len(weights) - 1, 0, -1)
+        return Partition.unchecked(
+            tuple(m for m in lengths for _ in range(key // weights[m] % base))
+        )
+
+    return tuple((parts(key, cw), parts(key, tw), count) for key, count in counts.items())
 
 
 def evaluate_asf_at_jm(f: Row, n: int) -> GroupAlgebraElement:

@@ -2,9 +2,9 @@
 
 A permutation is a tuple of images, 1-indexed, composed right to left.  The
 oracle works on raw tuples inside: its group-algebra elements are keyed by
-them, and the character sum (`genchar_strahov`) counts them by
-`cycle_lengths`.  `Permutation` wraps a tuple where a caller names or reads
-one permutation.
+them, and its index of marked classes groups S_n by `cycle_lengths` and
+`cycle_length_through`.  `Permutation` wraps a tuple where a caller names or
+reads one permutation.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import itertools
 import math
 import random
 import tracemalloc
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -52,6 +52,7 @@ from nearcentral import (
     superscript_sum,
     weighted_sum,
 )
+from nearcentral.permutations import cycle_lengths
 
 # the module itself: the package attribute `genchar` is the dispatcher
 genchar_module = importlib.import_module("nearcentral.genchar")
@@ -204,6 +205,7 @@ def test_strahov_histogram_counts_every_permutation_once() -> None:
     classes = _marked(1) + _marked(2) + _marked(4) + [
         (Partition((3, 2, 1)), 2),
         (Partition((2, 2, 1, 1)), 1),
+        (Partition((2,) + (1,) * 6), 2),
     ]
     for lam, i in classes:
         n = lam.n
@@ -216,6 +218,26 @@ def test_strahov_histogram_counts_every_permutation_once() -> None:
         assert by_beta == {
             beta: class_size(beta) for beta in enumerate_partitions(n - 1)
         }, (lam.parts, i)
+
+
+def test_strahov_histogram_is_the_literal_count() -> None:
+    # the walk against a Counter over itertools.permutations by
+    # cycle_lengths, for a member pi of the class taken from the oracle's
+    # index: conjugating pi by S_{n-1} permutes the tau, so any member gives
+    # the same counts.  n = 1 walks S_0, whose one member is ()
+    classes = [c for n in range(1, 8) for c in _marked(n)]
+    classes += random.Random(8).sample(_marked(8), 6)
+    for lam, i in classes:
+        n = lam.n
+        pi = next(class_sum(lam, i).support()).images
+        literal = Counter(
+            (cycle_lengths((*(pi[t - 1] for t in tau), pi[n - 1])), cycle_lengths(tau))
+            for tau in itertools.permutations(range(1, n))
+        )
+        histogram = oracle_module._strahov_histogram.__wrapped__(lam, i)
+        walked = {(alpha.parts, beta.parts): count for alpha, beta, count in histogram}
+        assert len(walked) == len(histogram), (lam.parts, i)
+        assert walked == literal, (lam.parts, i)
 
 
 def test_strahov_guard_holds_once_the_walk_is_cached(monkeypatch) -> None:

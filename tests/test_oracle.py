@@ -844,12 +844,21 @@ def test_star_factorization_enumeration() -> None:
 
 
 def test_star_enumeration_matches_jm_powers() -> None:
-    for n in (2, 3, 4):
-        for r in range(4):
+    for n in range(2, 8):
+        walk = star_walk(n, 4)
+        for r in range(5):
             table = jm_power_coefficients(n, r)
             for m, v in table.items():
                 sample = next(iter(class_sum(m.shape, m.mark).support()))
-                assert enumerate_star_factorizations(sample, r) == v
+                assert enumerate_star_factorizations(sample, r) == v, (n, r, m)
+                assert walk[r].get(m, 0) == v * marked_class_size(m.shape, m.mark)
+    # and the refusal names the sequences it would walk
+    with pytest.raises(GuardExceeded) as refused:
+        enumerate_star_factorizations(Permutation.identity(8), 9)
+    assert str(refused.value) == (
+        "star enumeration of length 9 walks 40353607 sequences; "
+        "the limit is sequences <= 10000000"
+    )
 
 
 def test_jm_evaluation_of_closed_form_rows_at_n4() -> None:

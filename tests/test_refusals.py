@@ -95,6 +95,27 @@ def test_star_sequences_are_counted_without_their_power() -> None:
         enumerate_star_factorizations(Permutation.identity(9), 8)
 
 
+def test_star_walk_is_refused_by_the_states_it_would_hold() -> None:
+    # levels times the 23,025 marked classes of 30: 21 levels fit under the
+    # limit of 5 * 10^5 states, 22 do not, and the walk of 1000 steps the
+    # length limit admits is refused before any step
+    assert len(star_walk(30, 20)) == 21
+    with pytest.raises(GuardExceeded) as refused:
+        star_walk(30, 21)
+    assert str(refused.value) == (
+        "star walk of length 21 at n=30 holding up to 506550 states; "
+        "the limit is states <= 500000"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded, match="up to 23048025 states"):
+            star_walk(30, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
 def test_numbers_are_shown_in_full_while_str_can() -> None:
     digits = sys.get_int_max_str_digits()
     assert digits == 4300  # the interpreter's default
