@@ -19,33 +19,38 @@ a closed cycle adds a weight for its length to a key, so no permutation is
 rescanned.
 
 One cached index lists the marked classes of S_n (the S_{n-1}-conjugacy
-classes) as image tuples, for every n up to `ORACLE_MAX_N`.  Their class
-sums are a basis of Z1(n), the elements that commute with S_{n-1}, and an
-element of Z1(n) is held as one numerator per class for as long as no
-permutation is read: class sums, idempotents, their sums, multiples and
-class-path products never list their terms.  Z1(n) is closed under
-products, so `ga_multiply` takes a product in it class by class, from the
-structure constants of Z1(n): for class C with first member k,
+classes) as image tuples, for every n up to `ORACLE_MAX_N`, from one walk
+over S_n like the character sum's, whose last image closes the cycle
+through n.  Their class sums are a basis of Z1(n), the elements that
+commute with S_{n-1}, and an element of Z1(n) is held as one numerator per
+class for as long as no permutation is read: class sums, idempotents,
+their sums, multiples and class-path products never list their terms, and
+such an element is near-central when each class of the index is closed
+under the generators of S_{n-1}, checked once per n.  Z1(n) is closed
+under products, so `ga_multiply` takes a product in it class by class,
+from the structure constants of Z1(n): for class C with first member k,
 #{p in class x : p k in class y}.  They are counted one factor class x at a
 time, by composing each member of x with one member of every class and
 looking the result up in a cached map from permutation to class number,
 and kept, so a cold product composes what a direct sum over its smaller
-factor would, and a repeated one composes nothing.  As Z1(n) is
-commutative and a marked class holds the inverse of each member, no
-inverse is formed.  Every other product composes image tuples term by
-term, with one `operator.itemgetter` per right-hand permutation; the tests
-compare the class product with it.
+factor would, and a repeated one composes nothing.  The larger factor
+keeps the columns of its multiplication operator that a product summed, so
+a factor used again only multiplies and adds.  As Z1(n) is commutative and
+a marked class holds the inverse of each member, no inverse is formed.
+Every other product composes image tuples term by term, with one
+`operator.itemgetter` per right-hand permutation; the tests compare the
+class product with it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import cache
-from operator import itemgetter
+from itertools import accumulate, compress, repeat
+from operator import add, itemgetter, mul, sub
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .characters import chi
 from .errors import DomainError, counted, refuse_past, shown
@@ -62,7 +67,7 @@ from .partitions import (
     enumerate_partitions,
     marked_class_size,
 )
-from .permutations import Permutation, cycle_length_through, cycle_lengths
+from .permutations import Permutation
 from .starcount import STAR_CLOSED_MAX, STAR_COUNT_MAX_N
 from .tableaux import dimension, marked_content
 
@@ -91,9 +96,9 @@ __all__ = [
 # about the most pure Python enumerates in reasonable time
 ORACLE_MAX_N = 9
 
-# largest n `run_verify` checks: 0.2 s at n = 6 and 1.4 s at n = 7 on a 2-vCPU
-# host, each n 4 to 7 times the one before
-VERIFY_MAX_N = 7
+# largest n `run_verify` checks: 0.45 s at n = 7 and 2.9 s at 31 MB peak RSS
+# at n = 8 on a 2-vCPU host, each n 3 to 7 times the one before
+VERIFY_MAX_N = 8
 
 # most star sequences `enumerate_star_factorizations` walks one by one
 _STAR_SEQUENCES_MAX = 10**7
@@ -136,8 +141,12 @@ class GroupAlgebraElement(_Value):
     """
 
     # _perms: numerators by image tuple, None until expanded; _values: class
-    # numerators, None until read, () when not constant on every class
-    __slots__ = ("_n", "_den", "_perms", "_values")
+    # numerators, None until read, () when not constant on every class;
+    # _operator: the columns of this element's multiplication operator on
+    # class values, by class, None until a product first builds one
+    # (`_operator_columns`), and left out of copies
+    __slots__ = ("_n", "_den", "_perms", "_values", "_operator")
+    _derived = ("_operator",)
 
     def __init__(self, n: int, terms: Mapping[Permutation, Fraction | int] = ()):
         _check_int(n, "n")
@@ -158,6 +167,7 @@ class GroupAlgebraElement(_Value):
         _set_den(self, den // common)
         _set_perms(self, None if terms is None else {p: v // common for p, v in terms.items() if v})
         _set_values(self, None if values is None else tuple(v // common for v in values))
+        _set_operator(self, None)
 
     @classmethod
     def _make(
@@ -206,7 +216,7 @@ class GroupAlgebraElement(_Value):
     def __len__(self) -> int:
         if self._perms is not None:
             return len(self._perms)
-        return sum(len(m) for (_, _, m), v in zip(_marked_index(self._n), self._values) if v)
+        return sum(compress(_class_sizes(self._n), self._values))
 
     def __bool__(self) -> bool:
         return bool(self._perms) if self._perms is not None else any(self._values)
@@ -277,6 +287,7 @@ _set_n = GroupAlgebraElement._n.__set__
 _set_den = GroupAlgebraElement._den.__set__
 _set_perms = GroupAlgebraElement._perms.__set__
 _set_values = GroupAlgebraElement._values.__set__
+_set_operator = GroupAlgebraElement._operator.__set__
 
 
 @cache
@@ -284,17 +295,65 @@ def _marked_index(n: int) -> tuple[tuple[Partition, int, tuple[tuple[int, ...], 
     # (cycle type, length of the cycle through n, members as image tuples)
     # for each marked class of S_n, in the order its first member comes in
     # the lexicographic listing of S_n; kept for the life of the process, so
-    # at n = ORACLE_MAX_N = 9 it holds all 362,880 permutations (about a
-    # second and 44 MB to build)
-    grouped: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
-    for images in itertools.permutations(range(1, n + 1)):
-        # S_0 holds only the empty permutation, with no cycle through n
-        through = cycle_length_through(images, n) if n else 0
-        grouped.setdefault((cycle_lengths(images), through), []).append(images)
-    return tuple(
-        (Partition.unchecked(parts), through, tuple(members))
-        for (parts, through), members in grouped.items()
-    )
+    # at n = ORACLE_MAX_N = 9 it holds all 362,880 permutations (about 0.4 s
+    # and 43 MB to build).  S_n is walked as `_strahov_histogram` walks
+    # S_{n-1}: p(1), p(2), .. are fixed in turn to each image still free in
+    # increasing order, so members come in lexicographic order.  Each edge
+    # k -> p(k) joins two open chains (`end` holds each chain's other end at
+    # both its ends, `length` its length at its head) or closes one into an
+    # L-cycle, which adds base^(L-1) to an int key, base = n + 1.  The last
+    # image closes the cycle through n, the last symbol without an image,
+    # and adds its length L times base^n too, so a key holds the cycle type
+    # as digits and the mark above them; only the distinct keys become
+    # partitions
+    base = n + 1
+    top = base**n
+    weight = [0] + [base ** (m - 1) for m in range(1, n + 1)]
+    last = [w + m * top for m, w in enumerate(weight)]
+    end, length = list(range(n + 1)), [1] * (n + 1)
+    images, free = [0] * n, list(range(1, n + 1))
+    grouped: dict[int, list[tuple[int, ...]]] = {}
+
+    def walk(k: int, key: int) -> None:
+        for at in range(len(free)):
+            v = free.pop(at)
+            images[k - 1] = v
+            h, closed = end[k], 0
+            if h == v:
+                closed = weight[length[v]]
+            else:
+                t = end[v]
+                end[h], end[t], length[h] = t, h, length[h] + length[v]
+            if k + 1 < n:
+                walk(k + 1, key + closed)
+            else:
+                u = images[k] = free[0]
+                leaf = key + closed + last[length[u]]
+                if leaf in grouped:
+                    grouped[leaf].append(tuple(images))
+                else:
+                    grouped[leaf] = [tuple(images)]
+            if h != v:
+                end[h], end[t], length[h] = k, v, length[h] - length[v]
+            free.insert(at, v)
+
+    if n > 1:
+        walk(1, 0)
+    else:
+        # the identity alone: mark 1 in S_1, and 0 in S_0, with no cycle through n
+        grouped[last[n]] = [tuple(range(1, n + 1))]
+    index = []
+    for key, members in grouped.items():
+        through, key = divmod(key, top)
+        parts = tuple(m for m in range(n, 0, -1) for _ in range(key // weight[m] % base))
+        index.append((Partition.unchecked(parts), through, tuple(members)))
+    return tuple(index)
+
+
+@cache
+def _class_sizes(n: int) -> tuple[int, ...]:
+    # the number of members of each marked class, in `_marked_index` order
+    return tuple(len(members) for _, _, members in _marked_index(n))
 
 
 def _class_values(g: GroupAlgebraElement) -> tuple[int, ...] | None:
@@ -345,23 +404,30 @@ def _class_map(n: int) -> tuple[dict[tuple[int, ...], int], tuple[itemgetter, ..
 
 
 @cache
-def _constants_from(n: int, x: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # row C, for the C-th marked class of S_n with first member k: the pairs
-    # (y, #{p in class x : p k in class y}) of nonzero count, the structure
-    # constants of Z1(n) from class x; counted by composing k with every
-    # member of class x, as many compositions as a product over the support
-    # of class x
+def _constants_from(n: int, x: int) -> tuple[itemgetter, tuple[int, ...], itemgetter, itemgetter]:
+    # the structure constants of Z1(n) from class x, flat: row C, for the
+    # C-th marked class of S_n with first member k, is the pairs (y,
+    # #{p in class x : p k in class y}) of nonzero count, from position
+    # ends[C] up to ends[C+1], kept as (the itemgetter of every row's y in
+    # turn, the counts, the itemgetters of ends[1:] and of ends[:-1]), so
+    # that an operator column sums them in C loops; n >= 2, so each getter
+    # picks a tuple.  Counted by composing k with every member of class x,
+    # as many compositions as a product over the support of class x
     class_of, composers = _class_map(n)
     members = _marked_index(n)[x][2]
-    rows = []
+    ys: list[int] = []
+    counts: list[int] = []
+    ends = [0]
     for at in composers:
         # a dict, not a Counter, whose setup outweighs its counting on the
         # small classes a cold idempotent counts (0.7 against 1.1 ms at n = 6)
-        counts: dict[int, int] = {}
+        row: dict[int, int] = {}
         for y in map(class_of.__getitem__, map(at, members)):
-            counts[y] = counts.get(y, 0) + 1
-        rows.append(tuple(counts.items()))
-    return tuple(rows)
+            row[y] = row.get(y, 0) + 1
+        ys += row
+        counts += row.values()
+        ends.append(len(ys))
+    return itemgetter(*ys), tuple(counts), itemgetter(*ends[1:]), itemgetter(*ends[:-1])
 
 
 def _class_product(
@@ -373,16 +439,34 @@ def _class_product(
     # value at one member k of class C is sum_p a(p) b(p^-1 k) =
     # sum_p a(p) b(p k) by p -> p^-1, as a marked class holds the inverse of
     # each member and a takes one value on it, that is
-    # sum_x a_x sum_y #{p in class x : p k in class y} b_y.  Such elements
-    # commute with each other, so the factors are swapped to let x run over
-    # the classes of the smaller support
+    # sum_x a_x W_b[x][C], with b's operator W_b[x][C] =
+    # sum_y #{p in class x : p k in class y} b_y.  Such elements commute
+    # with each other, so the factors are swapped to let x run over the
+    # classes of the smaller support
     if len(b) < len(a):
-        va, vb = vb, va
-    held = [(v, _constants_from(n, x)) for x, v in enumerate(va) if v]
-    return [
-        sum(v * count * vb[y] for v, rows in held for y, count in rows[c])
-        for c in range(len(va))
-    ]
+        a, b, va, vb = b, a, vb, va
+    xs = [x for x, v in enumerate(va) if v]
+    total = [0] * len(va)
+    for x, column in zip(xs, _operator_columns(n, b, vb, xs)):
+        total = list(map(add, total, map(mul, column, repeat(va[x]))))
+    return total
+
+
+def _operator_columns(n: int, b: GroupAlgebraElement, vb: tuple, xs: list[int]) -> list[tuple]:
+    # the columns W_b[x] of b's multiplication operator for the classes xs,
+    # each summed from the structure constants of class x the first time a
+    # product asks for it, and kept on b
+    held = b._operator
+    if held is None:
+        held = {}
+        _set_operator(b, held)
+    for x in xs:
+        if x not in held:
+            # each row a difference of running sums
+            pick, counts, ends, starts = _constants_from(n, x)
+            running = list(accumulate(map(mul, counts, pick(vb)), initial=0))
+            held[x] = tuple(map(sub, ends(running), starts(running)))
+    return [held[x] for x in xs]
 
 
 def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -397,10 +481,13 @@ def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraE
     member k of C, as such elements commute and each marked class is closed
     under inversion.  The constants from class x are counted, by |x|
     compositions per class, the first time the smaller factor is nonzero on
-    x, and kept.  Every other product expands both factors' terms and is
-    taken term by term; it lists no class when neither factor has more
-    terms than S_n has marked classes.  Either way the integer numerators
-    are multiplied over the product of the two denominators.
+    x, and kept; the larger factor b keeps each column W_b[x][C] =
+    sum_y T_C[x, y] b_y of its operator that a product sums, so a product
+    with b again is one multiply-add per class and column.  Every other
+    product expands both factors' terms and is taken term by term; it lists
+    no class when neither factor has more terms than S_n has marked
+    classes.  Either way the integer numerators are multiplied over the
+    product of the two denominators.
     """
     if a.n != b.n:
         raise DomainError("cannot multiply elements of different group algebras")
@@ -498,23 +585,44 @@ def is_near_central(g: GroupAlgebraElement) -> bool:
     """Whether g commutes with every permutation fixing the last symbol.
 
     Checked against the adjacent transpositions (k k+1) for k < n-1, which
-    generate that subgroup.
+    generate that subgroup.  An element that holds class values takes one
+    value on each marked class, so it commutes with them when every class
+    of the index is closed under conjugation by each (k k+1): that is
+    checked once per n, member by member, and kept.  Any other element
+    holds its terms, and is checked term by term.
     """
-    g._terms  # expands the class values, once, into g's own dict
-    n, coeffs = g.n, g._perms  # read directly: the view's get costs more
+    n = g.n
+    if g._values:
+        return _index_is_closed(n)
+    coeffs = g._perms  # read directly: the view's get costs more
+    return all(
+        coeffs.get(tuple(map(relabel, swap(images)))) == c
+        for swap, relabel in _conjugations(n)
+        for images, c in coeffs.items()
+    )
+
+
+@cache
+def _index_is_closed(n: int) -> bool:
+    # whether conjugation by each (k k+1), k < n-1, maps every member of each
+    # marked class of the index into the same class
+    classes = [set(members) for _, _, members in _marked_index(n)]
+    return all(
+        members.issuperset(tuple(map(relabel, swap(p))) for p in members)
+        for swap, relabel in _conjugations(n)
+        for members in classes
+    )
+
+
+def _conjugations(n: int) -> Iterator[tuple[itemgetter, Callable[[int], int]]]:
+    # s p s for each s = (k k+1), k < n-1, as two maps: the first swaps the
+    # positions k, k+1 of p's images, the second then the values k, k+1
     for k in range(1, n - 1):
-        # s p s for s = (k k+1): swap the positions k, k+1 of p's images, then
-        # the values k, k+1
         positions = list(range(n))
         positions[k - 1], positions[k] = k, k - 1
-        swap_positions = itemgetter(*positions)
         relabel = list(range(n + 1))
         relabel[k], relabel[k + 1] = k + 1, k
-        swap_value = relabel.__getitem__
-        for images, c in coeffs.items():
-            if coeffs.get(tuple(map(swap_value, swap_positions(images)))) != c:
-                return False
-    return True
+        yield itemgetter(*positions), relabel.__getitem__
 
 
 def jm_power_coefficients(n: int, r: int) -> dict[MarkedPartition, Fraction]:
@@ -668,7 +776,7 @@ def _strahov_histogram(
     # consecutive blocks of the remaining symbols
     rest = list(lam.parts)
     rest.remove(i)
-    starts = itertools.accumulate(rest, initial=i)
+    starts = accumulate(rest, initial=i)
     cycles = [(*range(1, i), n)] + [
         tuple(range(s, s + length)) for s, length in zip(starts, rest)
     ]
@@ -790,9 +898,9 @@ def run_verify(max_n: int = 4) -> list[str]:
     """Run the whole invariant suite for each n up to max_n.
 
     Returns the labels of the checks that ran; raises VerificationError with
-    both sides on the first failure.  Each n costs 4 to 7 times the one
-    before (0.2 s at n = 6 and 1.4 s at n = 7 on a 2-vCPU host), so max_n
-    above `VERIFY_MAX_N` = 7 raises GuardExceeded.
+    both sides on the first failure.  Each n costs 3 to 7 times the one
+    before (0.45 s at n = 7 and 2.9 s at n = 8 on a 2-vCPU host), so max_n
+    above `VERIFY_MAX_N` = 8 raises GuardExceeded.
     """
     _check_int(max_n, "max_n", 2)
     refuse_past(

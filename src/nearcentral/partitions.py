@@ -33,9 +33,12 @@ __all__ = [
 class _Value:
     """The one immutability and pickle policy of the value types: attribute
     syntax can neither rebind nor delete a slot, and pickle and copy store
-    the slots back through their own setters, unchecked."""
+    the slots back through their own setters, unchecked.  A slot named in
+    `_derived` holds what is derived from the others, so a copy stores None
+    there, as a fresh value holds before deriving it."""
 
     __slots__ = ()
+    _derived: tuple[str, ...] = ()
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -44,7 +47,8 @@ class _Value:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return _restore, (type(self), tuple(getattr(self, s) for s in self.__slots__))
+        stored = (None if s in self._derived else getattr(self, s) for s in self.__slots__)
+        return _restore, (type(self), tuple(stored))
 
 
 def _restore(cls: type, values: tuple) -> _Value:

@@ -2,9 +2,10 @@
 
 A permutation is a tuple of images, 1-indexed, composed right to left.  The
 oracle works on raw tuples inside: its group-algebra elements are keyed by
-them, and its index of marked classes groups S_n by `cycle_lengths` and
-`cycle_length_through`.  `Permutation` wraps a tuple where a caller names or
-reads one permutation.
+them.  `Permutation` wraps a tuple where a caller names or reads one
+permutation, and `cycle_lengths` and `cycle_length_through` scan one tuple
+for its cycle type and for the cycle through a symbol; the oracle's walks
+over S_n and S_{n-1} close each cycle as they go and call neither.
 """
 
 from __future__ import annotations

@@ -192,16 +192,16 @@ def test_oracle_verify_reports_a_broken_identity(capsys, monkeypatch) -> None:
 
 
 def test_oracle_verify_guard(capsys, monkeypatch) -> None:
-    # n = 8 is refused before any n is verified; n = 7 gets through to the
+    # n = 9 is refused before any n is verified; n = 8 gets through to the
     # suite, which fails here on purpose
     monkeypatch.setattr("nearcentral.oracle.enumerate_partitions", _refuse)
-    code, doc, _ = _invoke(capsys, ["oracle", "verify", "--max-n", "8"])
+    code, doc, _ = _invoke(capsys, ["oracle", "verify", "--max-n", "9"])
     assert code == 2
     assert doc["status"] == "error"
-    assert "the 40320 permutations of S_n at n=8" in doc["error"]
-    assert "at n=8; the limit is n <= 7" in doc["error"]
+    assert "the 362880 permutations of S_n at n=9" in doc["error"]
+    assert "at n=9; the limit is n <= 8" in doc["error"]
     with pytest.raises(AssertionError):
-        run(["oracle", "verify", "--max-n", "7"])
+        run(["oracle", "verify", "--max-n", "8"])
     capsys.readouterr()
 
 

@@ -932,6 +932,33 @@ def test_multi_product_triple_swap_class() -> None:
     assert multi_product_coefficient(factors, lam, 1) == 2
 
 
+def test_swap_class_powers_are_star_counts() -> None:
+    # the r-fold product of the swap class (2, 1^{n-2})@2 is J_n^r, so its
+    # coefficients are the star counts: a seeded tenth of the marked classes
+    # of n = 6, 10 and 14, for r = 1..8
+    rng = random.Random(2032)
+    for n in (6, 10, 14):
+        swap = (Partition((2,) + (1,) * (n - 2)), 2)
+        marked = _marked(n)
+        for lam, i in rng.sample(marked, len(marked) // 10 + 1):
+            for r in range(1, 9):
+                assert multi_product_coefficient([swap] * r, lam, i) == star_count(lam, i, r)
+
+
+def test_products_past_the_factor_limit_are_refused(monkeypatch) -> None:
+    # refused before any factor is read: a bad mark past the limit goes
+    # unchecked, and no column is built; at the limit the product is taken
+    swap = (Partition((2, 1)), 2)
+    limit = genchar_module._PRODUCT_FACTORS_MAX
+    assert multi_product_coefficient([swap] * limit, *swap) == star_count(*swap, limit)
+    monkeypatch.setattr(genchar_module, "_column", _refuse)
+    with pytest.raises(GuardExceeded) as refused:
+        multi_product_coefficient([swap] * limit + [(Partition((2, 1)), 3)], *swap)
+    assert str(refused.value) == (
+        f"product of {limit + 1} marked class sums; the limit is factors <= {limit}"
+    )
+
+
 def test_multi_product_pair_reduces_to_connection_coefficient() -> None:
     for n in (3, 4):
         marked = _marked(n)

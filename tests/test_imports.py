@@ -156,24 +156,17 @@ def test_marked_shapes_are_listed_in_three_places_only() -> None:
     assert not found
 
 
-def test_symmetric_groups_are_listed_in_two_places_only() -> None:
-    # S_n is listed by the oracle's marked-class index and walked once per
-    # subscript class by the character sum; everything else reads the index,
-    # so no second list of S_n is kept
-    allowed = {
-        ("oracle.py", "_marked_index"),
-        ("oracle.py", "_strahov_histogram"),
-    }
-    found = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            where = (path.name, getattr(top, "name", "<module>"))
-            for node in ast.walk(top):
-                if not isinstance(node, ast.Call) or where in allowed:
-                    continue
-                called = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if called == "permutations":
-                    found.append(f"{path.name}:{node.lineno} in {where[1]}")
+def test_symmetric_groups_are_walked_image_by_image() -> None:
+    # the oracle's marked-class index lists S_n and the character sum walks
+    # S_{n-1}, each depth first, one image at a time; everything else reads
+    # the index, so no module calls `permutations`
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "permutations"
+    ]
     assert not found
 
 
@@ -203,6 +196,7 @@ def test_oracle_products_stay_in_integers() -> None:
             "_class_product",
             "_class_map",
             "_constants_from",
+            "_operator_columns",
             "_class_values",
             "_class_terms",
             "_from_class_values",

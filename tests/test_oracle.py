@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -131,13 +133,21 @@ def _random_element(rng: random.Random, n: int, size: int) -> GroupAlgebraElemen
 
 
 @functools.cache
-def _marked_members(n: int) -> tuple[tuple[Permutation, ...], ...]:
-    # the marked classes of S_n, listed here apart from the oracle's index
-    classes: dict[tuple[Partition, int], list[Permutation]] = {}
+def _listed_classes(n: int) -> tuple[tuple[Partition, int, tuple[tuple[int, ...], ...]], ...]:
+    # the marked classes of S_n, listed here apart from the oracle's index:
+    # (cycle type, cycle through n, members as image tuples), grouped from
+    # the lexicographic listing of S_n; S_0 has no cycle through n
+    classes: dict[tuple[Partition, int], list[tuple[int, ...]]] = {}
     for images in itertools.permutations(range(1, n + 1)):
         p = Permutation(images)
-        classes.setdefault((p.cycle_type(), p.cycle_length_through(n)), []).append(p)
-    return tuple(map(tuple, classes.values()))
+        through = p.cycle_length_through(n) if n else 0
+        classes.setdefault((p.cycle_type(), through), []).append(images)
+    return tuple((ctype, through, tuple(ms)) for (ctype, through), ms in classes.items())
+
+
+@functools.cache
+def _marked_members(n: int) -> tuple[tuple[Permutation, ...], ...]:
+    return tuple(tuple(map(Permutation, ms)) for _, _, ms in _listed_classes(n))
 
 
 def _near_central_element(
@@ -471,6 +481,56 @@ def test_jm_polynomials_list_no_group(listed_groups) -> None:
     for _, poly in itertools.islice(table1_rows(9), 5):
         assert evaluate_asf_at_jm(poly, 9)
     assert listed_groups == []
+
+
+def test_the_index_groups_the_listing_of_s_n() -> None:
+    # the walk's classes and members, in order, are those of S_n listed
+    # lexicographically and grouped by cycle type and the cycle through n
+    for n in range(0, 8):
+        assert oracle._marked_index(n) == _listed_classes(n)
+
+
+def test_a_factor_keeps_its_operator(counted_columns) -> None:
+    # the larger factor keeps the columns of its operator for the classes
+    # where the smaller one is nonzero, so a repeated product counts and
+    # builds nothing; equality and copies leave the columns out
+    n = 6
+    gamma = central_idempotent(Partition((3, 2, 1)))
+    swap, cycle = class_sum(Partition((2, 1, 1, 1, 1)), 2), class_sum(Partition((6,)), 6)
+    assert gamma._operator is None
+    first = ga_multiply(swap, gamma)
+    x = oracle._class_values(swap).index(1)
+    assert list(gamma._operator) == [x] and swap._operator is None
+    column = gamma._operator[x]
+    assert ga_multiply(cycle, gamma) == _literal_product(cycle, gamma)
+    assert len(gamma._operator) == 2
+    counted = list(counted_columns)
+    assert ga_multiply(gamma, swap) == first == _literal_product(swap, gamma)
+    assert counted_columns == counted and gamma._operator[x] is column
+    fresh = central_idempotent(Partition((3, 2, 1)))
+    assert fresh == gamma and gamma == fresh
+    copied = pickle.loads(pickle.dumps(gamma))
+    assert copied._operator is None and copied == gamma
+    assert copy.copy(gamma)._operator is None
+
+
+def test_class_values_are_near_central_by_the_index(monkeypatch) -> None:
+    # an element holding class values is near-central when every class of
+    # the index is closed under conjugation by each (k k+1), checked once
+    # per n and read without expanding a term; an index with a member moved
+    # to another class fails that check
+    gamma = z1_idempotent(Partition((3, 2, 1)), 2).scale(3)
+    assert is_near_central(gamma) and gamma._perms is None
+    assert is_near_central(GroupAlgebraElement(6, dict(gamma.items())))
+    index = oracle._marked_index(4)
+    # (2 1 1)@2 holds (3 4) and (2 4), conjugate by (2 3)
+    (c1, t1, m1), (c2, t2, m2) = index[1:3]
+    assert (c1, t1) == (Partition((2, 1, 1)), 2) and m1[0] == (1, 2, 4, 3)
+    moved = ((c1, t1, m1[1:]), (c2, t2, m2 + m1[:1]))
+    monkeypatch.setattr(oracle, "_marked_index", lambda n: index[:1] + moved + index[3:])
+    assert not oracle._index_is_closed.__wrapped__(4)
+    monkeypatch.undo()
+    assert all(oracle._index_is_closed.__wrapped__(n) for n in range(0, 8))
 
 
 def test_marked_classes_hold_the_inverse_of_each_member() -> None:
