@@ -12,11 +12,14 @@ Beside the group algebra, `star_walk` recounts star factorizations as an
 integer walk over marked cycle types, cheap far past where S_n can be
 listed, so the spectral counts have a check above n = 7; and
 `genchar_strahov` recomputes generalized characters as a character sum over
-S_{n-1}, with no idempotent built.  Its walk visits each tau in S_{n-1}
-once, depth first, fixing tau's images one at a time: each image adds one
-edge to tau and one to pi tau, whose open chains are joined as it goes, and
-a closed cycle adds a weight for its length to a key, so no permutation is
-rescanned.
+S_{n-1}, with no idempotent built.  Its walk goes over S_{n-1} depth first,
+fixing tau's images one at a time: each image adds one edge to tau and one
+to pi tau, whose open chains are joined as it goes, and a closed cycle adds
+a weight for its length to a key, so no permutation is rescanned.  The walk
+is taken up to pi's own symmetry: the images of tau(k) that lie in cycles of
+pi of one length which tau's earlier images and 1..k leave untouched give
+conjugate branches, so it walks one of them, weighted by their number.  Only
+pi's cycle lengths enter it, no character, structure constant or class index.
 
 One cached index lists the marked classes of S_n (the S_{n-1}-conjugacy
 classes) as image tuples, for every n up to `ORACLE_MAX_N`, from one walk
@@ -52,7 +55,7 @@ from operator import add, itemgetter, mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .characters import chi
+from .characters import _beta_mask, _mn, chi
 from .errors import DomainError, counted, refuse_past, shown
 from .genchar import JMVariables, Row, _common_order, _marked_count, genchar, table1_rows
 from .partitions import (
@@ -751,15 +754,18 @@ def genchar_strahov(mu: Partition, j: int, lam: Partition, i: int) -> Fraction:
     independent of that choice.  The walk over S_{n-1} depends only on
     (lam, i): it runs once per subscript class and counts the pairs of cycle
     types it meets, joining the cycles of tau and pi tau one image of tau
-    at a time, so each value is then a sum of at most p(n) p(n-1) terms.
-    The walk is factorial in n, so every call is guarded, also when the
-    counts are already cached.
+    at a time and walking one branch, weighted, for images that pi's own
+    symmetry makes interchangeable, so each value is then a sum of at most
+    p(n) p(n-1) terms, each two Murnaghan-Nakayama lookups.  The walk is
+    factorial in n, so every call is guarded, also when the counts are
+    already cached.
     """
     n = _common_order(mu, j, lam, i)
     _check_listed(n, "character sum over S_{n-1}")
     reduced = decrement_part(mu, j)
+    upper, lower = _beta_mask(mu.parts), _beta_mask(reduced.parts)
     total = sum(
-        count * chi(mu, alpha) * chi(reduced, beta)
+        count * _mn(upper, alpha.parts) * _mn(lower, beta.parts)
         for alpha, beta, count in _strahov_histogram(lam, i)
     )
     return Fraction(dimension(reduced) * total, math.factorial(n - 1))
@@ -773,28 +779,37 @@ def _strahov_histogram(
     # that pair), for the fixed pi of (lam, i) below
     n = lam.n
     # n sits on the marked i-cycle with 1..i-1; the other parts take
-    # consecutive blocks of the remaining symbols
+    # consecutive blocks (first point, length) of the remaining symbols,
+    # longest first, so the fixed points come last
     rest = list(lam.parts)
     rest.remove(i)
-    starts = accumulate(rest, initial=i)
-    cycles = [(*range(1, i), n)] + [
-        tuple(range(s, s + length)) for s, length in zip(starts, rest)
-    ]
+    blocks = tuple(zip(accumulate(rest, initial=i), rest))
+    cycles = [(*range(1, i), n)] + [tuple(range(s, s + length)) for s, length in blocks]
     pi = Permutation.from_cycles(n, cycles).images
     pi_of = (0, *pi).__getitem__  # pi_of(t) = pi(t), 1-indexed
     # summing chi^mu(pi sigma^{-1}) chi^{reduced}(sigma) over sigma equals
     # summing chi^mu(pi tau) chi^{reduced}(tau): substitute tau = sigma^{-1}.
-    # tau is walked depth first, fixing tau(1), tau(2), .. in turn to each
-    # image still free in increasing order, the order of
-    # itertools.permutations, so each tau is met once and a shared prefix is
-    # walked once.  Fixing tau(k) = v adds the edge k -> v to tau and
-    # k -> pi(v) to pi tau, from the tail of an open chain to the head of
-    # one.  Each side keeps, at both ends of each open chain, its other end
-    # (`tend`, `cend`), and at its head its length (`tlen`, `clen`),
-    # restored on the way back.  An edge that closes an L-cycle adds
-    # base^(L-1) to the key for tau, base^(n+L-2) for pi tau, so a leaf's
-    # key holds both cycle types as numbers of cycles per length, digits
-    # below base = n + 1; only the distinct keys become partitions
+    # tau is walked depth first, fixing tau(1), tau(2), .. in turn to images
+    # still free, in increasing order, so a shared prefix is walked once.
+    # Fixing tau(k) = v adds the edge k -> v to tau and k -> pi(v) to pi tau,
+    # from the tail of an open chain to the head of one.  Each side keeps,
+    # at both ends of each open chain, its other end (`tend`, `cend`), and
+    # at its head its length (`tlen`, `clen`), restored on the way back.  An
+    # edge that closes an L-cycle adds base^(L-1) to the key for tau,
+    # base^(n+L-2) for pi tau, so a leaf's key holds both cycle types as
+    # numbers of cycles per length, digits below base = n + 1; only the
+    # distinct keys become partitions.
+    #
+    # The walk is taken up to pi's symmetry.  An unmarked cycle of pi is
+    # untouched at level k when its first point is past k and none of its
+    # points is an image yet.  Conjugating by a sigma in pi's centralizer
+    # that permutes and rotates the untouched L-cycles fixes 1..k, n and the
+    # images taken, keeps the cycle types of tau and pi tau, and maps the
+    # branch tau(k) = v one-to-one onto tau(k) = sigma(v).  So of the free
+    # images in untouched L-cycles only the first is tried, weighted by how
+    # many there are, and a leaf adds the product of the weights on its path.
+    # Each level hands the next the untouched cycles as (first point,
+    # length), in block order, less the one an image was taken from
     base = n + 1
     tw = [0] + [base ** (m - 1) for m in range(1, n)]
     cw = [0] + [base ** (n + m - 2) for m in range(1, n + 1)]
@@ -808,15 +823,46 @@ def _strahov_histogram(
         cend[n], cend[last], clen[n] = last, n, 2
     counts: dict[int, int] = {}
     free = list(range(1, n))
+    # (place in free, weight, untouched cycles below) for each image tried:
+    # with no untouched cycle, every free image, once
+    every = [tuple((at, 1, ()) for at in range(m)) for m in range(n)]
 
-    def walk(k: int, key: int) -> None:
+    def branches(
+        untouched: tuple[tuple[int, int], ...]
+    ) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
+        # every free image outside the untouched cycles, and for each length
+        # L the first point of the first untouched L-cycle, for all the
+        # points of the untouched L-cycles
+        inside, lead = set(), {}
+        for at, (s, length) in enumerate(untouched):
+            inside.update(range(s, s + length))
+            if length in lead:
+                lead[length][1] += length
+            else:
+                lead[length] = [s, length, untouched[:at] + untouched[at + 1 :]]
+        picked = {s: (weight, below) for s, weight, below in lead.values()}
+        tried = []
+        for at, v in enumerate(free):
+            if v not in inside:
+                tried.append((at, 1, untouched))
+            elif v in picked:
+                tried.append((at, *picked[v]))
+        return tried
+
+    def walk(k: int, key: int, weight: int, untouched: tuple[tuple[int, int], ...]) -> None:
         if len(free) < 2:
             # the one image left closes the one open chain of each side
             for v in free:
                 key += tw[tlen[v]] + cw[clen[pi_of(v)]]
-            counts[key] = counts.get(key, 0) + 1
+            counts[key] = counts.get(key, 0) + weight
             return
-        for at in range(len(free)):
+        # the cycle that starts at k is no longer untouched, and a lone
+        # untouched fixed point merges no branches
+        if untouched and untouched[0][0] == k:
+            untouched = untouched[1:]
+        if len(untouched) == 1 and untouched[0][1] == 1:
+            untouched = ()
+        for at, m, below in branches(untouched) if untouched else every[len(free)]:
             v = free.pop(at)
             w, h, g, add = pi_of(v), tend[k], cend[k], 0
             if h == v:
@@ -829,14 +875,14 @@ def _strahov_histogram(
             else:
                 s = cend[w]
                 cend[g], cend[s], clen[g] = s, g, clen[g] + clen[w]
-            walk(k + 1, key + add)
+            walk(k + 1, key + add, weight * m, below)
             if h != v:
                 tend[h], tend[t], tlen[h] = k, v, tlen[h] - tlen[v]
             if g != w:
                 cend[g], cend[s], clen[g] = k, w, clen[g] - clen[w]
             free.insert(at, v)
 
-    walk(1, key)
+    walk(1, key, 1, blocks)
 
     def parts(key: int, weights: list[int]) -> Partition:
         lengths = range(len(weights) - 1, 0, -1)

@@ -202,10 +202,14 @@ def test_strahov_equals_a_walk_per_value() -> None:
 
 
 def test_strahov_histogram_counts_every_permutation_once() -> None:
+    # the swap class at n = 12 walks S_11 up to pi's symmetry: pi fixes 10
+    # of the 11 points tau moves, so the walk meets 2^11 - 1 nodes for the
+    # 39,916,800 tau
     classes = _marked(1) + _marked(2) + _marked(4) + [
         (Partition((3, 2, 1)), 2),
         (Partition((2, 2, 1, 1)), 1),
         (Partition((2,) + (1,) * 6), 2),
+        (Partition((2,) + (1,) * 10), 2),
     ]
     for lam, i in classes:
         n = lam.n
@@ -220,13 +224,25 @@ def test_strahov_histogram_counts_every_permutation_once() -> None:
         }, (lam.parts, i)
 
 
+def _repeats_a_length(lam: Partition, i: int) -> bool:
+    # whether two unmarked cycles of the class share a length, so that the
+    # walk merges branches across cycles, not only around one
+    rest = list(lam.parts)
+    rest.remove(i)
+    return len(set(rest)) < len(rest)
+
+
 def test_strahov_histogram_is_the_literal_count() -> None:
     # the walk against a Counter over itertools.permutations by
     # cycle_lengths, for a member pi of the class taken from the oracle's
     # index: conjugating pi by S_{n-1} permutes the tau, so any member gives
-    # the same counts.  n = 1 walks S_0, whose one member is ()
+    # the same counts.  n = 1 walks S_0, whose one member is ().  At n = 8,
+    # six seeded classes and the 26 whose unmarked cycles repeat a length
     classes = [c for n in range(1, 8) for c in _marked(n)]
-    classes += random.Random(8).sample(_marked(8), 6)
+    eight = _marked(8)
+    repeated = [c for c in eight if _repeats_a_length(*c)]
+    assert len(repeated) == 26
+    classes += dict.fromkeys(random.Random(8).sample(eight, 6) + repeated)
     for lam, i in classes:
         n = lam.n
         pi = next(class_sum(lam, i).support()).images
@@ -930,6 +946,23 @@ def test_multi_product_triple_swap_class() -> None:
     factors = [(lam, 2), (lam, 2), (lam, 2)]
     assert multi_product_coefficient(factors, lam, 2) == 3
     assert multi_product_coefficient(factors, lam, 1) == 2
+
+
+def test_multi_product_of_three_factors_is_the_oracle_product() -> None:
+    # 40 seeded ordered triples of marked classes at each n = 5..8, every
+    # coefficient of K_a K_b K_c against (K_a K_b) K_c in the group algebra
+    rng = random.Random(2033)
+    for n in range(5, 9):
+        marked = _marked(n)
+        for _ in range(40):
+            factors = [rng.choice(marked) for _ in range(3)]
+            a, b, c = (class_sum(*m) for m in factors)
+            product = oracle_module._marked_decomposition(
+                oracle_module.ga_multiply(oracle_module.ga_multiply(a, b), c)
+            )
+            for nu, k in marked:
+                value = multi_product_coefficient(factors, nu, k)
+                assert value == product[MarkedPartition(nu, k)], (factors, nu, k)
 
 
 def test_swap_class_powers_are_star_counts() -> None:

@@ -76,6 +76,22 @@ def test_bench_worker_reads_only_exported_names() -> None:
     assert sorted(name for name in read if not hasattr(nearcentral, name)) == []
 
 
+def test_the_genchar_function_keeps_its_name_over_the_submodule() -> None:
+    # the function `nearcentral.genchar` shares its name with the submodule;
+    # the benchmark worker calls `nc.genchar(...)` and reads its cache_info
+    loaded = _fresh(
+        "import json, sys\n"
+        "import nearcentral.genchar\n"
+        "import nearcentral as nc\n"
+        "import nearcentral.genchar as g\n"
+        "module = sys.modules['nearcentral.genchar']\n"
+        "value = nc.genchar(nc.Partition((2, 1)), 2, nc.Partition((2, 1)), 2)\n"
+        "print(json.dumps([nc.genchar is module.genchar, g is module.genchar,\n"
+        "                  hasattr(nc.genchar, 'cache_info'), str(value)]))\n"
+    )
+    assert loaded == [True, True, True, "1/2"]
+
+
 def test_permutations_sit_below_genchar_and_oracle() -> None:
     # a bare package object keeps nearcentral/__init__ from importing the rest
     loaded = _fresh(
