@@ -32,14 +32,18 @@ such an element is near-central when each class of the index is closed
 under the generators of S_{n-1}, checked once per n.  Z1(n) is closed
 under products, so `ga_multiply` takes a product in it class by class,
 from the structure constants of Z1(n): for class C with first member k,
-#{p in class x : p k in class y}.  They are counted one factor class x at a
-time, by composing each member of x with one member of every class and
-looking the result up in a cached map from permutation to class number,
-and kept, so a cold product composes what a direct sum over its smaller
-factor would, and a repeated one composes nothing.  The larger factor
-keeps the columns of its multiplication operator that a product summed, so
-a factor used again only multiplies and adds.  As Z1(n) is commutative and
-a marked class holds the inverse of each member, no inverse is formed.
+T_C[x, y] = #{p in class x : p k in class y}.  They are counted once per
+unordered pair of classes {x, C}, by composing each member of the smaller
+with the first member of the other and looking the result up in a cached
+map from permutation to class number; the other direction is that count
+scaled by |x| / |C|, exactly, as #{(p, q) in x * C : pq in y} = |C|
+T_C[x, y] is symmetric in x and C, Z1(n) being commutative.  The counts
+are kept, so a cold product composes at most what a direct sum over its
+smaller factor would, and a repeated one composes nothing.  The larger
+factor keeps the columns of its multiplication operator that a product
+summed, so a factor used again only multiplies and adds.  As Z1(n) is
+commutative and a marked class holds the inverse of each member, no
+inverse is formed.
 Every other product composes image tuples term by term, with one
 `operator.itemgetter` per right-hand permutation; the tests compare the
 class product with it.
@@ -56,7 +60,7 @@ from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .characters import _beta_mask, _mn, chi
-from .errors import DomainError, counted, refuse_past, shown
+from .errors import DomainError, InconsistencyError, counted, refuse_past, shown
 from .genchar import JMVariables, Row, _common_order, _marked_count, genchar, table1_rows
 from .partitions import (
     MarkedPartition,
@@ -99,8 +103,8 @@ __all__ = [
 # about the most pure Python enumerates in reasonable time
 ORACLE_MAX_N = 9
 
-# largest n `run_verify` checks: 0.45 s at n = 7 and 2.9 s at 31 MB peak RSS
-# at n = 8 on a 2-vCPU host, each n 3 to 7 times the one before
+# largest n `run_verify` checks: 0.4-0.6 s at n = 7 and 1.6-2.2 s at 31 MB
+# peak RSS at n = 8 on a 2-vCPU host, each n 3 to 7 times the one before
 VERIFY_MAX_N = 8
 
 # most star sequences `enumerate_star_factorizations` walks one by one
@@ -410,27 +414,52 @@ def _class_map(n: int) -> tuple[dict[tuple[int, ...], int], tuple[itemgetter, ..
 def _constants_from(n: int, x: int) -> tuple[itemgetter, tuple[int, ...], itemgetter, itemgetter]:
     # the structure constants of Z1(n) from class x, flat: row C, for the
     # C-th marked class of S_n with first member k, is the pairs (y,
-    # #{p in class x : p k in class y}) of nonzero count, from position
-    # ends[C] up to ends[C+1], kept as (the itemgetter of every row's y in
-    # turn, the counts, the itemgetters of ends[1:] and of ends[:-1]), so
-    # that an operator column sums them in C loops; n >= 2, so each getter
-    # picks a tuple.  Counted by composing k with every member of class x,
-    # as many compositions as a product over the support of class x
-    class_of, composers = _class_map(n)
-    members = _marked_index(n)[x][2]
+    # T_C[x, y] = #{p in class x : p k in class y}) of nonzero count, from
+    # position ends[C] up to ends[C+1], kept as (the itemgetter of every
+    # row's y in turn, the counts, the itemgetters of ends[1:] and of
+    # ends[:-1]), so that an operator column sums them in C loops; n >= 2,
+    # so each getter picks a tuple.  Each row is read from the pair counts
+    # of x and C, counted over the smaller of the two classes: as is when
+    # that is x, else scaled from T_x[C, y], as #{(p, q) in x * C : pq in y}
+    # = |C| T_C[x, y] is symmetric in x and C, Z1(n) being commutative
+    sizes = _class_sizes(n)
     ys: list[int] = []
     counts: list[int] = []
     ends = [0]
-    for at in composers:
-        # a dict, not a Counter, whose setup outweighs its counting on the
-        # small classes a cold idempotent counts (0.7 against 1.1 ms at n = 6)
-        row: dict[int, int] = {}
-        for y in map(class_of.__getitem__, map(at, members)):
-            row[y] = row.get(y, 0) + 1
+    for c, size in enumerate(sizes):
+        if (sizes[x], x) <= (size, c):
+            row, row_counts = _pair_counts(n, x, c)
+            counts += row_counts
+        else:
+            row, row_counts = _pair_counts(n, c, x)
+            for y, count in zip(row, row_counts):
+                scaled, left = divmod(count * sizes[x], size)
+                if left:
+                    raise InconsistencyError(
+                        f"{count} members of marked class {c} of S_{n} times a member of class "
+                        f"{x} land in class {y}, and {count} * {sizes[x]} is not a multiple of "
+                        f"{size}"
+                    )
+                counts.append(scaled)
         ys += row
-        counts += row.values()
         ends.append(len(ys))
     return itemgetter(*ys), tuple(counts), itemgetter(*ends[1:]), itemgetter(*ends[:-1])
+
+
+@cache
+def _pair_counts(n: int, small: int, large: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # (the classes y, and the counts T_large[small, y] = #{p in class small :
+    # p k in class y} of nonzero count), for k the first member of class
+    # large, by |small| compositions; `_constants_from` asks for each
+    # unordered pair of classes once, the smaller class first (the lower
+    # index on a tie)
+    class_of, composers = _class_map(n)
+    # a dict, not a Counter, whose setup outweighs its counting on the
+    # small classes a cold idempotent counts
+    row: dict[int, int] = {}
+    for y in map(class_of.__getitem__, map(composers[large], _marked_index(n)[small][2])):
+        row[y] = row.get(y, 0) + 1
+    return tuple(row), tuple(row.values())
 
 
 def _class_product(
@@ -482,11 +511,12 @@ def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraE
     sum_y T_C[x, y] b_y over the classes x of the smaller support, with the
     structure constants T_C[x, y] = #{p in class x : p k in class y} for one
     member k of C, as such elements commute and each marked class is closed
-    under inversion.  The constants from class x are counted, by |x|
-    compositions per class, the first time the smaller factor is nonzero on
-    x, and kept; the larger factor b keeps each column W_b[x][C] =
-    sum_y T_C[x, y] b_y of its operator that a product sums, so a product
-    with b again is one multiply-add per class and column.  Every other
+    under inversion.  The constants from class x are read the first time
+    the smaller factor is nonzero on x, and kept, from counts made once per
+    pair of classes {x, C} by min(|x|, |C|) compositions; the larger factor
+    b keeps each column W_b[x][C] = sum_y T_C[x, y] b_y of its operator
+    that a product sums, so a product with b again is one multiply-add per
+    class and column.  Every other
     product expands both factors' terms and is taken term by term; it lists
     no class when neither factor has more terms than S_n has marked
     classes.  Either way the integer numerators are multiplied over the
@@ -566,7 +596,15 @@ def _z1_idempotent_cached(lam: Partition, i: int) -> GroupAlgebraElement:
         for ctype, through, _ in _marked_index(n)
     ]
     embedded = _from_class_values(n, values, math.factorial(n - 1))
-    return ga_multiply(central_idempotent(lam), embedded)
+    return ga_multiply(_central_idempotent_cached(lam), embedded)
+
+
+@cache
+def _central_idempotent_cached(lam: Partition) -> GroupAlgebraElement:
+    # one central idempotent per shape, the larger factor of every marked
+    # idempotent of the shape, so the operator columns their products sum
+    # are kept on it for all its marks
+    return central_idempotent(lam)
 
 
 def extract_marked_coefficient(
@@ -581,7 +619,7 @@ def extract_marked_coefficient(
     _check_order(n, mu)
     _check_mark(mu, j)
     _check_listed(n, "marked coefficient read")
-    return _marked_decomposition(g)[MarkedPartition(mu, j)]
+    return Fraction(_marked_values(g)[_marked_keys(n)[MarkedPartition(mu, j)]], g._den)
 
 
 def is_near_central(g: GroupAlgebraElement) -> bool:
@@ -648,12 +686,25 @@ def jm_power_coefficients(n: int, r: int) -> dict[MarkedPartition, Fraction]:
 def _marked_decomposition(
     g: GroupAlgebraElement,
 ) -> dict[MarkedPartition, Fraction]:
+    den = g._den
+    return {key: Fraction(v, den) for key, v in zip(_marked_keys(g.n), _marked_values(g))}
+
+
+def _marked_values(g: GroupAlgebraElement) -> tuple[int, ...]:
     values = _class_values(g)
     if values is None:
         raise DomainError(f"{g!r} is not constant on every marked class")
+    return values
+
+
+@cache
+def _marked_keys(n: int) -> dict[MarkedPartition, int]:
+    # the place of each marked class of S_n in `_marked_index`, by its marked
+    # partition, in index order; built once per n, so a read validates no
+    # marked partition of the index
     return {
-        MarkedPartition(ctype, through): Fraction(v, g._den)
-        for (ctype, through, _), v in zip(_marked_index(g.n), values)
+        MarkedPartition(ctype, through): at
+        for at, (ctype, through, _) in enumerate(_marked_index(n))
     }
 
 
@@ -925,8 +976,7 @@ def _where_they_differ(lhs: GroupAlgebraElement, rhs: GroupAlgebraElement) -> tu
     # the permutations, in image-tuple order; an element prints only its
     # degree and its number of terms, so two unequal elements can print alike
     if lhs._values and rhs._values:
-        at = [MarkedPartition(ctype, through) for ctype, through, _ in _marked_index(lhs.n)]
-        places = zip(at, lhs._values, rhs._values)
+        places = zip(_marked_keys(lhs.n), lhs._values, rhs._values)
     else:
         mine, theirs = lhs._terms, rhs._terms
         keys = sorted(mine.keys() | theirs.keys())
@@ -945,7 +995,7 @@ def run_verify(max_n: int = 4) -> list[str]:
 
     Returns the labels of the checks that ran; raises VerificationError with
     both sides on the first failure.  Each n costs 3 to 7 times the one
-    before (0.45 s at n = 7 and 2.9 s at n = 8 on a 2-vCPU host), so max_n
+    before (0.4-0.6 s at n = 7 and 1.6-2.2 s at n = 8 on a 2-vCPU host), so max_n
     above `VERIFY_MAX_N` = 8 raises GuardExceeded.
     """
     _check_int(max_n, "max_n", 2)
@@ -1060,8 +1110,7 @@ def run_verify(max_n: int = 4) -> list[str]:
             )
 
         if n <= 4:
-            for ctype, through, members in _marked_index(n):
-                mp = MarkedPartition(ctype, through)
+            for mp, (_, _, members) in zip(_marked_keys(n), _marked_index(n)):
                 for r in range(0, 4):
                     counts = {
                         enumerate_star_factorizations(Permutation.unchecked(p), r)

@@ -241,9 +241,9 @@ def test_criterion_08_connection_coefficients() -> None:
     swap = Partition((2, 1))
     assert connection_coefficient(swap, 2, swap, 2, Partition((1, 1, 1)), 1) == 2
     assert connection_coefficient(swap, 2, swap, 2, Partition((3,)), 3) == 1
-    # every ordered triple for n <= 7, 27,000 of them at n = 7, against a
+    # every ordered triple for n <= 8, 91,125 of them at n = 8, against a
     # product of class sums in the group algebra, each product read once
-    for n in range(3, 8):
+    for n in range(3, 9):
         marked = _marked(n)
         sums = {m: class_sum(*m) for m in marked}
         for a, b in itertools.product(marked, repeat=2):

@@ -212,6 +212,7 @@ def test_oracle_products_stay_in_integers() -> None:
             "_class_product",
             "_class_map",
             "_constants_from",
+            "_pair_counts",
             "_operator_columns",
             "_class_values",
             "_class_terms",

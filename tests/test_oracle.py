@@ -15,6 +15,7 @@ from nearcentral import (
     DomainError,
     GroupAlgebraElement,
     GuardExceeded,
+    InconsistencyError,
     MarkedPartition,
     Partition,
     Permutation,
@@ -444,9 +445,11 @@ def counted_columns(monkeypatch) -> list:
 def test_idempotents_count_each_column_once(counted_columns, class_products) -> None:
     # the one class product of a cold z1_idempotent at n = 6 counts the
     # columns of the classes where its smaller factor is nonzero, and no
-    # later idempotent counts a column again
+    # later idempotent counts a column again; the central idempotents, whose
+    # operators hold the columns their products summed, start cold too
     n = 6
     classes = oracle._marked_index(n)
+    oracle._central_idempotent_cached.cache_clear()
     for mu, j in _marked(n):
         oracle._z1_idempotent_cached.cache_clear()
         class_products.clear()
@@ -488,6 +491,93 @@ def test_the_index_groups_the_listing_of_s_n() -> None:
     # lexicographically and grouped by cycle type and the cycle through n
     for n in range(0, 8):
         assert oracle._marked_index(n) == _listed_classes(n)
+
+
+def _constant_rows(n: int, x: int) -> list[Counter]:
+    # the structure constants from class x, row by row, each row the
+    # multiset of its (y, count) pairs, read from the flat format
+    pick, counts, ends, starts = oracle._constants_from.__wrapped__(n, x)
+    places = range(len(counts) + 1)
+    ys = pick(range(len(oracle._marked_index(n))))
+    return [
+        Counter(zip(ys[start:end], counts[start:end]))
+        for start, end in zip(starts(places), ends(places))
+    ]
+
+
+def test_columns_are_the_literal_counts() -> None:
+    # every row C of every column x is #{p in class x : p k in class y} for
+    # the first member k of class C, counted here over all members of x,
+    # whichever class of the pair the oracle composed over
+    for n in range(2, 8):
+        classes = _listed_classes(n)
+        class_of = {p: c for c, (_, _, members) in enumerate(classes) for p in members}
+        for x, (_, _, members) in enumerate(classes):
+            want = []
+            for _, _, (k, *_) in classes:
+                row = Counter(class_of[tuple(p[v - 1] for v in k)] for p in members)
+                want.append(Counter(row.items()))
+            assert _constant_rows(n, x) == want, (n, x)
+
+
+def test_each_pair_of_classes_is_counted_once(monkeypatch) -> None:
+    # all 19 columns of n = 6 count each unordered pair of its marked
+    # classes once, the diagonal included, over the smaller class of the
+    # pair (the lower index on a tie)
+    n = 6
+    sizes = oracle._class_sizes(n)
+    counted = []
+    count = oracle._pair_counts.__wrapped__
+
+    def spy(n, small, large):
+        counted.append((small, large))
+        return count(n, small, large)
+
+    monkeypatch.setattr(oracle, "_pair_counts", functools.cache(spy))
+    for x in range(len(sizes)):
+        oracle._constants_from.__wrapped__(n, x)
+    assert len(sizes) == 19 and len(counted) == 190
+    assert set(counted) == {
+        tuple(sorted((x, c), key=lambda at: (sizes[at], at)))
+        for x, c in itertools.combinations_with_replacement(range(19), 2)
+    }
+
+
+def test_a_pair_count_that_does_not_divide_is_refused(monkeypatch) -> None:
+    # a row read across from the smaller class of its pair is scaled by
+    # |x| / |C|, exactly: a count that does not divide is an inconsistency,
+    # not a truncated constant
+    n = 4
+    sizes = oracle._class_sizes(n)
+    x, c = next(
+        (x, c)
+        for x, c in itertools.permutations(range(len(sizes)), 2)
+        if (sizes[c], c) < (sizes[x], x) and sizes[x] % sizes[c]
+    )
+    monkeypatch.setattr(oracle, "_pair_counts", lambda *_: ((0,), (1,)))
+    with pytest.raises(InconsistencyError, match="is not a multiple of"):
+        oracle._constants_from.__wrapped__(n, x)
+
+
+def test_the_marks_of_a_shape_share_its_central_idempotent(class_products) -> None:
+    # each marked idempotent of a shape is the product of one cached central
+    # idempotent of the shape, the larger factor, so that element keeps the
+    # operator columns of every mark's product; a public central idempotent
+    # is a fresh element holding none
+    lam = Partition((3, 2, 1))
+    oracle._central_idempotent_cached.cache_clear()
+    oracle._z1_idempotent_cached.cache_clear()
+    central = oracle._central_idempotent_cached(lam)
+    summed = set()
+    for i in sorted(set(lam.parts)):
+        class_products.clear()
+        z1_idempotent(lam, i)
+        ((_, a, b, _, vb),) = class_products
+        assert a is central and len(b) < len(a)
+        summed |= {x for x, v in enumerate(vb) if v}
+    assert set(central._operator) == summed
+    fresh = central_idempotent(lam)
+    assert fresh == central and fresh is not central and fresh._operator is None
 
 
 def test_a_factor_keeps_its_operator(counted_columns) -> None:
