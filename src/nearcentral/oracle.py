@@ -45,8 +45,8 @@ summed, so a factor used again only multiplies and adds.  As Z1(n) is
 commutative and a marked class holds the inverse of each member, no
 inverse is formed.
 Every other product composes image tuples term by term, with one
-`operator.itemgetter` per right-hand permutation; the tests compare the
-class product with it.
+composition map from `permutations` per right-hand permutation; the tests
+compare the class product with it.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from .partitions import (
     enumerate_partitions,
     marked_class_size,
 )
-from .permutations import Permutation
+from .permutations import Permutation, _composer
 from .starcount import STAR_CLOSED_MAX, STAR_COUNT_MAX_N
 from .tableaux import dimension, marked_content
 
@@ -352,9 +352,15 @@ def _marked_index(n: int) -> tuple[tuple[Partition, int, tuple[tuple[int, ...], 
     index = []
     for key, members in grouped.items():
         through, key = divmod(key, top)
-        parts = tuple(m for m in range(n, 0, -1) for _ in range(key // weight[m] % base))
-        index.append((Partition.unchecked(parts), through, tuple(members)))
+        index.append((_cycle_type(key, weight, base), through, tuple(members)))
     return tuple(index)
+
+
+def _cycle_type(key: int, weights: Sequence[int], base: int) -> Partition:
+    # the cycle type a walk's key holds as digits below base: key //
+    # weights[m] % base cycles of length m, for m = len(weights) - 1 down to 1
+    lengths = range(len(weights) - 1, 0, -1)
+    return Partition.unchecked(tuple(m for m in lengths for _ in range(key // weights[m] % base)))
 
 
 @cache
@@ -399,15 +405,15 @@ def _from_class_values(n: int, values: Sequence[int], den: int) -> GroupAlgebraE
 
 
 @cache
-def _class_map(n: int) -> tuple[dict[tuple[int, ...], int], tuple[itemgetter, ...]]:
+def _class_map(n: int) -> tuple[dict[tuple[int, ...], int], tuple[Callable, ...]]:
     # the number of each permutation's marked class, and for each class C
-    # the itemgetter(k(1)-1, .., k(n)-1) that maps the images of p to those
-    # of p k, k the first member of C; kept for the life of the process, so
-    # at n = ORACLE_MAX_N = 9 the map holds all 362,880 permutations (about
-    # 0.1 s and 20 MB to build, on top of the index)
+    # the map from the images of p to those of p k, k the first member of C;
+    # kept for the life of the process, so at n = ORACLE_MAX_N = 9 the map
+    # holds all 362,880 permutations (about 0.1 s and 20 MB to build, on top
+    # of the index)
     classes = _marked_index(n)
     class_of = {p: c for c, (_, _, members) in enumerate(classes) for p in members}
-    return class_of, tuple(itemgetter(*[x - 1 for x in members[0]]) for _, _, members in classes)
+    return class_of, tuple(_composer(members[0]) for _, _, members in classes)
 
 
 @cache
@@ -525,21 +531,15 @@ def ga_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraE
     if a.n != b.n:
         raise DomainError("cannot multiply elements of different group algebras")
     n, den = a.n, a._den * b._den
-    if n <= 1:
-        # S_0 and S_1 hold only the identity, where itemgetter cannot compose:
-        # it raises for no index and returns a bare int for one
-        terms = {tuple(range(1, n + 1)): sum(a._terms.values()) * sum(b._terms.values())}
-        return GroupAlgebraElement._make(n, terms, den)
     if (
-        n <= ORACLE_MAX_N
+        2 <= n <= ORACLE_MAX_N
         and max(len(a), len(b)) > _marked_count(n)
         and (va := _class_values(a)) is not None
         and (vb := _class_values(b)) is not None
     ):
         return _from_class_values(n, _class_product(n, a, b, va, vb), den)
     ta, tb, terms = a._terms, b._terms, {}
-    # itemgetter(q(1)-1, .., q(n)-1) maps the images of p to those of p * q
-    right = [(itemgetter(*[x - 1 for x in q]), cb) for q, cb in tb.items()]
+    right = [(_composer(q), cb) for q, cb in tb.items()]
     for mine, ca in ta.items():
         for compose, cb in right:
             key = compose(mine)
@@ -655,15 +655,13 @@ def _index_is_closed(n: int) -> bool:
     )
 
 
-def _conjugations(n: int) -> Iterator[tuple[itemgetter, Callable[[int], int]]]:
-    # s p s for each s = (k k+1), k < n-1, as two maps: the first swaps the
-    # positions k, k+1 of p's images, the second then the values k, k+1
+def _conjugations(n: int) -> Iterator[tuple[Callable, Callable[[int], int]]]:
+    # s p s for each s = (k k+1), k < n-1, as two maps: the first composes p
+    # with s, swapping the positions k, k+1 of p's images, the second then
+    # swaps the values k, k+1
     for k in range(1, n - 1):
-        positions = list(range(n))
-        positions[k - 1], positions[k] = k, k - 1
-        relabel = list(range(n + 1))
-        relabel[k], relabel[k + 1] = k + 1, k
-        yield itemgetter(*positions), relabel.__getitem__
+        s = Permutation.transposition(k, k + 1, n).images
+        yield _composer(s), (0, *s).__getitem__
 
 
 def jm_power_coefficients(n: int, r: int) -> dict[MarkedPartition, Fraction]:
@@ -717,8 +715,6 @@ def enumerate_star_factorizations(pi: Permutation, r: int) -> int:
     """
     n = pi.n
     _check_int(r, "length")
-    if n < 2:
-        return 1 if r == 0 else 0
     # (n-1)^r against the limit without forming it: (n-1)^min(r, 24) is past
     # 10^7 exactly when (n-1)^r is, as 2^24 > 10^7
     refuse_past(
@@ -726,12 +722,9 @@ def enumerate_star_factorizations(pi: Permutation, r: int) -> int:
         lambda: f"star enumeration of length {shown(r)} walks "
         f"{counted(r, lambda m: (n - 1) ** m)} sequences",
     )
-    # itemgetter(s(1)-1, .., s(n)-1) maps the images of p to those of p * s,
-    # as in `ga_multiply`, for each star s
-    stars = [
-        itemgetter(*[x - 1 for x in Permutation.transposition(a, n, n).images])
-        for a in range(1, n)
-    ]
+    # the map from the images of p to those of p * s, for each star s; S_0
+    # and S_1 have no star, so the walk counts the identity at r = 0 alone
+    stars = [_composer(Permutation.transposition(a, n, n).images) for a in range(1, n)]
     # depth first with a stack of (prefix images, length), not by recursion:
     # at n = 2 every r passes the limit, so r may be far past the recursion
     # limit
@@ -934,14 +927,10 @@ def _strahov_histogram(
             free.insert(at, v)
 
     walk(1, key, 1, blocks)
-
-    def parts(key: int, weights: list[int]) -> Partition:
-        lengths = range(len(weights) - 1, 0, -1)
-        return Partition.unchecked(
-            tuple(m for m in lengths for _ in range(key // weights[m] % base))
-        )
-
-    return tuple((parts(key, cw), parts(key, tw), count) for key, count in counts.items())
+    return tuple(
+        (_cycle_type(key, cw, base), _cycle_type(key, tw, base), count)
+        for key, count in counts.items()
+    )
 
 
 def evaluate_asf_at_jm(f: Row, n: int) -> GroupAlgebraElement:

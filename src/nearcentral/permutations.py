@@ -3,48 +3,57 @@
 A permutation is a tuple of images, 1-indexed, composed right to left.  The
 oracle works on raw tuples inside: its group-algebra elements are keyed by
 them.  `Permutation` wraps a tuple where a caller names or reads one
-permutation, and `cycle_lengths` and `cycle_length_through` scan one tuple
-for its cycle type and for the cycle through a symbol; the oracle's walks
-over S_n and S_{n-1} close each cycle as they go and call neither.
+permutation.  This module is the one place that composes image tuples
+(`_composer`, which the oracle's products, class maps, conjugations and
+star walks share with `Permutation.__mul__`) and walks their cycles
+(`_cycles`, read by `cycle_lengths` and the `Permutation` methods); the
+oracle's walks over S_n and S_{n-1} close each cycle as they go and do not
+call `_cycles`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError
 from .partitions import Partition, _Value, _check_int
 
-__all__ = ["Permutation", "cycle_length_through", "cycle_lengths"]
+__all__ = ["Permutation", "cycle_lengths"]
+
+
+def _composer(q: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    # the map from the images of p to those of p q, for p of q's degree:
+    # itemgetter(q(1)-1, .., q(n)-1) for n >= 2; S_0 and S_1 hold only the
+    # identity, where itemgetter would raise for no index and return a bare
+    # int for one, and `tuple` returns a tuple argument itself
+    if len(q) < 2:
+        return tuple
+    return itemgetter(*[x - 1 for x in q])
+
+
+def _cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
+    # every cycle of the permutation with one-line notation `images`, fixed
+    # points included, each led by its smallest symbol, in that order
+    out = []
+    seen = [False] * (len(images) + 1)
+    for start in range(1, len(images) + 1):
+        if seen[start]:
+            continue
+        cycle = []
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = images[x - 1]
+        out.append(tuple(cycle))
+    return out
 
 
 def cycle_lengths(images: Sequence[int]) -> tuple[int, ...]:
     """Cycle lengths of the permutation with one-line notation `images`,
     largest first: the parts of `Permutation.cycle_type` as a plain tuple."""
-    lengths = []
-    seen = [False] * (len(images) + 1)
-    for start in range(1, len(images) + 1):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = images[x - 1]
-            length += 1
-        lengths.append(length)
-    lengths.sort(reverse=True)
-    return tuple(lengths)
-
-
-def cycle_length_through(images: Sequence[int], x: int) -> int:
-    """Length of the cycle through x, one of 1 .. len(images), of the
-    permutation with one-line notation `images`."""
-    length, y = 1, images[x - 1]
-    while y != x:
-        y = images[y - 1]
-        length += 1
-    return length
+    return tuple(sorted(map(len, _cycles(images)), reverse=True))
 
 
 class Permutation(_Value):
@@ -120,8 +129,7 @@ class Permutation(_Value):
             return NotImplemented
         if len(self._images) != len(other._images):
             raise DomainError("cannot compose permutations of different degrees")
-        mine = self._images
-        return Permutation.unchecked(tuple(mine[x - 1] for x in other._images))
+        return Permutation.unchecked(_composer(other._images)(self._images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self._images)
@@ -131,26 +139,15 @@ class Permutation(_Value):
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each led by its smallest symbol, sorted."""
-        out = []
-        seen = [False] * (len(self._images) + 1)
-        for start in range(1, len(self._images) + 1):
-            if seen[start] or self._images[start - 1] == start:
-                continue
-            cycle = []
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                cycle.append(x)
-                x = self._images[x - 1]
-            out.append(tuple(cycle))
-        return out
+        return [cycle for cycle in _cycles(self._images) if len(cycle) > 1]
 
     def cycle_type(self) -> Partition:
         return Partition.unchecked(cycle_lengths(self._images))
 
     def cycle_length_through(self, x: int) -> int:
+        """Length of the cycle through the symbol x."""
         _check_int(x, "symbol", 1, len(self._images))
-        return cycle_length_through(self._images, x)
+        return next(len(cycle) for cycle in _cycles(self._images) if x in cycle)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self._images == other._images

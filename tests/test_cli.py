@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import importlib
 import json
+import math
 import pytest
 
 from nearcentral import (
+    InconsistencyError,
+    Partition,
     VerificationError,
+    dimension,
     enumerate_marked_partitions,
     enumerate_partitions,
+    marked_class_size,
     marked_content,
 )
 from nearcentral.cli import main, run
@@ -590,6 +595,44 @@ def test_internal_inconsistency_exits_70(capsys, monkeypatch, module, name, wron
         code, doc, err = _invoke(capsys, argv)
     finally:
         spectrum.cache_clear()
+    assert code == 70
+    assert doc["status"] == "error"
+    assert "internal inconsistency" in err
+
+
+def test_a_fractional_marked_class_size_exits_70(capsys, monkeypatch) -> None:
+    # a symmetry factor above n! cannot divide (n-1)! i m_i; the Table 1
+    # route divides by the class size of (3)@3
+    monkeypatch.setattr(
+        "nearcentral.partitions._cycle_type_symmetry", lambda lam: math.factorial(lam.n) + 1
+    )
+    with pytest.raises(InconsistencyError, match=r"^marked class size of \(3, 3\) is not"):
+        marked_class_size(Partition((3,)), 3)
+    code, doc, err = _invoke(
+        capsys,
+        ["genchar", "--n", "3", "--mu", "2,1", "--j", "2", "--lambda", "3", "--i", "3",
+         "--method", "table"],
+    )
+    assert code == 70
+    assert doc["status"] == "error"
+    assert "internal inconsistency" in err
+
+
+def test_a_hook_product_that_does_not_divide_exits_70(capsys, monkeypatch) -> None:
+    # each column one cell longer: the hooks of (2, 1) multiply to 16, not 3
+    conjugate = importlib.import_module("nearcentral.tableaux")._conjugate_lengths
+    monkeypatch.setattr(
+        "nearcentral.tableaux._conjugate_lengths", lambda lam: [c + 1 for c in conjugate(lam)]
+    )
+    # a dimension cached by an earlier test would hide the patched helper,
+    # and one built from it must not outlive this test
+    dimension.cache_clear()
+    try:
+        with pytest.raises(InconsistencyError, match=r"^hook length product of 2,1 does not"):
+            dimension(Partition((2, 1)))
+        code, doc, err = _invoke(capsys, ["tableaux", "--shape", "2,1"])
+    finally:
+        dimension.cache_clear()
     assert code == 70
     assert doc["status"] == "error"
     assert "internal inconsistency" in err

@@ -48,6 +48,7 @@ from nearcentral import (
     orthogonality_check,
     star_count,
     star_count_closed,
+    star_walk,
     subscript_sum_chi,
     superscript_sum,
     weighted_sum,
@@ -976,6 +977,17 @@ def test_swap_class_powers_are_star_counts() -> None:
         for lam, i in rng.sample(marked, len(marked) // 10 + 1):
             for r in range(1, 9):
                 assert multi_product_coefficient([swap] * r, lam, i) == star_count(lam, i, r)
+    # at n = 20 against the star walk, which reads no gamma column: 20
+    # seeded classes among those 8 stars reach, each walk count summed over
+    # its class
+    n = 20
+    swap = (Partition((2,) + (1,) * (n - 2)), 2)
+    walk = star_walk(n, 8)
+    reached = [m for m in _marked(n) if any(MarkedPartition(*m) in level for level in walk)]
+    for lam, i in rng.sample(reached, 20):
+        for r in range(1, 9):
+            count = Fraction(walk[r].get(MarkedPartition(lam, i), 0), marked_class_size(lam, i))
+            assert multi_product_coefficient([swap] * r, lam, i) == count, (lam, i, r)
 
 
 def test_products_past_the_factor_limit_are_refused(monkeypatch) -> None:

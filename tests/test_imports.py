@@ -199,6 +199,24 @@ def test_oracle_inverts_no_permutation() -> None:
     assert not found
 
 
+def test_permutations_compose_in_one_place() -> None:
+    # permutations._composer builds the one map from p's images to those of
+    # p q; the oracle's other itemgetters pick rows of its structure constants
+    allowed = {("permutations.py", "_composer"), ("oracle.py", "_constants_from")}
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = (path.name, getattr(top, "name", "<module>"))
+            found += [
+                f"{path.name}:{node.lineno} in {where[1]}"
+                for node in ast.walk(top)
+                if where not in allowed
+                and isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "itemgetter"
+            ]
+    assert not found
+
+
 def test_oracle_products_stay_in_integers() -> None:
     # group-algebra elements hold integer numerators keyed by image tuples,
     # so a product builds no Fraction and no Permutation per term

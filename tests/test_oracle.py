@@ -46,6 +46,7 @@ from nearcentral import (
     z1_idempotent,
 )
 from nearcentral import oracle
+from nearcentral.permutations import _composer
 
 
 def _perm(*images: int) -> Permutation:
@@ -122,6 +123,24 @@ def test_products_in_the_trivial_groups() -> None:
     assert ga_multiply(a, b) == GroupAlgebraElement(
         2, {Permutation.identity(2): Fraction(-13, 6), s: Fraction(5, 2)}
     )
+
+
+def test_one_composer_maps_p_to_p_q() -> None:
+    # the one composition map of the package, for every pair of S_0, S_1,
+    # S_2 and S_4 and for seeded pairs of S_7; in S_0 and S_1 it is the
+    # identity, where itemgetter cannot compose
+    pairs = [
+        (p, q)
+        for n in (0, 1, 2, 4)
+        for p in itertools.permutations(range(1, n + 1))
+        for q in itertools.permutations(range(1, n + 1))
+    ]
+    rng = random.Random(2035)
+    sevens = [tuple(rng.sample(range(1, 8), 7)) for _ in range(400)]
+    pairs += zip(sevens[::2], sevens[1::2])
+    for p, q in pairs:
+        assert _composer(q)(p) == tuple(p[x - 1] for x in q), (p, q)
+        assert (Permutation(p) * Permutation(q)).images == tuple(p[x - 1] for x in q)
 
 
 def _random_element(rng: random.Random, n: int, size: int) -> GroupAlgebraElement:
@@ -989,8 +1008,8 @@ def test_star_factorization_enumeration() -> None:
     assert enumerate_star_factorizations(s, 2001) == 1
     # S_0 and S_1 have no star: only the empty sequence, giving the identity
     for n in (0, 1):
-        assert enumerate_star_factorizations(Permutation.identity(n), 0) == 1
-        assert enumerate_star_factorizations(Permutation.identity(n), 2) == 0
+        counts = [enumerate_star_factorizations(Permutation.identity(n), r) for r in range(4)]
+        assert counts == [1, 0, 0, 0]
 
 
 def test_star_enumeration_matches_jm_powers() -> None:
