@@ -31,16 +31,18 @@ against every class, are cached too (`genchar_row`); the row sums
 `weighted_sum` and `orthogonality_check` read them, while
 `subscript_sum_chi`, a sum over the parts of one lam, takes its own values.
 Sums over every marked shape (mu, j) for one class (lam, i) read its cached
-integer column instead (`_column`, the seminormal pass): `genchar_column`,
-the star-count spectra of `starcount` and `multi_product_coefficient`
-(hence `connection_coefficient`), which sums the factor columns in integers
-and divides once.  Every sum over the marked shapes of n takes their order
-and weights d_mu, d_{j_-(mu)}, c_{mu,j}, |C_{mu,j}| from `_marked_shapes`.
+integer column instead (`_column`, the seminormal pass): the eigenvalues
+omega = |C_{lam,i}| gamma^{mu,j}_{lam,i} / d_{j_-(mu)} of K_{lam,i} on each
+Gamma^{mu,j}.  `genchar_column`, the star-count spectra of `starcount` and
+`multi_product_coefficient` (hence `connection_coefficient`) read it; a
+product coefficient sums d_mu d_{j_-(mu)} times the omegas in integers and
+divides once.  Every sum over the marked shapes of n takes their order and
+weights d_mu, d_{j_-(mu)}, c_{mu,j}, |C_{mu,j}| from `_marked_shapes`.
 
 Everything is exact: values are `fractions.Fraction`, never floats.  The
 rim pass and the lattice pass keep integer weights over powers of
-scale = lcm(1..n-1); a column keeps them as integers over its lowest
-common denominator, and single values become Fractions at the end.
+scale = lcm(1..n-1); a column divides them exactly into its integer
+eigenvalues, and single values become Fractions at the end.
 """
 
 from __future__ import annotations
@@ -295,17 +297,19 @@ def genchar_column(lam: Partition, i: int) -> dict[MarkedPartition, Fraction]:
     block, for every class up to COLUMN_MAX_N.  A larger n raises
     `GuardExceeded` naming the marked shapes of n."""
     _check_mark(lam, i)  # before the cache, which answers 2.0 under 2
-    den, weights = _column(lam, i)
-    return dict(zip(_marked_shapes(lam.n).marked, (Fraction(w, den) for w in weights)))
+    column = _column(lam, i)  # refuses a large n before the class size
+    size, table = marked_class_size(lam, i), _marked_shapes(lam.n)
+    return {m: Fraction(w * dd, size) for m, w, dd in zip(table.marked, column, table.reduced)}
 
 
 @cache
-def _column(lam: Partition, i: int) -> tuple[int, tuple[int, ...]]:
-    # (den, weights) in lowest terms: gamma^{mu,j}_{lam,i} is weights[t] / den
-    # for the t-th marked shape (mu, j) of enumerate_marked_partitions(n).
-    # The summed weight of the paths that end on mu with n's cell at content
-    # c_{mu,j} is the value at (mu, j); a marked shape no path reaches has
-    # the value 0.  Every caller has checked the mark.
+def _column(lam: Partition, i: int) -> tuple[int, ...]:
+    # omega = |C_{lam,i}| gamma^{mu,j}_{lam,i} / d_{j_-(mu)} at the t-th marked
+    # shape (mu, j) of enumerate_marked_partitions(n): the scalar by which
+    # K_{lam,i} acts on Gamma^{mu,j} (a Table 1 row at the contents), a rational
+    # eigenvalue of K's integer matrix on Z1(n), so an integer.  gamma is the
+    # weight, over scale^(i-1), of the paths that end on mu with n's cell at
+    # content c_{mu,j} (0 if none does).  Every caller has checked the mark.
     n = lam.n
     refuse_past(
         n, COLUMN_MAX_N, "n",
@@ -314,9 +318,13 @@ def _column(lam: Partition, i: int) -> tuple[int, tuple[int, ...]]:
     )
     ends, den = _lattice_pass(lam, i)
     table, masks = _marked_shapes(n), _shape_masks(n)
-    weights = [ends.get(masks[k], {}).get(c, 0) for k, c in zip(table.shape, table.content)]
-    common = math.gcd(den, *weights)
-    return den // common, tuple(w // common for w in weights)
+    size, column = marked_class_size(lam, i), []
+    for m, k, c, dd in zip(table.marked, table.shape, table.content, table.reduced):
+        omega, remainder = divmod(size * ends.get(masks[k], {}).get(c, 0), den * dd)
+        if remainder:
+            raise InconsistencyError(f"eigenvalue of K_{lam}@{i} on Gamma^{m} is not an integer")
+        column.append(omega)
+    return tuple(column)
 
 
 def _lattice_pass(lam: Partition, i: int) -> tuple[dict[int, dict[int, int]], int]:
@@ -721,9 +729,9 @@ def connection_coefficient(
 
 
 # most factors `multi_product_coefficient` multiplies: at n = COLUMN_MAX_N on
-# a 2-vCPU host, 30-32 seeded distinct marked classes took 2.8-3.4 s at
-# 70 MB peak RSS, and 32 copies of the swap class 0.9 s, where 100 copies
-# took 4.8 s
+# a 2-vCPU host, 32 seeded distinct marked classes took 3.1-3.8 s at 59 MB
+# peak RSS, nearly all of it their cold columns, and 32 copies of the swap
+# class 0.3-0.5 s at 28 MB
 _PRODUCT_FACTORS_MAX = 32
 
 
@@ -746,26 +754,15 @@ def multi_product_coefficient(
     for lam, i in factors:
         _check_order(n, lam)
         _check_mark(lam, i)
-    r = len(factors)
-    # gamma^{rho,ell}_{mu,j} d_rho / d_{ell_-(rho)}^r times the factors'
-    # gammas, summed over (rho, ell) in integers: every column is an integer
-    # vector over its own denominator
+    # d_rho d_{ell_-(rho)} omega^{rho,ell}_{mu,j} prod_f omega_f^{rho,ell},
+    # summed over (rho, ell) in integers, is |C_{mu,j}| n! times the
+    # coefficient.  Every column is read, and so refused past its limit,
+    # before the table of n is built
     columns = [_column(mu, j)] + [_column(lam, i) for lam, i in factors]
-    scale, weights = _product_weights(n, r)
-    total = sum(map(math.prod, zip(weights, *(w for _, w in columns))))
-    numerator = math.prod(marked_class_size(lam, i) for lam, i in factors) * total
-    denominator = math.factorial(n) * scale * math.prod(den for den, _ in columns)
-    return _as_count(numerator, denominator, "product coefficient")
-
-
-@cache
-def _product_weights(n: int, r: int) -> tuple[int, tuple[int, ...]]:
-    # (scale, v): v[t] = d_rho scale / d_{ell_-(rho)}^r, an integer, for the
-    # t-th marked shape (rho, ell) of n
     table = _marked_shapes(n)
-    powers = [dd**r for dd in table.reduced]
-    scale = math.lcm(*(dd // math.gcd(d, dd) for d, dd in zip(table.dim, powers)))
-    return scale, tuple(d * scale // dd for d, dd in zip(table.dim, powers))
+    total = sum(map(math.prod, zip(table.dim, table.reduced, *columns)))
+    denominator = marked_class_size(mu, j) * math.factorial(n)
+    return _as_count(total, denominator, "product coefficient")
 
 
 def orthogonality_check(lam: Partition, i: int, mu: Partition, j: int) -> Fraction:

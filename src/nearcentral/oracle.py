@@ -61,7 +61,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .characters import _beta_mask, _mn, chi
 from .errors import DomainError, InconsistencyError, counted, refuse_past, shown
-from .genchar import JMVariables, Row, _common_order, _marked_count, genchar, table1_rows
+from .genchar import JMVariables, Row, _column, _common_order, _marked_count, genchar, table1_rows
 from .partitions import (
     MarkedPartition,
     Partition,
@@ -103,7 +103,7 @@ __all__ = [
 # about the most pure Python enumerates in reasonable time
 ORACLE_MAX_N = 9
 
-# largest n `run_verify` checks: 0.4-0.6 s at n = 7 and 1.6-2.2 s at 31 MB
+# largest n `run_verify` checks: 0.4-0.6 s at n = 7 and 1.8-2.2 s at 32 MB
 # peak RSS at n = 8 on a 2-vCPU host, each n 3 to 7 times the one before
 VERIFY_MAX_N = 8
 
@@ -984,7 +984,7 @@ def run_verify(max_n: int = 4) -> list[str]:
 
     Returns the labels of the checks that ran; raises VerificationError with
     both sides on the first failure.  Each n costs 3 to 7 times the one
-    before (0.4-0.6 s at n = 7 and 1.6-2.2 s at n = 8 on a 2-vCPU host), so max_n
+    before (0.4-0.6 s at n = 7 and 1.8-2.2 s at n = 8 on a 2-vCPU host), so max_n
     above `VERIFY_MAX_N` = 8 raises GuardExceeded.
     """
     _check_int(max_n, "max_n", 2)
@@ -1060,18 +1060,19 @@ def run_verify(max_n: int = 4) -> list[str]:
                 )
 
         for mq in marked:
-            rebuilt = GroupAlgebraElement.zero(n)
+            # K_{lam,i} = sum of omega Gamma^{mu,j}, with omega = |C| gamma /
+            # d_{j_-(mu)} from `genchar`, and as the integer column holds it
+            by_genchar = by_column = GroupAlgebraElement.zero(n)
             size = marked_class_size(mq.shape, mq.mark)
-            for mp in marked:
+            for mp, omega in zip(marked, _column(mq.shape, mq.mark)):
                 weight = Fraction(
                     size, dimension(decrement_part(mp.shape, mp.mark))
                 ) * genchar(mp.shape, mp.mark, mq.shape, mq.mark)
-                rebuilt = rebuilt + gammas[mp].scale(weight)
-            expect(
-                f"idempotent expansion rebuilds the class sum @ n={n}",
-                rebuilt,
-                class_sum(mq.shape, mq.mark),
-            )
+                by_genchar = by_genchar + gammas[mp].scale(weight)
+                by_column = by_column + gammas[mp].scale(omega)
+            want = class_sum(mq.shape, mq.mark)
+            expect(f"idempotent expansion rebuilds the class sum @ n={n}", by_genchar, want)
+            expect(f"eigenvalue column rebuilds the class sum @ n={n}", by_column, want)
 
         swap_tail = Partition((2,) + (1,) * (n - 2))
         expect(

@@ -23,7 +23,9 @@ from .genchar import (
     _column,
     _marked_shapes,
 )
-from .partitions import Partition, _check_int, _check_mark, _descending_parts, class_size
+from .partitions import (
+    Partition, _check_int, _check_mark, _descending_parts, class_size, marked_class_size
+)
 
 __all__ = [
     "STAR_CLOSED_MAX",
@@ -92,14 +94,14 @@ def _cycle_columns(n: int) -> tuple[tuple[int, ...], ...]:
 def _star_spectrum(lam: Partition, i: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     # (den, ((c, w), ..)) in lowest terms: den times the sum of
     # d_mu gamma^{mu,j}_{lam,i} over the marked shapes (mu, j) with marked
-    # content c is the integer w; the gammas are the integer column of (lam, i)
-    den, weights = _column(lam, i)
-    table = _marked_shapes(lam.n)
+    # content c is the integer w.  That sum is d_mu d_{j_-(mu)} omega summed,
+    # over |C_{lam,i}|, with omega the integer eigenvalue column of (lam, i)
+    column, size, table = _column(lam, i), marked_class_size(lam, i), _marked_shapes(lam.n)
     sums: dict[int, int] = {}
-    for d, c, w in zip(table.dim, table.content, weights):
-        sums[c] = sums.get(c, 0) + d * w
-    common = math.gcd(den, *sums.values())
-    return den // common, tuple((c, sums[c] // common) for c in sorted(sums))
+    for d, dd, c, w in zip(table.dim, table.reduced, table.content, column):
+        sums[c] = sums.get(c, 0) + d * dd * w
+    common = math.gcd(size, *sums.values())
+    return size // common, tuple((c, sums[c] // common) for c in sorted(sums))
 
 
 def _check_size(n: int, r: int) -> None:
@@ -119,8 +121,8 @@ def star_count(lam: Partition, i: int, r: int) -> int:
     """Number of length-r star sequences multiplying to a fixed permutation
     of marked cycle type (lam, i): the sum of d_mu gamma^{mu,j}_{lam,i}
     c_{mu,j}^r over the marked shapes (mu, j), divided by n!.  The gammas
-    come from the cached integer column of (lam, i) in `genchar`, the
-    seminormal trace, not the marked Murnaghan-Nakayama rule that single
+    come from the cached integer eigenvalue column of (lam, i) in `genchar`,
+    the seminormal trace, not the marked Murnaghan-Nakayama rule that single
     values and rows take.
 
     n above STAR_COUNT_MAX_N (the column limit COLUMN_MAX_N) or r above

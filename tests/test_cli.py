@@ -547,8 +547,9 @@ def test_listing_guard_boundary(capsys, monkeypatch) -> None:
 
 
 def _wrong_column(lam, i):
-    # every gamma of the column 1/3
-    return 3, (1,) * len(enumerate_marked_partitions(lam.n))
+    # eigenvalue 1 on the trivial idempotent Gamma^{(n),n} and 0 elsewhere:
+    # the class (2,1)@2 at r = 2 then counts 1 * 1 * 2^2 / (2 * 3!) = 1/3
+    return (1,) + (0,) * (len(enumerate_marked_partitions(lam.n)) - 1)
 
 
 def _wrong_chi_column(parts):
@@ -583,9 +584,9 @@ def _wrong_chi_column(parts):
     ],
 )
 def test_internal_inconsistency_exits_70(capsys, monkeypatch, module, name, wrong, argv) -> None:
-    # a wrong gamma or chi makes a count fractional: a library defect, not
-    # bad input; star counts and product coefficients read gamma from the
-    # integer column, class counts read chi from its column
+    # a wrong eigenvalue or chi makes a count fractional: a library defect,
+    # not bad input; star counts and product coefficients read the integer
+    # eigenvalue column of each class, class counts read chi from its column
     spectrum = importlib.import_module("nearcentral.starcount")._star_spectrum
     # a spectrum cached by an earlier test would hide the patched column,
     # and the one built from it must not outlive this test
@@ -598,6 +599,43 @@ def test_internal_inconsistency_exits_70(capsys, monkeypatch, module, name, wron
     assert code == 70
     assert doc["status"] == "error"
     assert "internal inconsistency" in err
+
+
+def test_an_eigenvalue_off_the_integers_exits_70(capsys, monkeypatch) -> None:
+    # one end weight of the lattice pass off by one: omega of (3,2)@2 is
+    # |C| = 8 times the weight over a multiple of scale = lcm(1..4) = 12, so
+    # the entry leaves the integers, and the column, the star count and the
+    # product coefficient that read it refuse
+    genchar_module = importlib.import_module("nearcentral.genchar")
+    spectrum = importlib.import_module("nearcentral.starcount")._star_spectrum
+    lattice_pass = genchar_module._lattice_pass
+
+    def off_by_one(lam, i):
+        ends, den = lattice_pass(lam, i)
+        lasts = next(iter(ends.values()))
+        lasts[next(iter(lasts))] += 1
+        return ends, den
+
+    monkeypatch.setattr(genchar_module, "_lattice_pass", off_by_one)
+    # neither cache may answer from a right pass, nor keep a wrong one
+    genchar_module._column.cache_clear()
+    spectrum.cache_clear()
+    try:
+        with pytest.raises(InconsistencyError, match=r"^eigenvalue of K_3,2@2 on Gamma\^\S+ is not"):
+            genchar_module._column(Partition((3, 2)), 2)
+        for argv in (
+            ["starfact", "count", "--lambda", "3,2", "--i", "2", "--r", "2"],
+            ["connection", "--n", "5", "--lambda", "3,2", "--i", "2",
+             "--mu", "3,2", "--j", "2", "--nu", "5", "--k", "5"],
+        ):
+            code, doc, err = _invoke(capsys, argv)
+            assert code == 70, argv
+            assert doc["status"] == "error"
+            assert "internal inconsistency" in err
+            assert "eigenvalue of K_" in doc["error"]
+    finally:
+        genchar_module._column.cache_clear()
+        spectrum.cache_clear()
 
 
 def test_a_fractional_marked_class_size_exits_70(capsys, monkeypatch) -> None:

@@ -51,6 +51,7 @@ from nearcentral import (
     star_walk,
     subscript_sum_chi,
     superscript_sum,
+    table1_poly,
     weighted_sum,
 )
 from nearcentral.permutations import cycle_lengths
@@ -744,18 +745,23 @@ def test_columns_past_the_cap(monkeypatch) -> None:
 
 
 def test_closed_columns_up_to_the_cap() -> None:
-    # classes with a closed form: sampled column entries against
-    # `genchar_table2`, and star counts and a product coefficient against
-    # closed forms, up to n = 30
+    # classes with a closed form: sampled eigenvalues omega against the
+    # Table 1 row evaluated at contents, which is omega itself, or against
+    # `genchar_table2` for the identity and the hook row; then star counts
+    # and a product coefficient against closed forms, up to n = 30
     for n in (13, 14, 21, 30):
         rng = random.Random(n)
-        marked = genchar_module._marked_shapes(n).marked
+        table = genchar_module._marked_shapes(n)
+        marked, rows = table.marked, genchar_module._table1_index(n)
         for lam, i in sorted(genchar_module._closed_classes(n), key=str):
-            den, weights = genchar_module._column(lam, i)
+            column, size = genchar_module._column(lam, i), marked_class_size(lam, i)
             for t in rng.sample(range(len(marked)), 60):
                 mu, j = marked[t].shape, marked[t].mark
-                expected = genchar_table2(mu, j, lam, i)
-                assert Fraction(weights[t], den) == expected, (mu, j, lam, i)
+                if MarkedPartition(lam, i) in rows:
+                    expected = evaluate_asf(table1_poly(lam, i), mu, j)
+                else:
+                    expected = genchar_table2(mu, j, lam, i) * size / table.reduced[t]
+                assert column[t] == expected, (mu, j, lam, i)
         full, split = Partition((n,)), Partition((n - 1, 1))
         for r in (n - 1, n, n + 3):
             assert star_count(full, n, r) == star_count_closed(StarClosedCase.FULL_CYCLE, n, r)
@@ -769,6 +775,24 @@ def test_closed_columns_up_to_the_cap() -> None:
         # for exactly one a: the one next to n on the cycle, which it fixes
         star = Partition((2,) + (1,) * (n - 2))
         assert connection_coefficient(split, n - 1, star, 2, full, n) == 1
+
+
+def test_swap_class_eigenvalues_are_the_marked_contents() -> None:
+    # Table 1's row v.xn: J_n, the class sum of (2,1^{n-2})@2, acts on
+    # Gamma^{mu,j} by the marked content c_{mu,j}.  Then every marked class
+    # of n <= 14 builds its column, each entry one exact division, and acts
+    # by |C| on the trivial idempotent Gamma^{(n),n} (first) and by
+    # sign |C| on Gamma^{(1^n),1} (last)
+    for n in [*range(2, 21), 30]:
+        swap = Partition((2,) + (1,) * (n - 2))
+        assert genchar_module._column(swap, 2) == genchar_module._marked_shapes(n).content, n
+    built = 0
+    for n in range(1, 15):
+        for lam, i in _marked(n):
+            column, size = genchar_module._column(lam, i), marked_class_size(lam, i)
+            assert (column[0], column[-1]) == (size, (-1) ** (n - len(lam)) * size), (lam, i)
+            built += 1
+    assert built == 1263
 
 
 def test_marked_shape_table() -> None:
